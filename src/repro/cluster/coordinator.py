@@ -63,7 +63,6 @@ from repro.faults.failpoints import (
     FP_COORD_BEFORE_WAL,
     FP_COORD_RESIZE_AFTER_WAL,
     FP_COORD_RESIZE_BEFORE_WAL,
-    InjectedCrash,
 )
 from repro.manager.network_manager import (
     RESIZE_IN_PLACE,
@@ -346,6 +345,79 @@ class ClusterCoordinator:
         flight_recorder().record(kind, component="coordinator", **fields)
 
     # ------------------------------------------------------------------
+    # The commit step
+    # ------------------------------------------------------------------
+
+    def _journal(
+        self,
+        op: str,
+        *,
+        undo: Optional[Callable[[], None]] = None,
+        required: bool = True,
+        **fields: Any,
+    ) -> bool:
+        """Append one WAL record (lock held); the one place an append may fail.
+
+        WAL order is the order coordinator state changes, so every append
+        sits between the step it records and the ack.  When it fails, a
+        ``wal_error`` flight event names the op, and then:
+
+        * ``required`` records (``rintent``, ``radmit``, ``xintent``,
+          ``xcommit``, ``rsintent``, and a ``release`` some shard missed) are
+          ones recovery cannot re-derive: ``undo`` puts shards and ledger
+          back and :class:`CoordinatorError` reports the outcome as unknown —
+          the caller retries with the same idempotency key;
+        * roll-forward records (``rreject``, ``xabort``, ``rsdone``, and a
+          ``release`` every shard applied) restate what recovery re-derives
+          from the shard journals: log, return ``False``, carry on.
+
+        An :class:`~repro.faults.failpoints.InjectedCrash` is a
+        ``BaseException`` and passes straight through.
+        """
+        if self._wal is None:
+            return True
+        try:
+            self._wal.append(op, **fields)
+        except Exception as exc:
+            gid = fields.get("gid")
+            self._flight("wal_error", op=op, gid=gid, error=str(exc))
+            if undo is not None:
+                undo()
+            if not required:
+                logger.warning("gid=%s: %s not journaled: %s", gid, op, exc)
+                return False
+            raise CoordinatorError(
+                f"{op} for gid {gid} not journaled ({type(exc).__name__}); "
+                + ("rolled back" if undo is not None else "outcome unknown")
+            ) from exc
+        return True
+
+    def _release_fragments(self, gid: int, fragments: Dict[int, int]) -> int:
+        """Release ``{shard: srid}`` at the shards; returns how many failed.
+
+        A failure is only logged: the fragment stays in that shard's
+        journal and recovery settles it (presumed abort / release
+        completion).
+        """
+        failures = 0
+        for shard_index, srid in sorted(fragments.items()):
+            try:
+                self.shards[shard_index].release(srid)
+            except ServiceError:
+                failures += 1
+                logger.warning(
+                    "gid=%d: release on shard %d failed; recovery will settle it",
+                    gid, shard_index,
+                )
+        return failures
+
+    def _abort_round(self, gid: int, reason: str) -> None:
+        """Drop a two-phase reservation and leave the audit trail (lock held)."""
+        self.ledger.abort(gid)
+        self._obs.reservation("abort")
+        self._flight("reservation_abort", gid=gid, reason=reason)
+
+    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
@@ -443,23 +515,11 @@ class ClusterCoordinator:
             # clean shard-side dedup slate, while client-level dedup lives
             # in the coordinator's own WAL-rebuilt index.
             skey = f"r-{gid}"
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RINTENT, gid=gid, idem=idempotency_key,
-                        skey=skey, shard=target,
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Nothing happened yet beyond burning a gid; the
-                    # outcome is unknown to the caller, who retries.
-                    self._flight(
-                        "wal_error", op=OP_RINTENT, gid=gid, error=str(exc)
-                    )
-                    raise CoordinatorError(
-                        f"intent not journaled ({type(exc).__name__})"
-                    ) from exc
+            # Nothing has happened yet beyond burning a gid, so a lost
+            # intent needs no undo; the caller retries.
+            self._journal(
+                OP_RINTENT, gid=gid, idem=idempotency_key, skey=skey, shard=target
+            )
             pending = int(request.n_vms)
             self._inflight_vms[target] = self._inflight_vms.get(target, 0) + pending
         try:
@@ -526,36 +586,17 @@ class ClusterCoordinator:
                 )
             view = self.shards[shard_index].view
             global_allocation = view.allocation_to_global(local_allocation, request_id=gid)
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RADMIT,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        idem=idempotency_key,
-                        allocation=allocation_to_dict(global_allocation),
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # The WAL will not remember this admission, so the
-                    # shard must forget it too (same rollback discipline
-                    # as the shard's own journal failures).
-                    self._flight(
-                        "wal_error", op=OP_RADMIT, gid=gid, error=str(exc)
-                    )
-                    try:
-                        self.shards[shard_index].release(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "gid=%d: rollback release on shard %d failed; "
-                            "recovery will settle it", gid, shard_index,
-                        )
-                    raise CoordinatorError(
-                        f"admission not journaled ({type(exc).__name__}); "
-                        "rolled back"
-                    ) from exc
+            # The WAL must remember this admission or the shard must forget
+            # it too (same discipline as the shard's own journal failures).
+            self._journal(
+                OP_RADMIT,
+                undo=lambda: self._release_fragments(gid, {shard_index: srid}),
+                gid=gid,
+                shard=shard_index,
+                srid=srid,
+                idem=idempotency_key,
+                allocation=allocation_to_dict(global_allocation),
+            )
             self.replica.adopt(global_allocation)
             core = core_demands_of(global_allocation, self.partition.core_link_ids)
             if core:
@@ -587,18 +628,12 @@ class ClusterCoordinator:
         trace: Optional[Trace] = None,
     ) -> Dict[str, Any]:
         with self._lock:
-            if self._wal is not None and idempotency_key is not None:
-                try:
-                    self._wal.append(OP_RREJECT, gid=gid, idem=idempotency_key)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: a lost reject record only means a
-                    # post-crash retry re-runs the (deterministic) decision.
-                    self._flight(
-                        "wal_error", op=OP_RREJECT, gid=gid, error=str(exc)
-                    )
-                    logger.warning("gid=%d: reject not journaled: %s", gid, exc)
+            if idempotency_key is not None:
+                # Roll forward: a lost reject record only means a post-crash
+                # retry re-runs the (deterministic) decision.
+                self._journal(
+                    OP_RREJECT, required=False, gid=gid, idem=idempotency_key
+                )
             self.rejected_count += 1
             payload = self._decision(gid, "rejected", detail, route)
             self._remember(idempotency_key, payload)
@@ -655,39 +690,22 @@ class ClusterCoordinator:
                 self._obs.reservation("reserve")
                 FAILPOINTS.hit(FP_COORD_AFTER_RESERVE)
                 fragments = self._fragment(allocation)
-                if self._wal is not None:
-                    try:
-                        self._wal.append(
-                            OP_XINTENT,
-                            gid=gid,
-                            idem=idempotency_key,
-                            fkey=fragment_key,
-                            allocation=allocation_to_dict(allocation),
-                            fragments={
-                                str(shard_index): allocation_to_dict(fragment)
-                                for shard_index, fragment in fragments.items()
-                            },
-                            core={
-                                str(link_id): demand.to_dict()
-                                for link_id, demand in core.items()
-                            },
-                        )
-                    except InjectedCrash:
-                        raise
-                    except Exception as exc:
-                        self.ledger.abort(gid)
-                        self._obs.reservation("abort")
-                        self._flight(
-                            "wal_error", op=OP_XINTENT, gid=gid, error=str(exc)
-                        )
-                        self._flight(
-                            "reservation_abort", gid=gid,
-                            reason="intent_not_journaled",
-                        )
-                        raise CoordinatorError(
-                            f"two-phase intent not journaled "
-                            f"({type(exc).__name__}); reservation aborted"
-                        ) from exc
+                self._journal(
+                    OP_XINTENT,
+                    undo=lambda: self._abort_round(gid, "intent_not_journaled"),
+                    gid=gid,
+                    idem=idempotency_key,
+                    fkey=fragment_key,
+                    allocation=allocation_to_dict(allocation),
+                    fragments={
+                        str(shard_index): allocation_to_dict(fragment)
+                        for shard_index, fragment in fragments.items()
+                    },
+                    core={
+                        str(link_id): demand.to_dict()
+                        for link_id, demand in core.items()
+                    },
+                )
             adopted: Dict[int, int] = {}
             failure: Optional[Exception] = None
             for shard_index in sorted(fragments):
@@ -699,10 +717,7 @@ class ClusterCoordinator:
                             trace=tctx,
                         )
                     self._collect_remote(trace, tctx)
-                except ConflictError as exc:
-                    failure = exc
-                    break
-                except ServiceError as exc:
+                except ServiceError as exc:  # a ConflictError retries below
                     failure = exc
                     break
             if failure is None:
@@ -711,47 +726,24 @@ class ClusterCoordinator:
                     with _tspan(trace, "commit"):
                         self.ledger.commit(gid)
                     self._obs.reservation("commit")
-                    if self._wal is not None:
-                        try:
-                            self._wal.append(
-                                OP_XCOMMIT,
-                                gid=gid,
-                                idem=idempotency_key,
-                                srids={
-                                    str(shard_index): srid
-                                    for shard_index, srid in adopted.items()
-                                },
-                            )
-                        except InjectedCrash:
-                            raise
-                        except Exception as exc:
-                            # Without the commit record, recovery would
-                            # presume-abort this round — make the live
-                            # process agree: undo everything and report
-                            # the outcome as unknown.
-                            for shard_index, srid in adopted.items():
-                                try:
-                                    self.shards[shard_index].release(srid)
-                                except ServiceError:
-                                    logger.warning(
-                                        "gid=%d: commit rollback on shard %d "
-                                        "failed; recovery will presume-abort",
-                                        gid, shard_index,
-                                    )
-                            self.ledger.release(gid)
-                            self._obs.reservation("abort")
-                            self._flight(
-                                "wal_error", op=OP_XCOMMIT, gid=gid,
-                                error=str(exc),
-                            )
-                            self._flight(
-                                "reservation_abort", gid=gid,
-                                reason="commit_not_journaled",
-                            )
-                            raise CoordinatorError(
-                                f"commit not journaled ({type(exc).__name__}); "
-                                "round rolled back"
-                            ) from exc
+
+                    def uncommit() -> None:
+                        # Without the commit record recovery would presume-
+                        # abort this round — make the live process agree.
+                        self._release_fragments(gid, adopted)
+                        self.ledger.release(gid)
+                        self._abort_round(gid, "commit_not_journaled")
+
+                    self._journal(
+                        OP_XCOMMIT,
+                        undo=uncommit,
+                        gid=gid,
+                        idem=idempotency_key,
+                        srids={
+                            str(shard_index): srid
+                            for shard_index, srid in adopted.items()
+                        },
+                    )
                     FAILPOINTS.hit(FP_COORD_AFTER_COMMIT)
                     self.replica.adopt(allocation)
                     self._gid_map[gid] = dict(adopted)
@@ -771,31 +763,12 @@ class ClusterCoordinator:
                     return payload
             # Roll back this round: release adopted fragments, abort the
             # reservation, journal the abort, then retry or give up.
-            for shard_index, srid in adopted.items():
-                try:
-                    self.shards[shard_index].release(srid)
-                except ServiceError:
-                    logger.warning(
-                        "gid=%d: fragment release on shard %d failed; recovery "
-                        "will presume-abort it", gid, shard_index,
-                    )
+            self._release_fragments(gid, adopted)
             with self._lock:
-                self.ledger.abort(gid)
-                self._obs.reservation("abort")
-                self._flight(
-                    "reservation_abort", gid=gid,
-                    reason=f"{type(failure).__name__}: {failure}",
-                )
-                if self._wal is not None:
-                    try:
-                        self._wal.append(OP_XABORT, gid=gid)
-                    except InjectedCrash:
-                        raise
-                    except Exception as exc:
-                        # Roll forward: a missing abort record just means
-                        # recovery presumes the abort from the dangling
-                        # intent, which lands in the same place.
-                        logger.warning("gid=%d: abort not journaled: %s", gid, exc)
+                self._abort_round(gid, f"{type(failure).__name__}: {failure}")
+                # Roll forward: without the abort record recovery presumes
+                # the abort from the dangling intent — same end state.
+                self._journal(OP_XABORT, required=False, gid=gid)
             if isinstance(failure, ConflictError):
                 last_detail = f"cross-shard conflict: {failure}"
                 continue
@@ -917,35 +890,14 @@ class ClusterCoordinator:
             if entry is None:
                 return False
             fragments = dict(entry)
-        shard_failures = 0
-        for shard_index, srid in sorted(fragments.items()):
-            try:
-                self.shards[shard_index].release(srid)
-            except ServiceError:
-                shard_failures += 1
-                logger.warning(
-                    "gid=%d: release on shard %d failed; recovery will finish it",
-                    gid, shard_index,
-                )
+        shard_failures = self._release_fragments(gid, fragments)
         with self._lock:
-            journaled = False
-            if shard_failures and self._wal is not None:
-                # The failed shards' journals still carry their fragments,
-                # so this WAL record is the only durable evidence of the
-                # departure — it must land before the release is acked, or
-                # recovery would re-adopt the surviving fragments.
-                try:
-                    self._wal.append(OP_RELEASE, gid=gid)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Nothing durable records the release; keep the maps
-                    # intact so a retry re-runs the idempotent steps.
-                    raise CoordinatorError(
-                        f"release of gid {gid} not journaled "
-                        f"({type(exc).__name__}); outcome unknown"
-                    ) from exc
-                journaled = True
+            # A shard that failed still journals its fragment as active, so
+            # the WAL record is then the only durable evidence of the
+            # departure: it must land before the maps change and the release
+            # is acked (a retry re-runs the idempotent steps), or recovery
+            # would re-adopt the surviving fragments.
+            journaled = bool(shard_failures) and self._journal(OP_RELEASE, gid=gid)
             if self._gid_map.pop(gid, None) is None:
                 return True  # lost a race with a concurrent release
             for shard_index, srid in fragments.items():
@@ -954,16 +906,11 @@ class ClusterCoordinator:
             if tenancy is not None:
                 self.replica.release(tenancy)
             self.ledger.release(gid)
-            if self._wal is not None and not journaled:
-                try:
-                    self._wal.append(OP_RELEASE, gid=gid)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: every fragment is gone from its shard
-                    # journal, so recovery's release-completion pass will
-                    # finish the job without this record.
-                    logger.warning("gid=%d: release not journaled: %s", gid, exc)
+            if not journaled:
+                # Roll forward: every fragment is gone from its shard
+                # journal, so recovery's release-completion pass finishes
+                # the job without this record.
+                self._journal(OP_RELEASE, required=False, gid=gid)
         return True
 
     # ------------------------------------------------------------------
@@ -1085,27 +1032,16 @@ class ClusterCoordinator:
             rseq = self._resize_seq
             skey = f"rs-{gid}-{rseq}"
             FAILPOINTS.hit(FP_COORD_RESIZE_BEFORE_WAL)
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RSINTENT,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        skey=skey,
-                        rseq=rseq,
-                        idem=idempotency_key,
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    self.ledger.abort(reserve_id)
-                    self._flight(
-                        "wal_error", op=OP_RSINTENT, gid=gid, error=str(exc)
-                    )
-                    raise CoordinatorError(
-                        f"resize intent not journaled ({type(exc).__name__})"
-                    ) from exc
+            self._journal(
+                OP_RSINTENT,
+                undo=lambda: self.ledger.abort(reserve_id),
+                gid=gid,
+                shard=shard_index,
+                srid=srid,
+                skey=skey,
+                rseq=rseq,
+                idem=idempotency_key,
+            )
         try:
             decision = self.shards[shard_index].resize(
                 srid,
@@ -1148,28 +1084,19 @@ class ClusterCoordinator:
             global_allocation = view.allocation_to_global(
                 local_allocation, request_id=gid
             )
-            if self._wal is not None:
-                try:
-                    self._wal.append(
-                        OP_RSDONE,
-                        gid=gid,
-                        shard=shard_index,
-                        srid=srid,
-                        outcome=outcome,
-                        idem=idempotency_key,
-                        allocation=allocation_to_dict(global_allocation),
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # Roll forward: the shard has already committed the new
-                    # size and its journal is authoritative — recovery's
-                    # shard reconciliation re-derives the post-resize
-                    # allocation without this record.
-                    self._flight(
-                        "wal_error", op=OP_RSDONE, gid=gid, error=str(exc)
-                    )
-                    logger.warning("gid=%d: resize not journaled: %s", gid, exc)
+            # Roll forward: the shard has already committed the new size and
+            # its journal is authoritative — recovery's shard reconciliation
+            # re-derives the post-resize allocation without this record.
+            self._journal(
+                OP_RSDONE,
+                required=False,
+                gid=gid,
+                shard=shard_index,
+                srid=srid,
+                outcome=outcome,
+                idem=idempotency_key,
+                allocation=allocation_to_dict(global_allocation),
+            )
             FAILPOINTS.hit(FP_COORD_RESIZE_AFTER_WAL)
             old_tenancy = self.replica.get_tenancy(gid)
             if old_tenancy is not None:
@@ -1199,20 +1126,12 @@ class ClusterCoordinator:
         started: float,
     ) -> Dict[str, Any]:
         """Settle a rejected resize: journal, tally, remember. Lock held."""
-        if self._wal is not None:
-            try:
-                self._wal.append(
-                    OP_RSDONE, gid=gid, outcome=RESIZE_REJECTED,
-                    idem=idempotency_key,
-                )
-            except InjectedCrash:
-                raise
-            except Exception as exc:
-                # Roll forward: the old allocation stands either way; a
-                # post-crash retry re-runs the (deterministic) decision.
-                logger.warning(
-                    "gid=%d: resize reject not journaled: %s", gid, exc
-                )
+        # Roll forward: the old allocation stands either way; a post-crash
+        # retry re-runs the (deterministic) decision.
+        self._journal(
+            OP_RSDONE, required=False, gid=gid, outcome=RESIZE_REJECTED,
+            idem=idempotency_key,
+        )
         self.resize_counts[RESIZE_REJECTED] += 1
         payload = self._decision(gid, RESIZE_REJECTED, detail, ROUTE_LOCAL)
         self._remember(idempotency_key, payload)

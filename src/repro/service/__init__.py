@@ -5,8 +5,8 @@ into a runnable daemon: a thread-safe front-end with a worker pool
 (:mod:`.concurrency`), the paper's online/batch request queue with
 priorities and deadlines (:mod:`.queue`), an append-only write-ahead
 journal with periodic snapshots and crash recovery (:mod:`.journal`,
-:mod:`.recovery`), a stdlib TCP line-JSON server (:mod:`.server`) and a
-matching retrying client (:mod:`.client`).  Fault behaviour — typed
+:mod:`.recovery`), an asyncio TCP line-JSON server (:mod:`.server`,
+:mod:`.aio`) and a matching retrying client (:mod:`.client`).  Fault behaviour — typed
 errors (:mod:`.errors`), the degradation ladder (:mod:`.degrade`) and the
 failpoints of :mod:`repro.faults` — is documented in DESIGN.md §7 and
 docs/operations.md.  ``svc-repro serve`` is the CLI entry.
@@ -53,11 +53,10 @@ from repro.service.recovery import (
     recover_manager,
     snapshot_payload,
 )
-from repro.service.server import AdmissionTCPServer, serve_main
+from repro.service.server import serve_main
 
 __all__ = [
     "AdmissionService",
-    "AdmissionTCPServer",
     "CodecError",
     "DeadlineExceededError",
     "DegradationLadder",

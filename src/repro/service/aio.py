@@ -16,9 +16,8 @@ Two rules keep the sync core honest:
   ``Ticket.add_done_callback`` — a thousand in-flight submits hold zero
   pool threads while the admission batcher works.
 
-The wire protocol is byte-for-byte the line-JSON contract of
-:mod:`repro.service.server`; the op table and error envelope are imported
-from there, so the two front ends cannot drift.
+The wire protocol is the line-JSON contract of :mod:`repro.service.server`;
+the op table and error envelope are imported from there.
 """
 
 from __future__ import annotations
@@ -35,6 +34,13 @@ from repro.faults.failpoints import FAILPOINTS, FP_SERVER_RESPONSE
 from repro.service.codec import CodecError
 from repro.service.concurrency import AdmissionService, Ticket
 from repro.service.errors import ServiceError
+from repro.service.server import (
+    announce_ready,
+    dispatch_command,
+    dump_flight_on_sigusr2,
+    error_response,
+    final_shutdown,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -185,9 +191,6 @@ class AsyncFrontDoor:
 
     async def _process(self, line: bytes) -> Dict[str, Any]:
         """Decode and execute one protocol line, mapping errors to envelopes."""
-        # Local import: server.py imports this module for the async branch.
-        from repro.service.server import dispatch_command, error_response
-
         try:
             command = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -229,8 +232,8 @@ class AsyncFrontDoor:
     ) -> None:
         """Await the worker's decision without holding a pool thread.
 
-        On timeout the request simply stays queued (same contract as the
-        threaded front end) and the caller reports the ticket as queued.
+        On timeout the request simply stays queued and the caller reports
+        the ticket as queued.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[None]" = loop.create_future()
@@ -257,31 +260,25 @@ class AsyncFrontDoor:
 
 
 # ----------------------------------------------------------------------
-# ``svc-repro serve --frontend async``
+# ``svc-repro serve``
 # ----------------------------------------------------------------------
 
 
 def run_async_server(service: AdmissionService, args: argparse.Namespace) -> int:
-    """Blocking entry point wired behind ``svc-repro serve`` (async frontend).
+    """Blocking entry point wired behind ``svc-repro serve``.
 
     Owns the event loop: binds, starts the admission workers, installs
     signal handlers on the loop, prints the ready line, serves until a
     shutdown op or signal, then runs the shared teardown (checkpoint +
     journal close).
     """
-    from repro.service.server import (
-        announce_ready,
-        dump_flight_on_sigusr2,
-        final_shutdown,
-    )
-
     async def _main() -> None:
         door = AsyncFrontDoor(
             service,
             host=args.host,
             port=args.port,
-            pool_size=getattr(args, "pool_size", DEFAULT_POOL_SIZE),
-            client_timeout=getattr(args, "client_timeout_s", None),
+            pool_size=args.pool_size,
+            client_timeout=args.client_timeout_s,
         )
         await door.start()
         service.start()

@@ -12,10 +12,11 @@ resolve the submitting client's :class:`Ticket`.
 Durability ordering: state is mutated first, then the event is journaled,
 both under the lock, and the ticket is resolved only after the journal
 append returns.  A crash can lose at most the final un-acknowledged
-operation; everything a client saw acknowledged is recoverable.  When the
-journal append itself fails, the just-applied mutation is **rolled back**
-before anyone sees it — memory never acknowledges what the journal will
-not remember — and the service steps down the degradation ladder
+operation; everything a client saw acknowledged is recoverable.  What
+happens when the append itself fails is decided in exactly one place,
+:meth:`AdmissionService._journaled`: the just-applied mutation is **rolled
+back** before anyone sees it — memory never acknowledges what the journal
+will not remember — and the service steps down the degradation ladder
 (:mod:`repro.service.degrade`): mutations shed with typed, retryable
 errors while a background probe record (``op: "note"``) tests the volume
 until writes succeed again.
@@ -559,21 +560,81 @@ class AdmissionService:
 
     def _probe_journal(self) -> None:
         """While degraded, test the journal with a replay-invisible note."""
-        ladder = self._degradation
-        if ladder is None or self.store is None:
-            return
-        try:
-            self.store.log_note("degradation probe")
-        except InjectedCrash:
-            raise
-        except Exception as exc:
-            before = ladder.state
-            ladder.record_failure(exc)
-            if ladder.state != before:
-                self._obs.degradation_transition(ladder.state)
-            logger.debug("journal probe failed: %s", exc)
-        else:
+        if self.store is not None and self._journaled(
+            "note", lambda: self.store.log_note("degradation probe")
+        ):
             self._recover_degradation()
+
+    def _journaled(
+        self,
+        op: str,
+        append: Callable[[], Any],
+        *,
+        undo: Optional[Callable[[], None]] = None,
+        degrade: bool = True,
+        before: Optional[str] = None,
+        after: Optional[str] = None,
+        **event: Any,
+    ) -> bool:
+        """The commit step: journal a mutation already applied (under lock).
+
+        Every durable write goes through here, so "what happens when an
+        append fails" is decided once.  The caller has mutated memory;
+        ``append`` writes the record.  If it raises:
+
+        * a record with an ``undo`` is one recovery cannot do without
+          (admit, adopt, release, resize): the journal will not remember the
+          mutation, so memory must forget it — ``undo`` restores the pre-op
+          state before anyone is acknowledged, and the caller gets a typed
+          :class:`DegradedError` carrying the ladder's ``retry_after``;
+        * a record without one is a loss recovery tolerates (a ``reject``
+          never touched link state, the probe ``note`` is replay-invisible,
+          a snapshot is only a replay shortcut): the operation continues and
+          ``False`` is returned.
+
+        Either way the failure steps the degradation ladder, counts one
+        ``errors`` and leaves exactly one ``wal_error`` flight event naming
+        ``op`` (plus ``event``).  ``degrade=False`` is for the snapshot file
+        only: the ladder tracks *journal* health, its probe would succeed
+        while snapshots keep failing, and the service would flap read-only
+        after every mutation.
+
+        ``before``/``after`` are the crash failpoints bracketing the append;
+        an :class:`InjectedCrash` is a ``BaseException`` and passes straight
+        through, like the process death it simulates.  Without a store the
+        step is a no-op.
+        """
+        if self.store is None:
+            return True
+        if before is not None:
+            FAILPOINTS.hit(before)
+        try:
+            append()
+        except Exception as exc:
+            if undo is not None:
+                undo()
+            if degrade:
+                self._degrade(exc)
+            self._count("errors")
+            flight_recorder().record(
+                "wal_error", op=op, error=f"{type(exc).__name__}: {exc}", **event
+            )
+            logger.warning(
+                "%s not journaled (%s); %s",
+                op, exc, "rolled back" if undo is not None else "continuing",
+            )
+            if undo is None:
+                return False
+            raise DegradedError(
+                f"{op} not journaled ({type(exc).__name__}); rolled back",
+                code=CODE_READ_ONLY,
+                retry_after=(
+                    self._degradation.retry_after() if self._degradation else 1.0
+                ),
+            ) from exc
+        if after is not None:
+            FAILPOINTS.hit(after)
+        return True
 
     # ------------------------------------------------------------------
     # Client operations
@@ -735,35 +796,27 @@ class AdmissionService:
         waiting for.
 
         If the journal append fails, the release is rolled back (the
-        tenancy is re-adopted) before the caller sees anything: the
-        journal stays the single source of truth, and the service steps
-        down the degradation ladder instead of acknowledging a release
-        that recovery would silently undo.
+        tenancy is re-adopted, see :meth:`_journaled`) and the caller gets a
+        :class:`DegradedError` instead of an acknowledgement that recovery
+        would silently undo.  Refused with ``RuntimeError`` once the service
+        has stopped, been killed or crashed — a dead service mutates nothing.
         """
         with self._cond:
+            if not self._running:
+                raise RuntimeError("service is not running")
             self.gate("release")
             tenancy = self.manager.get_tenancy(request_id)
             if tenancy is None:
                 return False
             FAILPOINTS.hit(FP_RELEASE_BEFORE_JOURNAL)
             self.manager.release(tenancy)
-            if self.store is not None:
-                try:
-                    self.store.log_release(request_id)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    self.manager.adopt(tenancy.allocation)
-                    self._degrade(exc)
-                    self._count("errors")
-                    raise DegradedError(
-                        f"release not journaled ({type(exc).__name__}); rolled back",
-                        code=CODE_READ_ONLY,
-                        retry_after=(
-                            self._degradation.retry_after() if self._degradation else 1.0
-                        ),
-                    ) from exc
-                FAILPOINTS.hit(FP_RELEASE_AFTER_JOURNAL)
+            self._journaled(
+                "release",
+                lambda: self.store.log_release(request_id),
+                undo=lambda: self.manager.adopt(tenancy.allocation),
+                after=FP_RELEASE_AFTER_JOURNAL,
+                request_id=request_id,
+            )
             self._count("released")
             retried = 0
             if self.mode == MODE_BATCH:
@@ -785,11 +838,9 @@ class AdmissionService:
     ) -> Dict[str, Any]:
         """Resize an active tenancy; returns the decision payload.
 
-        Runs :meth:`NetworkManager.resize` under the service lock with the
-        same durability ordering as every other mutation: mutate, journal,
-        and roll the mutation back if the journal append fails (the old
-        allocation is re-adopted verbatim — memory never acknowledges a
-        size the journal will not remember).  Idempotent per
+        Runs :meth:`NetworkManager.resize` under the service lock and
+        commits it through :meth:`_journaled`: if the journal append fails
+        the old allocation is re-adopted verbatim.  Idempotent per
         ``idempotency_key``: a retried resize returns the journaled
         decision instead of resizing twice.
 
@@ -827,44 +878,27 @@ class AdmissionService:
             result = manager.resize(
                 request_id, new_n=new_n, new_mu=new_mu, new_sigma=new_sigma
             )
-            if self.store is not None:
-                try:
-                    self.store.log_resize(
-                        request_id,
-                        result.outcome,
-                        allocation=(
-                            result.tenancy.allocation if result.accepted else None
-                        ),
-                        idempotency_key=idempotency_key,
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # The journal will not remember this resize, so memory
-                    # must forget it: swap the old allocation back in (the
-                    # reverse resize always fits — it just vacated those
-                    # resources) and undo the tally before degrading.
-                    if result.accepted and result.tenancy.allocation is not old_allocation:
-                        current = manager.get_tenancy(request_id)
-                        manager.release(current)
-                        manager.adopt(old_allocation)
-                    manager.resize_counts[result.outcome] -= 1
-                    self._degrade(exc)
-                    self._count("errors")
-                    flight_recorder().record(
-                        "wal_error",
-                        op="resize",
-                        request_id=request_id,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    raise DegradedError(
-                        f"resize not journaled ({type(exc).__name__}); rolled back",
-                        code=CODE_READ_ONLY,
-                        retry_after=(
-                            self._degradation.retry_after() if self._degradation else 1.0
-                        ),
-                    ) from exc
-                FAILPOINTS.hit(FP_RESIZE_AFTER_JOURNAL)
+
+            def undo() -> None:
+                # Swap the old allocation back in (the reverse resize always
+                # fits — it just vacated those resources) and undo the tally.
+                if result.accepted and result.tenancy.allocation is not old_allocation:
+                    manager.release(manager.get_tenancy(request_id))
+                    manager.adopt(old_allocation)
+                manager.resize_counts[result.outcome] -= 1
+
+            self._journaled(
+                "resize",
+                lambda: self.store.log_resize(
+                    request_id,
+                    result.outcome,
+                    allocation=result.tenancy.allocation if result.accepted else None,
+                    idempotency_key=idempotency_key,
+                ),
+                undo=undo,
+                after=FP_RESIZE_AFTER_JOURNAL,
+                request_id=request_id,
+            )
             if idempotency_key is not None:
                 self._remember_key(
                     idempotency_key,
@@ -919,8 +953,8 @@ class AdmissionService:
         raised and nothing is touched (the optimistic-concurrency abort
         path of the two-phase protocol).
 
-        Same durability ordering as the worker path: mutate, journal, and
-        roll back the mutation if the journal append fails.  Idempotent per
+        Committed through :meth:`_journaled` like the worker path (rolled
+        back if the journal append fails).  Idempotent per
         ``idempotency_key`` — a retried adopt returns the original local id
         instead of committing a second copy.
         """
@@ -962,25 +996,19 @@ class AdmissionService:
             )
             tenancy = manager.adopt(local)
             manager.admitted_count += 1
-            if self.store is not None:
-                FAILPOINTS.hit(FP_WORKER_BEFORE_JOURNAL)
-                try:
-                    self.store.log_admit(local, idempotency_key=idempotency_key)
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    manager.release(tenancy)
-                    manager.admitted_count -= 1
-                    self._degrade(exc)
-                    self._count("errors")
-                    raise DegradedError(
-                        f"adopt not journaled ({type(exc).__name__}); rolled back",
-                        code=CODE_READ_ONLY,
-                        retry_after=(
-                            self._degradation.retry_after() if self._degradation else 1.0
-                        ),
-                    ) from exc
-                FAILPOINTS.hit(FP_WORKER_AFTER_JOURNAL)
+
+            def undo() -> None:
+                manager.release(tenancy)
+                manager.admitted_count -= 1
+
+            self._journaled(
+                "adopt",
+                lambda: self.store.log_admit(local, idempotency_key=idempotency_key),
+                undo=undo,
+                before=FP_WORKER_BEFORE_JOURNAL,
+                after=FP_WORKER_AFTER_JOURNAL,
+                request_id=local.request_id,
+            )
             if idempotency_key is not None:
                 self._remember_key(
                     idempotency_key,
@@ -1233,9 +1261,18 @@ class AdmissionService:
         for entry in batch:
             try:
                 decisions.append(self._attempt(entry, now, batch=context))
-            except InjectedCrash:
-                raise
-            except Exception as exc:  # journal I/O etc. — fail the
+            except DegradedError as exc:
+                # The commit step already rolled the admission back, counted
+                # and degraded; only the ticket is left to fail.
+                decisions.append(
+                    (
+                        OUTCOME_ERROR,
+                        None,
+                        f"journal unavailable ({type(exc.__cause__).__name__}); "
+                        "admission rolled back",
+                    )
+                )
+            except Exception as exc:  # allocator bug etc. — fail the
                 # request, keep the worker alive for the next one
                 self._count("errors")
                 self._forget_key(entry.idempotency_key)
@@ -1257,21 +1294,12 @@ class AdmissionService:
             entry.trace_context, dict
         ) else entry.trace_context
         allocate_t0 = time.perf_counter()
-        try:
-            # Activating the distributed-trace context forces the allocator's
-            # own sampled tracer live, so a cross-process trace never loses
-            # its shard leg to local every-Nth sampling.
-            with activate_context(context):
-                tenancy: Optional[Tenancy] = manager.request(
-                    entry.request, batch=batch
-                )
-        except Exception as exc:  # allocator bug — fail the request, not the worker
-            self._count("errors")
-            self._forget_key(entry.idempotency_key)
-            logger.warning(
-                "ticket=%d allocator raised: %s", entry.ticket_id, exc, exc_info=True
-            )
-            return (OUTCOME_ERROR, None, f"{type(exc).__name__}: {exc}")
+        # Activating the distributed-trace context forces the allocator's
+        # own sampled tracer live, so a cross-process trace never loses
+        # its shard leg to local every-Nth sampling.  An allocator bug
+        # raises through to the batch loop, which fails this ticket only.
+        with activate_context(context):
+            tenancy: Optional[Tenancy] = manager.request(entry.request, batch=batch)
         if context is not None and context.sampled:
             record_remote_span(
                 context.trace_id,
@@ -1282,41 +1310,23 @@ class AdmissionService:
                 },
             )
         if tenancy is not None:
-            if self.store is not None:
-                FAILPOINTS.hit(FP_WORKER_BEFORE_JOURNAL)
-                try:
-                    self.store.log_admit(
-                        tenancy.allocation, idempotency_key=entry.idempotency_key
-                    )
-                except InjectedCrash:
-                    raise
-                except Exception as exc:
-                    # The journal will not remember this admission, so
-                    # memory must forget it too: roll back the tenancy
-                    # (and the admitted counter request() bumped) before
-                    # anyone is acknowledged, then degrade.
-                    manager.release(tenancy)
-                    manager.admitted_count -= 1
-                    self._forget_key(entry.idempotency_key)
-                    self._degrade(exc)
-                    self._count("errors")
-                    flight_recorder().record(
-                        "wal_error",
-                        op="admit",
-                        ticket=entry.ticket_id,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    logger.warning(
-                        "ticket=%d admission rolled back (journal append failed: %s)",
-                        entry.ticket_id, exc,
-                    )
-                    return (
-                        OUTCOME_ERROR,
-                        None,
-                        f"journal unavailable ({type(exc).__name__}); "
-                        "admission rolled back",
-                    )
-                FAILPOINTS.hit(FP_WORKER_AFTER_JOURNAL)
+
+            def undo() -> None:
+                # request() bumped the admitted counter with the tenancy.
+                manager.release(tenancy)
+                manager.admitted_count -= 1
+                self._forget_key(entry.idempotency_key)
+
+            self._journaled(
+                "admit",
+                lambda: self.store.log_admit(
+                    tenancy.allocation, idempotency_key=entry.idempotency_key
+                ),
+                undo=undo,
+                before=FP_WORKER_BEFORE_JOURNAL,
+                after=FP_WORKER_AFTER_JOURNAL,
+                ticket=entry.ticket_id,
+            )
             self._record_decision(entry, OUTCOME_ADMITTED, tenancy.request_id)
             self._count("admitted")
             self._observe_latency(self.clock() - entry.enqueued_at)
@@ -1332,27 +1342,18 @@ class AdmissionService:
         if self.mode == MODE_BATCH and not entry.expired(self.clock()):
             self._queue.park(entry)
             return None
-        if self.store is not None:
-            try:
-                self.store.log_reject(
-                    request_to_dict(entry.request),
-                    request_id=probe_id,
-                    idempotency_key=entry.idempotency_key,
-                )
-            except InjectedCrash:
-                raise
-            except Exception as exc:
-                # Rejections never touched link state, so there is nothing
-                # to roll back — degrade and still answer the client (the
-                # only divergence recovery can see is the reject counter).
-                self._degrade(exc)
-                flight_recorder().record(
-                    "wal_error",
-                    op="reject",
-                    ticket=entry.ticket_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                logger.warning("reject not journaled: %s", exc)
+        # No undo: a rejection never touched link state, so the client is
+        # still answered (the only divergence recovery can see is the reject
+        # counter).
+        self._journaled(
+            "reject",
+            lambda: self.store.log_reject(
+                request_to_dict(entry.request),
+                request_id=probe_id,
+                idempotency_key=entry.idempotency_key,
+            ),
+            ticket=entry.ticket_id,
+        )
         self._record_decision(entry, OUTCOME_REJECTED, None)
         self._count("rejected")
         self._observe_latency(self.clock() - entry.enqueued_at)
@@ -1393,13 +1394,11 @@ class AdmissionService:
     def _maybe_snapshot(self) -> None:
         """Opportunistic snapshot; never fatal (the journal is the truth)."""
         if self.store is not None and self.store.should_snapshot():
-            try:
-                self.store.write_snapshot(snapshot_payload(self.manager))
-            except InjectedCrash:
-                raise
-            except Exception as exc:
-                self._count("errors")
-                logger.warning("snapshot failed (journal remains truth): %s", exc)
+            self._journaled(
+                "snapshot",
+                lambda: self.store.write_snapshot(snapshot_payload(self.manager)),
+                degrade=False,
+            )
 
     def _resolve(self, entry: QueuedRequest, outcome: str, request_id=None, detail=None):
         with self._cond:

@@ -21,14 +21,12 @@ Operations::
 Request payloads are the :mod:`repro.service.codec` request encoding, e.g.
 ``{"kind": "homogeneous", "n_vms": 8, "mean": 200.0, "std": 80.0}``.
 
-Two wire-compatible front ends serve this protocol: the default ``asyncio``
-accept/decode loop over a bounded worker pool (:mod:`repro.service.aio`)
-and the classic thread-per-connection :mod:`socketserver` handler kept here
-(``--frontend threaded``).  This module owns the shared op table
-(:func:`dispatch_command`) and error envelope (:func:`error_response`), so
-the two cannot drift.  ``svc-repro serve`` wires either behind the CLI and
-prints a single machine-readable ready line so scripts and tests can
-discover the bound port::
+One front end serves this protocol: the ``asyncio`` accept/decode loop over
+a bounded worker pool (:mod:`repro.service.aio`).  This module owns the op
+table (:func:`dispatch_command`), the error envelope
+(:func:`error_response`) and the ``svc-repro serve`` wiring, which prints a
+single machine-readable ready line so scripts and tests can discover the
+bound port::
 
     {"event": "ready", "host": "127.0.0.1", "port": 40123, "pid": 1234, ...}
 """
@@ -36,21 +34,16 @@ discover the bound port::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import os
-import signal
-import socket
-import socketserver
 import sys
-import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.allocation.dispatch import ALLOCATOR_FACTORIES, allocator_by_name
 from repro.experiments.config import SCALES
-from repro.faults.failpoints import FAILPOINTS, FP_SERVER_RESPONSE, arm_from_spec
+from repro.faults.failpoints import FAILPOINTS, arm_from_spec
 from repro.logconfig import LOG_LEVELS, setup_logging
 from repro.manager.network_manager import NetworkManager
 from repro.obs.flightrec import configure_flight_recorder, flight_recorder
@@ -71,14 +64,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
 
-FRONTEND_ASYNC = "async"
-FRONTEND_THREADED = "threaded"
-FRONTENDS = (FRONTEND_ASYNC, FRONTEND_THREADED)
-
-#: Process-wide protocol request ids, threaded through the handler logs so
-#: one request can be correlated across server, worker and journal lines.
-_REQUEST_IDS = itertools.count(1)
-
 
 def error_response(exc: BaseException) -> Dict[str, Any]:
     """The ``ok: false`` envelope for one failed protocol op.
@@ -86,8 +71,6 @@ def error_response(exc: BaseException) -> Dict[str, Any]:
     Typed :class:`ServiceError` sheds keep their machine-readable ``code``
     and ``retry_after`` hint; codec errors surface their message; anything
     else is reported by exception type without killing the connection.
-    Shared by the threaded and async front doors so the wire contract
-    cannot drift between them.
     """
     if isinstance(exc, ServiceError):
         response: Dict[str, Any] = {"ok": False, "error": str(exc)}
@@ -108,10 +91,10 @@ def dispatch_command(
 ) -> Dict[str, Any]:
     """Execute one decoded protocol command against the service.
 
-    This is the single source of truth for the op table: the threaded
-    handler calls it inline and the async front door calls it from its
-    worker pool (``submit`` excepted — the async path enqueues without
-    blocking and awaits the ticket instead, see ``repro.service.aio``).
+    This is the single source of truth for the op table: the async front
+    door calls it from its worker pool (``submit`` excepted — that path
+    enqueues without blocking and awaits the ticket instead, see
+    ``repro.service.aio``).
     Raises the typed service/codec errors; callers map them through
     :func:`error_response`.
     """
@@ -190,87 +173,6 @@ def dispatch_command(
     return {"ok": False, "error": f"unknown op {op!r}"}
 
 
-class AdmissionRequestHandler(socketserver.StreamRequestHandler):
-    """One connection: a stream of newline-delimited JSON commands."""
-
-    def setup(self) -> None:
-        super().setup()
-        # Slow-client defense: a peer that stops reading (or writing) for
-        # longer than this forfeits the connection instead of pinning a
-        # handler thread forever.  None = no timeout (the default).
-        client_timeout = getattr(self.server, "client_timeout", None)
-        if client_timeout is not None:
-            self.request.settimeout(client_timeout)
-
-    def handle(self) -> None:
-        try:
-            self._serve_lines()
-        except (socket.timeout, TimeoutError):
-            logger.warning(
-                "peer=%s timed out mid-operation; closing connection",
-                self.client_address[0],
-            )
-
-    def _serve_lines(self) -> None:
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            rid = next(_REQUEST_IDS)
-            op = None
-            try:
-                command = json.loads(line)
-                op = command.get("op")
-                response = self._dispatch(command)
-            except json.JSONDecodeError as exc:
-                response = {"ok": False, "error": f"malformed JSON: {exc.msg}"}
-            except (ServiceError, CodecError) as exc:
-                # Typed shed/degradation errors: machine-readable code plus
-                # a Retry-After hint so clients can back off sensibly.
-                response = error_response(exc)
-            except Exception as exc:  # never kill the connection on one bad op
-                logger.warning("rid=%d op=%s raised: %s", rid, op, exc, exc_info=True)
-                response = error_response(exc)
-            logger.debug(
-                "rid=%d peer=%s op=%s ok=%s ticket=%s",
-                rid, self.client_address[0], op,
-                response.get("ok"), response.get("ticket"),
-            )
-            FAILPOINTS.hit(FP_SERVER_RESPONSE)
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
-            if response.get("bye"):
-                break
-
-    def _dispatch(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        service: AdmissionService = self.server.service  # type: ignore[attr-defined]
-        return dispatch_command(
-            service, command, self.server.request_shutdown  # type: ignore[attr-defined]
-        )
-
-
-class AdmissionTCPServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server bound to one :class:`AdmissionService`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address,
-        service: AdmissionService,
-        client_timeout: Optional[float] = None,
-    ) -> None:
-        super().__init__(address, AdmissionRequestHandler)
-        self.service = service
-        self.client_timeout = client_timeout
-
-    def request_shutdown(self) -> None:
-        # shutdown() blocks until serve_forever returns, so it must not be
-        # called from a handler thread directly.
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-
 # ----------------------------------------------------------------------
 # ``svc-repro serve``
 # ----------------------------------------------------------------------
@@ -316,19 +218,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="admission worker threads (default: 4)"
     )
     parser.add_argument(
-        "--frontend",
-        choices=FRONTENDS,
-        default=FRONTEND_ASYNC,
-        help="connection front end: async = single-threaded asyncio accept/"
-        "decode loop over a bounded pool; threaded = one thread per "
-        "connection (default: async)",
-    )
-    parser.add_argument(
         "--pool-size",
         type=int,
         default=8,
         help="bounded worker pool bridging the async front end to the sync "
-        "core (async frontend only; default: 8)",
+        "core (default: 8)",
     )
     parser.add_argument(
         "--batch-max",
@@ -511,25 +405,23 @@ def _build_service(args: argparse.Namespace) -> AdmissionService:
             store.write_snapshot(snapshot_payload(manager))
     else:
         manager = NetworkManager(tree, epsilon=epsilon, allocator=allocator)
-    max_queue = getattr(args, "max_queue", 1024)
-    tenant_quota = getattr(args, "tenant_quota", 0)
     service = AdmissionService(
         manager,
         store=store,
         mode=args.mode,
         workers=args.workers,
-        max_queue_depth=max_queue if max_queue else None,
-        default_timeout_s=getattr(args, "default_timeout_s", None),
+        max_queue_depth=args.max_queue or None,
+        default_timeout_s=args.default_timeout_s,
         degradation=(
-            DegradationLadder(probe_interval=getattr(args, "probe_interval_s", 1.0))
+            DegradationLadder(probe_interval=args.probe_interval_s)
             if store is not None
             else None
         ),
         idempotency_index=recovered.idempotency_index if recovered else None,
-        batch_max=getattr(args, "batch_max", 1),
-        batch_linger_s=getattr(args, "batch_linger_ms", 0.0) / 1000.0,
-        tenant_quota=tenant_quota if tenant_quota else None,
-        tenant_weights=_parse_tenant_weights(getattr(args, "tenant_weight", None)),
+        batch_max=args.batch_max,
+        batch_linger_s=args.batch_linger_ms / 1000.0,
+        tenant_quota=args.tenant_quota or None,
+        tenant_weights=_parse_tenant_weights(args.tenant_weight),
     )
     # Publish the SLA bound so the empirical-outage gauges compare against
     # the epsilon this daemon actually guarantees (Eq. 1).
@@ -542,7 +434,7 @@ def _build_service(args: argparse.Namespace) -> AdmissionService:
 def announce_ready(
     service: AdmissionService, args: argparse.Namespace, host: str, port: int
 ) -> None:
-    """Print the machine-readable ready line on stdout (shared by frontends).
+    """Print the machine-readable ready line on stdout.
 
     The ready line is protocol output, not logging: it must stay the first
     (and only) line scripts see on stdout.
@@ -554,7 +446,7 @@ def announce_ready(
         "pid": os.getpid(),
         "scale": getattr(service, "effective_scale", args.scale),
         "mode": args.mode,
-        "frontend": getattr(args, "frontend", FRONTEND_THREADED),
+        "frontend": "async",
         "epsilon": service.manager.epsilon,
         "journal_dir": args.journal_dir,
     }
@@ -599,37 +491,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.journal_dir is not None:
         # Crash/degradation/SIGUSR2 flight dumps land next to the journal.
         configure_flight_recorder(dump_dir=args.journal_dir)
-    if getattr(args, "frontend", FRONTEND_THREADED) == FRONTEND_ASYNC:
-        from repro.service.aio import run_async_server  # local: optional layer
+    from repro.service.aio import run_async_server  # local: aio imports this module
 
-        return run_async_server(service, args)
-    server = AdmissionTCPServer(
-        (args.host, args.port), service, client_timeout=args.client_timeout_s
-    )
-    host, port = server.server_address[:2]
-    service.start()
-
-    def _terminate(_signum, _frame) -> None:
-        server.request_shutdown()
-
-    def _dump_flight(_signum, _frame) -> None:
-        dump_flight_on_sigusr2()
-
-    try:
-        signal.signal(signal.SIGTERM, _terminate)
-        signal.signal(signal.SIGINT, _terminate)
-        signal.signal(signal.SIGUSR2, _dump_flight)
-    except ValueError:
-        pass  # not the main thread (in-process tests drive the server directly)
-    except AttributeError:
-        pass  # platform without SIGUSR2
-
-    announce_ready(service, args, host, port)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        final_shutdown(service)
-    return 0
+    return run_async_server(service, args)

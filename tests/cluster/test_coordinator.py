@@ -17,8 +17,10 @@ from repro.cluster.partition import ClusterPartition
 from repro.cluster.shard import LocalShard
 from repro.faults.failpoints import FAILPOINTS, FP_JOURNAL_WRITE
 from repro.manager.network_manager import NetworkManager
+from repro.obs.flightrec import flight_recorder
 from repro.service.codec import network_state_to_dict
 from repro.service.concurrency import AdmissionService
+from repro.service.errors import ConflictError, ServiceError
 from repro.topology.builder import TINY_SPEC, build_datacenter
 
 
@@ -148,6 +150,171 @@ class TestWalFailures:
             assert decision.get("deduped") is None
         finally:
             shutdown(coordinator, shards)
+
+
+def cluster_view(coordinator, shards):
+    """Everything a coordinator commit must leave untouched or fully applied."""
+    replica = coordinator.replica
+    return {
+        "links": network_state_to_dict(replica.state),
+        "vm_machines": {
+            t.request_id: list(t.vm_machines) for t in replica.tenancies()
+        },
+        "rate_limiters": dict(replica.rate_limiters._caps),
+        "ledger": coordinator.ledger.committed_totals(),
+        "pending": coordinator.ledger.pending_reservations,
+        "fragments": {
+            gid: coordinator.fragments_of(gid) for gid in sorted(coordinator._gid_map)
+        },
+        "admitted": coordinator.admitted_count,
+        "rejected": coordinator.rejected_count,
+        "resizes": dict(coordinator.resize_counts),
+        "shards": [
+            (
+                network_state_to_dict(shard.manager.state),
+                {
+                    srid: allocation.request.n_vms
+                    for srid, allocation in shard.active_allocations().items()
+                },
+            )
+            for shard in shards
+        ],
+    }
+
+
+SPANNING = HomogeneousSVC(n_vms=40, mean=8.0, std=2.0)  # > one 32-slot shard
+OVERSIZE = HomogeneousSVC(n_vms=500, mean=1.0, std=8.0)
+
+
+def _submit(request):
+    return lambda coordinator, gid: coordinator.submit(request, idempotency_key="k")
+
+
+def _release(coordinator, gid):
+    return coordinator.release(gid)
+
+
+def _resize(new_n):
+    return lambda coordinator, gid: coordinator.resize(
+        gid, new_n=new_n, idempotency_key="k"
+    )
+
+
+#: case -> (failing op, its position among every journal append — coordinator
+#: WAL and shard journals share the failpoint — counted from arming, whether
+#: the policy rolls the operation back, the operation on (coordinator,
+#: resident gid)).  Two durable TINY shards, one resident 3-VM tenant,
+#: ``max_cross_retries=0``.
+WAL_CASES = {
+    "rintent": ("rintent", 1, True, _submit(small_request())),
+    # rintent, shard admit, radmit
+    "radmit": ("radmit", 3, True, _submit(small_request())),
+    # rintent, shard reject, rreject
+    "rreject": ("rreject", 3, False, _submit(OVERSIZE)),
+    # rintent, shard reject, xintent
+    "xintent": ("xintent", 3, True, _submit(SPANNING)),
+    # ... xintent, two shard adopts, xcommit
+    "xcommit": ("xcommit", 6, True, _submit(SPANNING)),
+    # ... xintent, adopt, its release (shard 1 refuses its fragment), xabort
+    "xabort": ("xabort", 6, False, _submit(SPANNING)),
+    "release-shard-down": ("release", 1, True, _release),
+    # shard release, WAL release
+    "release": ("release", 2, False, _release),
+    "rsintent": ("rsintent", 1, True, _resize(5)),
+    # rsintent, shard resize, rsdone
+    "rsdone": ("rsdone", 3, False, _resize(5)),
+    "rsdone-rejected": ("rsdone", 3, False, _resize(500)),
+}
+
+
+def drive_wal_case(case, directory, monkeypatch, inject):
+    """Run one case; returns (live view, recovered view, decision, events)."""
+    op, nth, rolls_back, operation = WAL_CASES[case]
+    partition, shards, coordinator = build_cluster(
+        2, directory=directory, max_cross_retries=0
+    )
+    try:
+        resident = coordinator.submit(small_request(), idempotency_key="resident")
+        gid = resident["request_id"]
+        (home,) = coordinator.fragments_of(gid)
+
+        def refuse(*_args, **_kwargs):
+            raise ConflictError("injected conflict")
+
+        def down(*_args, **_kwargs):
+            raise ServiceError("injected shard outage")
+
+        if case == "xabort":
+            monkeypatch.setattr(shards[1], "adopt", refuse)
+        if case == "release-shard-down":
+            monkeypatch.setattr(shards[home], "release", down)
+        before = cluster_view(coordinator, shards)
+        watermark = flight_recorder().events()[-1]["seq"]
+        if inject:
+            FAILPOINTS.arm(FP_JOURNAL_WRITE, "error", every=nth, max_hits=1)
+        decision = None
+        if inject and rolls_back:
+            with pytest.raises(CoordinatorError, match="not journaled"):
+                operation(coordinator, gid)
+        else:
+            decision = operation(coordinator, gid)
+        FAILPOINTS.clear()
+        monkeypatch.undo()
+        live = cluster_view(coordinator, shards)
+        if inject and rolls_back:
+            assert live == before
+        events = [
+            event["op"]
+            for event in flight_recorder().events()
+            if event["kind"] == "wal_error" and event["seq"] > watermark
+        ]
+    finally:
+        coordinator.kill()
+        for shard in shards:
+            shard.close()
+    shards = [
+        LocalShard(view, directory / f"shard{view.shard_index}")
+        for view in partition.shards
+    ]
+    coordinator = ClusterCoordinator(
+        partition, shards, directory=directory / "coordinator"
+    )
+    try:
+        recovered = cluster_view(coordinator, shards)
+    finally:
+        shutdown(coordinator, shards)
+    return live, recovered, decision, events
+
+
+class TestFailedAppendPolicy:
+    """One failed WAL append per site: undo-or-continue, one event, recoverable.
+
+    Required records roll the operation back (state equals the pre-op view,
+    :class:`CoordinatorError` reports the outcome as unknown); roll-forward
+    records leave the state a fault-free twin reaches and the decision
+    stands.  Either way exactly one ``wal_error`` flight event names the op
+    and a restart from disk equals the live state.
+    """
+
+    @pytest.mark.parametrize("case", sorted(WAL_CASES))
+    def test_one_failed_append(self, tmp_path, monkeypatch, case):
+        op, _nth, rolls_back, _operation = WAL_CASES[case]
+        live, recovered, decision, events = drive_wal_case(
+            case, tmp_path / "faulty", monkeypatch, inject=True
+        )
+        assert events == [op]
+        if not rolls_back:
+            twin, _recovered, twin_decision, twin_events = drive_wal_case(
+                case, tmp_path / "twin", monkeypatch, inject=False
+            )
+            assert twin_events == []
+            assert decision == twin_decision
+            assert live == twin
+        if case == "rreject":
+            # The one divergence a lost reject record leaves behind: the
+            # tally (and the key, so a retry re-runs the decision).
+            live["rejected"] -= 1
+        assert recovered == live
 
 
 class TestRecovery:

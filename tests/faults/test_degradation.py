@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.abstractions import HomogeneousSVC
 from repro.faults.failpoints import FAILPOINTS, FP_JOURNAL_WRITE, MODE_ERROR
 from repro.manager.network_manager import NetworkManager
-from repro.service.concurrency import OUTCOME_ADMITTED, OUTCOME_ERROR, AdmissionService
+from repro.obs.flightrec import flight_recorder
+from repro.service.codec import network_state_to_dict
+from repro.service.concurrency import (
+    OUTCOME_ADMITTED,
+    OUTCOME_ERROR,
+    OUTCOME_REJECTED,
+    AdmissionService,
+)
 from repro.service.degrade import (
     STATE_FAST_FAIL,
     STATE_FULL,
@@ -13,12 +21,33 @@ from repro.service.degrade import (
 )
 from repro.service.errors import CODE_READ_ONLY, CODE_UNAVAILABLE, DegradedError
 from repro.service.journal import DurabilityStore
+from repro.service.recovery import recover_manager
 
 
 def small_request():
-    from repro.abstractions import HomogeneousSVC
-
     return HomogeneousSVC(n_vms=2, mean=50.0, std=10.0)
+
+
+def manager_view(manager):
+    """Everything a commit must leave either untouched or fully applied."""
+    return {
+        "links": network_state_to_dict(manager.state),
+        "vm_machines": {
+            t.request_id: list(t.vm_machines) for t in manager.tenancies()
+        },
+        "rate_limiters": dict(manager.rate_limiters._caps),
+        "admitted": manager.admitted_count,
+        "rejected": manager.rejected_count,
+        "resizes": dict(manager.resize_counts),
+    }
+
+
+def wal_errors_since(seq):
+    return [
+        event
+        for event in flight_recorder().events()
+        if event["kind"] == "wal_error" and event["seq"] > seq
+    ]
 
 
 class FakeClock:
@@ -191,3 +220,68 @@ class TestServiceDegradation:
             gauge = snapshot["repro_service_degradation_state"]["series"][0]["value"]
             assert gauge == 1.0
         store.close()
+
+
+class TestFailedAppendPolicy:
+    """One failed append per op: undo-or-continue, one event, recoverable.
+
+    ``journal.write`` is armed for exactly the op's own append.  Ops whose
+    record recovery cannot do without (admit, adopt, release, resize) must
+    leave the manager equal to its pre-op view and surface a typed error;
+    the reject record is a tolerated loss, so the decision stands.  Either
+    way exactly one ``wal_error`` flight event names the op and a recovery
+    from disk equals the live state.
+    """
+
+    @pytest.mark.parametrize("op", ["admit", "reject", "adopt", "release", "resize"])
+    def test_one_failed_append(self, tiny_tree, tmp_path, op):
+        store = DurabilityStore(tmp_path / "j")
+        manager = NetworkManager(tiny_tree)
+        service = AdmissionService(
+            manager, store=store, workers=1,
+            degradation=DegradationLadder(probe_interval=30.0),  # no probe noise
+        )
+        with service:
+            resident = service.submit(small_request(), wait=True)
+            assert resident.outcome == OUTCOME_ADMITTED
+            placement = manager.allocator.allocate(manager.state, small_request(), 0)
+            oversize = HomogeneousSVC(
+                n_vms=tiny_tree.total_slots + 1, mean=1.0, std=0.1
+            )
+            before = manager_view(manager)
+            errors_before = service.counters.errors
+            watermark = flight_recorder().events()[-1]["seq"]
+            FAILPOINTS.arm(FP_JOURNAL_WRITE, MODE_ERROR, max_hits=1)
+            if op == "admit":
+                ticket = service.submit(small_request(), wait=True)
+                assert ticket.outcome == OUTCOME_ERROR
+                assert "journal unavailable" in ticket.detail
+                assert "rolled back" in ticket.detail
+            elif op == "reject":
+                ticket = service.submit(oversize, wait=True)
+                assert ticket.outcome == OUTCOME_REJECTED  # decision stands
+                before["rejected"] += 1  # ...and so does its tally
+            else:
+                mutate = {
+                    "adopt": lambda: service.adopt(placement),
+                    "release": lambda: service.release(resident.request_id),
+                    "resize": lambda: service.resize(resident.request_id, new_n=5),
+                }[op]
+                with pytest.raises(DegradedError, match=f"{op} not journaled") as info:
+                    mutate()
+                assert "rolled back" in str(info.value)
+                assert info.value.code == CODE_READ_ONLY
+                assert info.value.retry_after > 0
+            assert manager_view(manager) == before
+            assert service.counters.errors == errors_before + 1
+            assert service.degradation_state() == STATE_READ_ONLY
+            assert [event["op"] for event in wal_errors_since(watermark)] == [op]
+            live = manager_view(manager)
+        store.close()
+        store = DurabilityStore(tmp_path / "j")
+        recovered, _report = recover_manager(store, tiny_tree)
+        store.close()
+        if op == "reject":
+            # The one divergence a lost reject record leaves behind.
+            live["rejected"] -= 1
+        assert manager_view(recovered) == live

@@ -1,7 +1,7 @@
-"""End-to-end tests of the asyncio front door (``--frontend async``).
+"""End-to-end tests of the asyncio front door (``svc-repro serve``).
 
-The async front door is the default, so these tests pin its specific
-contracts: wire compatibility with the threaded protocol, one stalled
+The async front door is the only one, so these tests pin its specific
+contracts: the full line-JSON op surface, one stalled
 connection never blocking the event loop, typed sheds under failpoints,
 and kill -9 recovery equal to the oracle replay of the surviving journal.
 """
@@ -41,8 +41,6 @@ def spawn_async_server(extra_args=(), journal_dir=None):
         "0",
         "--scale",
         "tiny",
-        "--frontend",
-        "async",
         "--workers",
         "2",
     ]

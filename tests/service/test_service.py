@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.abstractions import DeterministicVC, HomogeneousSVC
+from repro.faults.failpoints import FAILPOINTS, FP_WORKER_AFTER_JOURNAL, MODE_CRASH
 from repro.manager.network_manager import NetworkManager
 from repro.service.concurrency import (
     OUTCOME_ADMITTED,
@@ -77,6 +78,45 @@ class TestSubmitRelease:
         svc.stop()
         with pytest.raises(RuntimeError, match="not running"):
             svc.submit(small_svc())
+
+    @pytest.mark.parametrize("death", ["stop", "kill", "crash"])
+    def test_dead_service_refuses_every_mutation(
+        self, tiny_tree, plain_store, death
+    ):
+        manager = NetworkManager(tiny_tree)
+        svc = AdmissionService(manager, store=plain_store, workers=1).start()
+        ticket = svc.submit(small_svc())
+        assert ticket.outcome == OUTCOME_ADMITTED
+        placement = manager.allocator.allocate(manager.state, small_svc(), 0)
+        if death == "crash":
+            FAILPOINTS.arm(FP_WORKER_AFTER_JOURNAL, MODE_CRASH, max_hits=1)
+            try:
+                doomed = svc.submit(small_svc(), wait=True, wait_timeout=10.0)
+            finally:
+                FAILPOINTS.clear()
+            assert svc.crashed and not doomed.done
+        else:
+            getattr(svc, death)()
+        before = (
+            network_state_to_dict(manager.state),
+            sorted(t.request_id for t in manager.tenancies()),
+            plain_store.journal.next_seq,
+        )
+        refused = [
+            lambda: svc.release(ticket.request_id),
+            lambda: svc.resize(ticket.request_id, new_n=2),
+            lambda: svc.adopt(placement),
+            lambda: svc.submit(small_svc()),
+        ]
+        for mutation in refused:
+            with pytest.raises(RuntimeError, match="not running"):
+                mutation()
+        assert before == (
+            network_state_to_dict(manager.state),
+            sorted(t.request_id for t in manager.tenancies()),
+            plain_store.journal.next_seq,
+        )
+        svc.kill()
 
 
 class TestConcurrentClients:
