@@ -177,28 +177,20 @@ class Allocator(abc.ABC):
         return swap_occupancies(state, old_allocation, new_allocation)
 
     def batch_context(self) -> "BatchContext":
-        """A context for a run of *sequential* allocate calls that may share
-        work between them (the service's admission batcher drives one batch
-        of coalesced same-shape requests through a single context).
+        """A context for one coalesced run of *sequential* allocate calls.
 
-        The contract is strict: ``context.allocate(state, request, rid)``
-        must return exactly what ``self.allocate(state, request, rid)``
-        would — batching is an amortization, never a semantic change.  The
-        base implementation shares nothing; allocators with reusable DP
-        tables override this (see ``svc_homogeneous``).
+        The service's admission batcher drives each batch through one, and
+        harnesses wrap it to time batch members.  The contract is strict:
+        ``context.allocate(state, request, rid)`` returns exactly what
+        ``self.allocate(state, request, rid)`` would.  Allocators that reuse
+        work between calls keep it themselves (see ``svc_homogeneous``), so
+        that every caller profits, batched or not.
         """
         return BatchContext(self)
 
 
 class BatchContext:
-    """Pass-through batch context: one allocator, no shared state.
-
-    Subclasses may carry caches that survive across ``allocate`` calls, as
-    long as every state-dependent input either is re-read per call or
-    participates in the cache key — that is what keeps batched decisions
-    bit-identical to sequential ones.  Contexts are single-threaded: the
-    admission service drives one context per worker batch, under its lock.
-    """
+    """Pass-through batch context: one allocator, no state of its own."""
 
     def __init__(self, allocator: Allocator) -> None:
         self.allocator = allocator
@@ -212,9 +204,7 @@ class BatchContext:
         """The caller committed ``allocation`` to ``state``.
 
         :meth:`NetworkManager.request` calls this after every successful
-        commit inside a batch, letting caching contexts invalidate exactly
-        the dirty path instead of rediscovering it by re-keying every
-        vertex.  Contexts must stay correct without it (mutations they were
-        not told about are caught via ``state.version``); the notification
-        is purely a precision upgrade.  Default: nothing cached, no-op.
+        commit inside a batch.  Nothing here needs it —
+        ``NetworkState.changed_at`` tells allocators what moved — but
+        wrapping contexts override it.
         """

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.abstractions.requests import VirtualClusterRequest
-from repro.allocation.base import Allocation, Allocator, BatchContext
+from repro.allocation.base import Allocation, Allocator
 from repro.allocation.first_fit import FirstFitAllocator
 from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator
 from repro.allocation.svc_homogeneous import (
@@ -46,20 +46,11 @@ class DispatchingAllocator(Allocator):
         return any(allocator.supports(request) for allocator in self._allocators)
 
     def allocate(
-        self,
-        state: NetworkState,
-        request: VirtualClusterRequest,
-        request_id: int,
-        batch: Optional["_DispatchingBatch"] = None,
+        self, state: NetworkState, request: VirtualClusterRequest, request_id: int
     ) -> Optional[Allocation]:
         for allocator in self._allocators:
             if allocator.supports(request):
-                if batch is not None:
-                    allocation = batch.context_for(allocator).allocate(
-                        state, request, request_id
-                    )
-                else:
-                    allocation = allocator.allocate(state, request, request_id)
+                allocation = allocator.allocate(state, request, request_id)
                 if allocation is None:
                     self.last_rejected_by = allocator.name
                     self.rejection_counts[allocator.name] = (
@@ -90,41 +81,6 @@ class DispatchingAllocator(Allocator):
             f"no registered allocator supports {type(new_request).__name__} "
             f"(registered: {[a.name for a in self._allocators]})"
         )
-
-    def batch_context(self) -> "BatchContext":
-        return _DispatchingBatch(self)
-
-
-class _DispatchingBatch(BatchContext):
-    """Routes each batch member to its allocator's own batch context.
-
-    Dispatch itself is stateless, so the only thing to carry across calls is
-    the per-allocator context (where the DP table sharing lives).  Rejection
-    attribution still flows through the dispatcher's counters, exactly as in
-    the unbatched path.
-    """
-
-    def __init__(self, dispatcher: DispatchingAllocator) -> None:
-        super().__init__(dispatcher)
-        self._contexts: Dict[int, BatchContext] = {}
-
-    def context_for(self, allocator: Allocator) -> BatchContext:
-        context = self._contexts.get(id(allocator))
-        if context is None:
-            context = allocator.batch_context()
-            self._contexts[id(allocator)] = context
-        return context
-
-    def allocate(
-        self, state: NetworkState, request: VirtualClusterRequest, request_id: int
-    ) -> Optional[Allocation]:
-        return self.allocator.allocate(state, request, request_id, batch=self)
-
-    def note_commit(self, state: NetworkState, allocation) -> None:
-        # Every member context caches against the same state: all of them
-        # need the dirty path, not just the one that produced the placement.
-        for context in self._contexts.values():
-            context.note_commit(state, allocation)
 
 
 def default_allocator() -> DispatchingAllocator:

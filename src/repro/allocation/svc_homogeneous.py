@@ -32,9 +32,13 @@ Two implementations of the tree DP coexist:
   instead of iterating to ``N``, (b) computes the uplink occupancy of all
   children of a vertex in one broadcast batch, (c) shares one table across
   all machines with the same free-slot count (and one table across vertices
-  whose children are in bit-identical states), and (d) replaces the
+  whose children are in bit-identical states), (d) replaces the
   per-``e`` Python loop of the combine step with a single index-gather
-  (min, max)-convolution.
+  (min, max)-convolution, and (e) is incremental: the tables of the last
+  few request shapes are kept across calls (:class:`_ShapeTables`), and a
+  vertex under which nothing was committed or released since its table was
+  keyed (``NetworkState.changed_at``) is neither re-keyed nor rebuilt — a
+  repeated shape costs the dirty paths, not the tree.
 
 Every floating-point operation of the fast path is elementwise-identical to
 the seed path, so the produced host / placement / ``max_occupancy`` decisions
@@ -43,7 +47,10 @@ are bit-for-bit the same — not merely statistically equivalent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -54,12 +61,7 @@ from repro.abstractions.requests import (
     HomogeneousSVC,
     VirtualClusterRequest,
 )
-from repro.allocation.base import (
-    Allocation,
-    Allocator,
-    BatchContext,
-    link_demands_from_counts,
-)
+from repro.allocation.base import Allocation, Allocator, link_demands_from_counts
 from repro.allocation.demand_model import homogeneous_split_moments
 from repro.network.link_state import LinkState, NetworkState
 from repro.obs.instruments import (
@@ -76,6 +78,14 @@ from repro.stochastic.normal import Normal
 
 _FEASIBLE_LIMIT = 1.0  # validity is the strict inequality O_L < 1 (Eq. 4)
 
+#: Request shapes whose tables one allocator keeps (least recently used out).
+_STORE_CAPACITY = 8
+#: A shape's content-addressed vertex cache is cut back to the tables its
+#: vertices currently name once it holds this many per vertex visited.
+_MAX_TABLES_PER_VERTEX = 4
+
+_next_serial = itertools.count().__next__
+
 
 @dataclass
 class _VertexTable:
@@ -83,6 +93,63 @@ class _VertexTable:
 
     values: np.ndarray  # Opt(T_v, h) over h = 0..N; inf = not allocable
     choices: List[np.ndarray]  # choices[i][s] = VMs given to child i when T_v[i] holds s
+    #: Never reused, unlike ``id()``: a cache key naming a table that was
+    #: since pruned and freed can therefore never match a later table.
+    serial: int = field(default_factory=_next_serial)
+
+
+def _request_shape(request: VirtualClusterRequest) -> Tuple:
+    """The shape class two requests must share for DP tables to be reusable.
+
+    Vertex tables bake in the request's per-split demand moments, so only
+    requests with identical ``(kind, N, moments)`` may share them.
+    """
+    if isinstance(request, DeterministicVC):
+        return ("deterministic", request.n_vms, request.bandwidth)
+    return ("homogeneous", request.n_vms, request.mean, request.std)
+
+
+def _convolution_context(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-shape scratch for ``_combine_fast``.
+
+    ``idx_full[e, s] = s - e``; gathering a partial table through its
+    first ``cap + 1`` rows yields the shifted matrix ``partial[s - e]``
+    in one C call.  Negative entries wrap into the permanent ``inf``
+    tail of ``scratch``, encoding the ``s < e`` infeasible corner.
+    """
+    s_index = np.arange(n + 1)
+    idx_full = s_index[None, :] - s_index[:, None]
+    scratch = np.empty(2 * n + 1)
+    scratch[n + 1 :] = np.inf
+    return s_index, idx_full, scratch
+
+
+class _ShapeTables:
+    """What Algorithm 1 keeps between calls for one request shape on one state.
+
+    The tables are pure functions of their inputs — child tables, uplink
+    moments and slot caps, all in the vertex-cache key, plus the shape's
+    split moments — so reuse cannot change a decision, only skip work.
+    ``signatures`` spares clean vertices even the re-keying: a commit or
+    release stamps ``state.changed_at`` on exactly the ancestors of the
+    machines it touched, and no input of a vertex lies outside its subtree.
+    """
+
+    def __init__(self, state: NetworkState, request: VirtualClusterRequest) -> None:
+        self.state = weakref.ref(state)
+        self.split_mean, self.split_var = homogeneous_split_moments(request)
+        self.conv = _convolution_context(request.n_vms)
+        self.machine_cache: Dict[int, _VertexTable] = {}
+        self.vertex_cache: Dict[Tuple, _VertexTable] = {}
+        #: node_id -> (state version it was keyed at, its vertex-cache key);
+        #: the key still holds iff ``state.changed_at[node_id] <=`` that version.
+        self.signatures: Dict[int, Tuple[int, Tuple]] = {}
+
+    def prune(self) -> None:
+        """Once the cache has outgrown its bound, keep only what a vertex names."""
+        if len(self.vertex_cache) > _MAX_TABLES_PER_VERTEX * len(self.signatures):
+            cache = self.vertex_cache
+            self.vertex_cache = {key: cache[key] for _, key in self.signatures.values()}
 
 
 def _uplink_occupancy_vector(
@@ -122,16 +189,29 @@ class _HomogeneousTreeSearch(Allocator):
         self._optimize = optimize
         self._localize = localize
         self._fast = fast
+        #: shape -> tables kept across calls.  Like the rest of an allocator
+        #: this is single-threaded: callers serialize ``allocate``.
+        self._store: "OrderedDict[Tuple, _ShapeTables]" = OrderedDict()
 
     def supports(self, request: VirtualClusterRequest) -> bool:
         return isinstance(request, (HomogeneousSVC, DeterministicVC))
+
+    def _tables_for(self, state: NetworkState, request: VirtualClusterRequest) -> _ShapeTables:
+        """The shape's kept tables, started afresh for a state they were not built on."""
+        shape = _request_shape(request)
+        kept = self._store.get(shape)
+        if kept is None or kept.state() is not state:
+            kept = self._store[shape] = _ShapeTables(state, request)
+            if len(self._store) > _STORE_CAPACITY:
+                self._store.popitem(last=False)
+        self._store.move_to_end(shape)
+        return kept
 
     def allocate(
         self,
         state: NetworkState,
         request: VirtualClusterRequest,
         request_id: int,
-        shared: Optional["_SharedTableBatch"] = None,
     ) -> Optional[Allocation]:
         if not self.supports(request):
             raise TypeError(f"{self.name} cannot place a {type(request).__name__}")
@@ -150,28 +230,22 @@ class _HomogeneousTreeSearch(Allocator):
             )
             return None
 
-        split_mean, split_var = homogeneous_split_moments(request)
         deterministic = request.is_deterministic
         tree = state.tree
 
         tables: Dict[int, _VertexTable] = {}
         host: Optional[int] = None
         host_value = np.inf
-        if self._fast and shared is not None:
-            # Batch mode: tables survive across the batch's allocate calls.
-            # Every state-dependent input is either re-read per call (free
-            # slots, hosts) or part of the cache key (link moments, caps),
-            # so reuse cannot change a decision — only skip rebuilding
-            # tables whose inputs did not move since the previous member.
-            machine_cache, vertex_cache, conv = shared.caches_for(state, request, n)
+        if self._fast:
+            kept = self._tables_for(state, request)
+            split_mean, split_var = kept.split_mean, kept.split_var
+            machine_cache = kept.machine_cache
+            machine_pre = len(machine_cache)
+            vertex_pre = len(kept.vertex_cache)
         else:
-            machine_cache = {}
-            vertex_cache = {}
-            conv = self._convolution_context(n) if self._fast else None
+            split_mean, split_var = homogeneous_split_moments(request)
         machine_lookups = 0
         vertex_lookups = 0
-        machine_pre = len(machine_cache)
-        vertex_pre = len(vertex_cache)
         if phases is not None:
             phases[PHASE_PRUNE] = perf_counter() - t_start
         for _level, node_ids in tree.bottom_up_levels():
@@ -203,9 +277,7 @@ class _HomogeneousTreeSearch(Allocator):
                 if self._fast:
                     vertex_lookups += 1
                     table = self._build_vertex_fast(
-                        state, node_id, n, split_mean, split_var, deterministic,
-                        tables, machine_cache, vertex_cache, conv, phases,
-                        shared=shared,
+                        state, node_id, n, deterministic, tables, kept, phases
                     )
                 else:
                     t_phase = perf_counter() if phases is not None else 0.0
@@ -237,7 +309,7 @@ class _HomogeneousTreeSearch(Allocator):
             # Hit/miss bookkeeping is derived once per request: every probe
             # that did not insert a new table was served by a shared one.
             # Counting inserts relative to the pre-call size keeps the math
-            # right when a batch context carries tables in from earlier calls.
+            # right when tables are carried in from earlier calls.
             obs.cache(
                 "machine",
                 machine_lookups,
@@ -246,8 +318,9 @@ class _HomogeneousTreeSearch(Allocator):
             obs.cache(
                 "vertex",
                 vertex_lookups,
-                vertex_lookups - (len(vertex_cache) - vertex_pre),
+                vertex_lookups - (len(kept.vertex_cache) - vertex_pre),
             )
+            kept.prune()
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
@@ -393,15 +466,10 @@ class _HomogeneousTreeSearch(Allocator):
         state: NetworkState,
         node_id: int,
         n: int,
-        split_mean: np.ndarray,
-        split_var: np.ndarray,
         deterministic: bool,
         tables: Dict[int, _VertexTable],
-        machine_cache: Dict[int, _VertexTable],
-        vertex_cache: Dict[Tuple, _VertexTable],
-        conv: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        kept: _ShapeTables,
         phases: Optional[Dict[str, float]] = None,
-        shared: Optional["_SharedTableBatch"] = None,
     ) -> _VertexTable:
         """Pruned, batched equivalent of :meth:`_build_vertex`.
 
@@ -415,31 +483,22 @@ class _HomogeneousTreeSearch(Allocator):
         The vertex DP is a pure function of the children's tables and uplink
         states, so vertices whose children are in bit-identical states (the
         common case: most racks of a datacenter look alike) share one table
-        via ``vertex_cache``, keyed by the per-child (table identity, link
+        via ``kept.vertex_cache``, keyed by the per-child (table serial, link
         state, slot cap) signature.
         """
-        tree = state.tree
-        node = tree.node(node_id)
-        if node.is_machine:
-            return self._machine_table(min(state.free_slots(node_id), n), n, machine_cache)
+        vertex_cache = kept.vertex_cache
+        memo = kept.signatures.get(node_id)
+        if memo is not None and state.changed_at[node_id] <= memo[0]:
+            # Nothing under this vertex moved since it was keyed: its
+            # children's tables, uplink moments and slot caps are what they
+            # were, so the per-child re-keying can be skipped outright.
+            return vertex_cache[memo[1]]
 
-        children = node.children
+        children = state.tree.node(node_id).children
         if not children:
             partial = np.full(n + 1, np.inf)
             partial[0] = 0.0
             return _VertexTable(values=partial, choices=[])
-
-        if shared is not None:
-            # Dirty-path skip: a batch context knows (from note_commit)
-            # which subtrees the previous members touched.  A clean vertex
-            # provably has the same signature as last call — its children's
-            # tables, uplink moments, and slot caps are all unmoved — so we
-            # can skip re-keying its children entirely.
-            memo_key = shared.signature_for(node_id)
-            if memo_key is not None:
-                memo_hit = vertex_cache.get(memo_key)
-                if memo_hit is not None:
-                    return memo_hit
 
         # ``phases`` (sampled traces only) splits the work into disjoint
         # wall-time sections: table_build = per-child metadata + signature +
@@ -463,19 +522,18 @@ class _HomogeneousTreeSearch(Allocator):
             caps[i] = cap = min(n, state.free_slots_under(child_id))
             # Table identity is safe as a key: machine tables are shared per
             # free-slot count and cached vertex tables are shared per
-            # signature, so equal ids imply bit-identical child tables.
+            # signature, so equal serials imply bit-identical child tables.
             signature.append(
-                (id(tables[child_id]), det[i], mean[i], var[i], capacity[i], cap)
+                (tables[child_id].serial, det[i], mean[i], var[i], capacity[i], cap)
             )
         key = tuple(signature)
-        if shared is not None:
-            shared.store_signature(node_id, key)
         cached = vertex_cache.get(key)
         if phases is not None:
             phases[PHASE_TABLE_BUILD] = (
                 phases.get(PHASE_TABLE_BUILD, 0.0) + perf_counter() - t_phase
             )
         if cached is not None:
+            kept.signatures[node_id] = (state.version, key)
             return cached
 
         partial = np.full(n + 1, np.inf)
@@ -483,6 +541,7 @@ class _HomogeneousTreeSearch(Allocator):
         choices: List[np.ndarray] = []
         t_phase = perf_counter() if phases is not None else 0.0
         width = int(caps.max())
+        split_mean, split_var, conv = kept.split_mean, kept.split_var, kept.conv
         sm = split_mean[: width + 1][None, :]
         if deterministic:
             reserved = det[:, None] + sm
@@ -514,22 +573,8 @@ class _HomogeneousTreeSearch(Allocator):
             )
         table = _VertexTable(values=partial, choices=choices)
         vertex_cache[key] = table
+        kept.signatures[node_id] = (state.version, key)
         return table
-
-    @staticmethod
-    def _convolution_context(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-allocate scratch for :meth:`_combine_fast`.
-
-        ``idx_full[e, s] = s - e``; gathering a partial table through its
-        first ``cap + 1`` rows yields the shifted matrix ``partial[s - e]``
-        in one C call.  Negative entries wrap into the permanent ``inf``
-        tail of ``scratch``, encoding the ``s < e`` infeasible corner.
-        """
-        s_index = np.arange(n + 1)
-        idx_full = s_index[None, :] - s_index[:, None]
-        scratch = np.empty(2 * n + 1)
-        scratch[n + 1 :] = np.inf
-        return s_index, idx_full, scratch
 
     def _combine_fast(
         self,
@@ -620,25 +665,6 @@ class _HomogeneousTreeSearch(Allocator):
         )
 
     # ------------------------------------------------------------------
-    # Batch admission
-    # ------------------------------------------------------------------
-
-    def batch_context(self) -> "BatchContext":
-        """Cache-sharing batch context (the service batcher's amortizer).
-
-        The DP tables are pure functions of their inputs (child tables,
-        uplink link state, slot caps — all in the vertex-cache key) and the
-        request's split moments (fixed within one shape class), so a run of
-        same-shape requests can keep one machine/vertex cache alive across
-        the whole run: after a commit only the tables along the dirty path
-        from the host machines to the root rebuild, everything else is a
-        cache hit.  Decisions stay bit-identical to sequential calls.
-        """
-        if not self._fast:
-            return BatchContext(self)  # the seed path has no caches to share
-        return _SharedTableBatch(self)
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
 
@@ -662,82 +688,6 @@ class _HomogeneousTreeSearch(Allocator):
             if occ > worst:
                 worst = occ
         return worst
-
-
-def _request_shape(request: VirtualClusterRequest) -> Tuple:
-    """The shape class two requests must share for DP tables to be reusable.
-
-    Vertex tables bake in the request's per-split demand moments, so only
-    requests with identical ``(kind, N, moments)`` may share a cache.
-    """
-    if isinstance(request, DeterministicVC):
-        return ("deterministic", request.n_vms, request.bandwidth)
-    return ("homogeneous", request.n_vms, request.mean, request.std)
-
-
-class _SharedTableBatch(BatchContext):
-    """Batch context holding the machine/vertex caches across allocate calls.
-
-    Single-threaded by contract (the admission worker drives one batch under
-    the service lock).  A shape change inside the batch resets the caches —
-    correctness never depends on the caller coalescing only compatible
-    requests, it only profits from it.
-    """
-
-    def __init__(self, allocator: "_HomogeneousTreeSearch") -> None:
-        super().__init__(allocator)
-        self._shape: Optional[Tuple] = None
-        self._machine_cache: Dict[int, _VertexTable] = {}
-        self._vertex_cache: Dict[Tuple, _VertexTable] = {}
-        self._conv: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        #: node_id -> the signature key computed for it last call.  Valid
-        #: only while the node is not in ``_dirty`` and the state version
-        #: matches ``_state_version``: then every signature input (child
-        #: table ids, uplink moments, free-slot caps) is provably unchanged
-        #: and the per-child re-keying loop can be skipped outright.
-        self._signatures: Dict[int, Tuple] = {}
-        self._dirty: set = set()
-        self._state_version: Optional[int] = None
-
-    def caches_for(self, state: NetworkState, request: VirtualClusterRequest, n: int):
-        shape = _request_shape(request)
-        if shape != self._shape:
-            self._shape = shape
-            self._machine_cache = {}
-            self._vertex_cache = {}
-            self._signatures = {}
-            self._dirty.clear()
-            self._conv = _HomogeneousTreeSearch._convolution_context(n)
-        if state.version != self._state_version:
-            # The state moved without a note_commit (a release, or a commit
-            # outside this batch): every freshness memo is suspect.  The
-            # content-addressed table caches stay — they can only hit when
-            # their full input signature matches, stale or not.
-            self._signatures = {}
-            self._dirty.clear()
-            self._state_version = state.version
-        return self._machine_cache, self._vertex_cache, self._conv
-
-    def signature_for(self, node_id: int) -> Optional[Tuple]:
-        """The node's memoized signature key, or None if it must be re-keyed."""
-        if node_id in self._dirty:
-            return None
-        return self._signatures.get(node_id)
-
-    def store_signature(self, node_id: int, key: Tuple) -> None:
-        self._signatures[node_id] = key
-        self._dirty.discard(node_id)
-
-    def note_commit(self, state: NetworkState, allocation) -> None:
-        """Mark exactly the committed placement's ancestor paths dirty."""
-        for machine_id in allocation.machine_counts:
-            self._dirty.update(state.ancestors(machine_id))
-        self._state_version = state.version
-
-    def allocate(
-        self, state: NetworkState, request: VirtualClusterRequest, request_id: int
-    ) -> Optional[Allocation]:
-        return self.allocator.allocate(state, request, request_id, shared=self)
 
 
 class SVCHomogeneousAllocator(_HomogeneousTreeSearch):

@@ -144,9 +144,9 @@ class NetworkManager:
         dropped; in the batch scenario they wait in the FIFO queue.
 
         ``batch`` is an optional :meth:`batch_context` from this manager's
-        allocator; when given, the allocate call routes through it so DP
-        tables carry over between members of an admission batch.  Decisions
-        are unchanged — the context contract requires bit-identical results.
+        allocator; when given, the allocate call routes through it and it is
+        told of the commit.  Decisions are unchanged — the context contract
+        requires bit-identical results.
         """
         request_id = self._next_id
         self._next_id += 1

@@ -204,11 +204,14 @@ class NetworkState:
                 chain.append(current)
                 current = tree.node(current).parent
             self._ancestors[machine_id] = tuple(chain)
-        #: Mutation counter, bumped by every commit/release.  Batch contexts
-        #: compare it against the version they last synced at: a mismatch
-        #: means the state moved under them (e.g. a release between allocate
-        #: calls) and their per-node freshness memos must be dropped.
+        #: Mutation counter, bumped by every commit/release, and per internal
+        #: node the version of the last mutation anywhere in its subtree:
+        #: slots of a machine below it, or the uplink of a node on the way
+        #: down to one.  Allocators that keep per-vertex DP tables across
+        #: calls reuse a table built at version ``k`` iff
+        #: ``changed_at[vertex] <= k``.
         self.version = 0
+        self.changed_at: Dict[int, int] = dict.fromkeys(self._free_under, 0)
 
     # ------------------------------------------------------------------
     # Slot accounting
@@ -217,10 +220,6 @@ class NetworkState:
     def free_slots(self, machine_id: int) -> int:
         """Empty VM slots on one machine."""
         return self._free_slots[machine_id]
-
-    def ancestors(self, machine_id: int) -> Tuple[int, ...]:
-        """The machine's ancestor chain (parent first, root last)."""
-        return self._ancestors[machine_id]
 
     def free_slots_under(self, node_id: int) -> int:
         """Empty VM slots in the whole subtree rooted at ``node_id``.
@@ -256,6 +255,7 @@ class NetworkState:
         self._total_free -= count
         for ancestor in self._ancestors[machine_id]:
             self._free_under[ancestor] -= count
+            self.changed_at[ancestor] = self.version
 
     def _vacate(self, machine_id: int, count: int) -> None:
         capacity = self.tree.node(machine_id).slot_capacity
@@ -268,6 +268,7 @@ class NetworkState:
         self._total_free += count
         for ancestor in self._ancestors[machine_id]:
             self._free_under[ancestor] += count
+            self.changed_at[ancestor] = self.version
 
     # ------------------------------------------------------------------
     # Allocation lifecycle
@@ -278,8 +279,11 @@ class NetworkState:
 
         Slots are occupied and per-link demands recorded: deterministic
         requests reserve their mean into ``D_L`` (to be enforced by rate
-        limiting); stochastic requests join the statistical share.
+        limiting); stochastic requests join the statistical share.  Every
+        link an allocation loads lies between one of its machines and its
+        host, so the slot walks stamp ``changed_at`` for the links too.
         """
+        self.version += 1
         for machine_id, count in allocation.machine_counts.items():
             self._occupy(machine_id, count)
         for link_id, demand in allocation.link_demands.items():
@@ -288,7 +292,6 @@ class NetworkState:
                 state.add_deterministic(allocation.request_id, demand.mean)
             else:
                 state.add_stochastic(allocation.request_id, demand)
-        self.version += 1
 
     def release(self, allocation) -> None:
         """Undo :meth:`commit` when the tenant departs.
@@ -304,11 +307,11 @@ class NetworkState:
                 raise ValueError(
                     f"machine {machine_id} would exceed its {capacity} slots on release"
                 )
+        self.version += 1
         for machine_id, count in allocation.machine_counts.items():
             self._vacate(machine_id, count)
         for link_id in allocation.link_demands:
             self.links[link_id].remove_request(allocation.request_id)
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Datacenter-wide views

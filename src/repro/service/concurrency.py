@@ -31,6 +31,7 @@ original decision back instead of a second allocation (the tentpole
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import threading
@@ -98,7 +99,7 @@ _IDLE_SWEEP_INTERVAL = 0.05
 #: worker pool cannot grow the heap without bound.
 DEFAULT_MAX_QUEUE_DEPTH = 1024
 
-#: Idempotency keys remembered live (oldest evicted beyond this).
+#: Idempotency keys, and tickets, remembered live (oldest evicted beyond this).
 _IDEMPOTENCY_CAPACITY = 65536
 
 #: Ops that mutate manager/journal state and are shed while degraded.
@@ -164,7 +165,7 @@ class ServiceCounters:
     deduped: int = 0
     #: Batch dispatches (each covers one or more coalesced requests).
     batches: int = 0
-    #: Requests that rode in a batch behind its leader (shared DP tables).
+    #: Requests that rode in a batch behind its leader.
     coalesced: int = 0
     #: Accepted resizes (in-place + replaced).  Kept apart from
     #: ``admitted``/``rejected`` so ``rejection_rate`` never moves.
@@ -282,10 +283,11 @@ class AdmissionService:
     batch_max:
         Upper bound on admission-batch size.  A worker that pops a request
         keeps popping *consecutive* queue entries with the same shape key
-        (up to this many) and drives them through one shared allocator
-        batch context — one tree traversal's tables amortized across the
-        run, decisions bit-identical to one-at-a-time processing.  ``1``
-        disables coalescing.
+        (up to this many) and drives them through one allocator batch
+        context under one hold of the service lock — decisions bit-identical
+        to one-at-a-time processing.  (The DP tables a run of one shape
+        reuses are kept by the allocator whether or not a batch forms.)
+        ``1`` disables coalescing.
     batch_linger_s:
         With the queue empty and a batch still below ``batch_max``, how
         long the worker waits for more same-shape arrivals before
@@ -299,6 +301,9 @@ class AdmissionService:
         Deficit-round-robin weights per tenant name (default 1): a tenant
         with weight ``w`` is served up to ``w`` requests per rotation lap.
     """
+
+    #: Tickets kept for ``status`` (a constant; tests lower it in a subclass).
+    ticket_capacity = _IDEMPOTENCY_CAPACITY
 
     def __init__(
         self,
@@ -344,7 +349,7 @@ class AdmissionService:
         self._cond = threading.Condition()
         self._queue = FairRequestQueue(mode, weights=tenant_weights)
         self._known_tenants: set = set()
-        self._tickets: Dict[int, Ticket] = {}
+        self._tickets: "OrderedDict[int, Ticket]" = OrderedDict()
         self._next_ticket = 1
         self._threads: List[threading.Thread] = []
         self._running = False
@@ -453,7 +458,7 @@ class AdmissionService:
             return self._queue.tenant_depths()
 
     def coalesce_ratio(self) -> float:
-        """Fraction of processed requests that shared a batch leader's tables."""
+        """Fraction of processed requests that rode in a batch behind its leader."""
         processed = self.counters.batches + self.counters.coalesced
         return self.counters.coalesced / processed if processed else 0.0
 
@@ -718,7 +723,7 @@ class AdmissionService:
                     deadline=deadline,
                 )
                 self._next_ticket += 1
-                self._tickets[ticket.ticket_id] = ticket
+                self._remember_ticket(ticket)
                 if idempotency_key is not None:
                     self._remember_key(idempotency_key, {"ticket_id": ticket.ticket_id})
                 self._count("submitted")
@@ -769,9 +774,23 @@ class AdmissionService:
             request_id=int(request_id) if request_id is not None else None,
             detail="deduplicated: decision recovered from the journal",
         )
-        self._tickets[ticket.ticket_id] = ticket
+        self._remember_ticket(ticket)
         self._remember_key(key, {"ticket_id": ticket.ticket_id, **known})
         return ticket
+
+    def _remember_ticket(self, ticket: Ticket) -> None:
+        """Track a ticket, dropping the oldest *resolved* ones beyond capacity.
+
+        A ticket still waiting for its decision is never dropped.  ``status``
+        answers for a dropped ticket as for one it never knew, and a retry by
+        idempotency key gets the decision pinned to the key.
+        """
+        self._tickets[ticket.ticket_id] = ticket
+        excess = len(self._tickets) - self.ticket_capacity
+        if excess > 0:
+            resolved = (tid for tid, known in self._tickets.items() if known.done)
+            for ticket_id in list(itertools.islice(resolved, excess)):
+                del self._tickets[ticket_id]
 
     def _remember_key(self, key: str, decision: Dict[str, Any]) -> None:
         self._idem[key] = decision
@@ -1245,11 +1264,12 @@ class AdmissionService:
     ) -> List[Optional[Tuple]]:
         """Drive one coalesced batch through the allocator (under lock).
 
-        Everything except the DP tables stays strictly per-request: each
-        member journals its own admit/reject record, parks individually in
-        batch mode, and an allocator/journal failure poisons only its own
-        ticket.  The shared batch context is an amortization, proven
-        decision-neutral by contract (see ``Allocator.batch_context``).
+        Everything stays strictly per-request: each member journals its own
+        admit/reject record, parks individually in batch mode, and an
+        allocator/journal failure poisons only its own ticket.  The batch
+        context is decision-neutral by contract (see
+        ``Allocator.batch_context``); the DP tables a run of one shape reuses
+        live in the allocator, batched or not.
         """
         now = self.clock()
         context = self.manager.batch_context() if len(batch) > 1 else None

@@ -222,6 +222,11 @@ class FairRequestQueue:
         self._deficits: Dict[str, float] = {}
         self._parked: List[QueuedRequest] = []
         self._next_seq = 0
+        #: Live counts, so the introspection the service does under its lock
+        #: on every submit is O(1): entries in the ready heaps, and ready +
+        #: parked entries per tenant (tenants at zero are dropped).
+        self._ready = 0
+        self._depths: Dict[str, int] = {}
 
     def weight_of(self, tenant: str) -> int:
         return self._weights.get(tenant, self._default_weight)
@@ -240,6 +245,7 @@ class FairRequestQueue:
         entry.seq = self._next_seq
         self._next_seq += 1
         self._push_existing(entry)
+        self._adjust_depth(entry.tenant, +1)
 
     def _push_existing(self, entry: QueuedRequest) -> None:
         heap = self._heaps.get(entry.tenant)
@@ -248,6 +254,19 @@ class FairRequestQueue:
             self._rotation.append(entry.tenant)
             self._deficits[entry.tenant] = 0.0
         heapq.heappush(heap, (entry.sort_key(), entry))
+        self._ready += 1
+
+    def _adjust_depth(self, tenant: str, delta: int) -> None:
+        depth = self._depths.get(tenant, 0) + delta
+        if depth:
+            self._depths[tenant] = depth
+        else:
+            del self._depths[tenant]
+
+    def _left_ready(self, entry: QueuedRequest) -> None:
+        """Count one entry out of the ready heaps (popped or expired)."""
+        self._ready -= 1
+        self._adjust_depth(entry.tenant, -1)
 
     # ------------------------------------------------------------------
     # Worker side
@@ -261,8 +280,8 @@ class FairRequestQueue:
     def _settle(self, now: float, expired: List[QueuedRequest]) -> Optional[str]:
         """Advance the rotation until its head tenant is the one to serve.
 
-        Prunes cancelled and expired entries off heap tops on the way
-        (collecting the expired ones), retires tenants whose heaps empty,
+        Prunes expired entries off heap tops on the way
+        (collecting them), retires tenants whose heaps empty,
         and tops up deficits per DRR.  Deterministic: the tenant returned is
         a pure function of queue state, so peeking commits nothing beyond
         what any pop would have decided anyway.
@@ -270,15 +289,10 @@ class FairRequestQueue:
         while self._rotation:
             tenant = self._rotation[0]
             heap = self._heaps[tenant]
-            while heap:
-                entry = heap[0][1]
-                if entry._cancelled:
-                    heapq.heappop(heap)
-                elif entry.expired(now):
-                    heapq.heappop(heap)
-                    expired.append(entry)
-                else:
-                    break
+            while heap and heap[0][1].expired(now):
+                entry = heapq.heappop(heap)[1]
+                expired.append(entry)
+                self._left_ready(entry)
             if not heap:
                 self._retire(tenant)
                 continue
@@ -296,11 +310,16 @@ class FairRequestQueue:
         tenant = self._settle(now, expired)
         if tenant is None:
             return None, expired
+        return self._take(tenant), expired
+
+    def _take(self, tenant: str) -> QueuedRequest:
+        """Pop the head of ``tenant``'s heap, charging its deficit."""
         _key, entry = heapq.heappop(self._heaps[tenant])
         self._deficits[tenant] -= 1.0
         if not self._heaps[tenant]:
             self._retire(tenant)
-        return entry, expired
+        self._left_ready(entry)
+        return entry
 
     def pop_compatible(
         self, shape: Optional[Tuple], now: float
@@ -319,25 +338,20 @@ class FairRequestQueue:
         entry = self._heaps[tenant][0][1]
         if shape is None or entry.shape != shape:
             return None, expired
-        heapq.heappop(self._heaps[tenant])
-        self._deficits[tenant] -= 1.0
-        if not self._heaps[tenant]:
-            self._retire(tenant)
-        return entry, expired
+        return self._take(tenant), expired
 
     def park(self, entry: QueuedRequest) -> None:
         """Batch mode: hold a rejected request for retry on departures."""
         if self.mode != MODE_BATCH:
             raise ValueError("parking rejected requests requires batch mode")
         self._parked.append(entry)
+        self._adjust_depth(entry.tenant, +1)
 
     def requeue_parked(self) -> int:
         """Move every parked request back into its tenant's ready heap."""
-        count = 0
+        count = len(self._parked)
         for entry in self._parked:
-            if not entry._cancelled:
-                self._push_existing(entry)
-                count += 1
+            self._push_existing(entry)
         self._parked.clear()
         return count
 
@@ -347,14 +361,15 @@ class FairRequestQueue:
             e for e in self._parked if e.expired(now)
         ]
         self._parked = [e for e in self._parked if not e.expired(now)]
+        for entry in expired:
+            self._adjust_depth(entry.tenant, -1)
         for tenant in list(self._heaps):
             heap = self._heaps[tenant]
             kept: List[Tuple[Tuple[int, int], QueuedRequest]] = []
             for key, entry in heap:
-                if entry._cancelled:
-                    continue
                 if entry.expired(now):
                     expired.append(entry)
+                    self._left_ready(entry)
                 else:
                     kept.append((key, entry))
             heapq.heapify(kept)
@@ -365,17 +380,14 @@ class FairRequestQueue:
 
     def drain(self) -> List[QueuedRequest]:
         """Remove and return everything still waiting (service shutdown)."""
-        entries = [
-            e
-            for heap in self._heaps.values()
-            for _k, e in heap
-            if not e._cancelled
-        ]
-        entries.extend(e for e in self._parked if not e._cancelled)
+        entries = [e for heap in self._heaps.values() for _k, e in heap]
+        entries.extend(self._parked)
         self._heaps.clear()
         self._rotation.clear()
         self._deficits.clear()
         self._parked.clear()
+        self._ready = 0
+        self._depths.clear()
         entries.sort(key=QueuedRequest.sort_key)
         return entries
 
@@ -385,34 +397,18 @@ class FairRequestQueue:
 
     @property
     def ready_count(self) -> int:
-        return sum(
-            1
-            for heap in self._heaps.values()
-            for _k, e in heap
-            if not e._cancelled
-        )
+        return self._ready
 
     @property
     def parked_count(self) -> int:
-        return sum(1 for e in self._parked if not e._cancelled)
+        return len(self._parked)
 
     def __len__(self) -> int:
-        return self.ready_count + self.parked_count
+        return self._ready + len(self._parked)
 
     def tenant_depths(self) -> Dict[str, int]:
         """Waiting entries (ready + parked) per tenant — quota & gauge feed."""
-        depths: Dict[str, int] = {}
-        for tenant, heap in self._heaps.items():
-            depths[tenant] = sum(1 for _k, e in heap if not e._cancelled)
-        for entry in self._parked:
-            if not entry._cancelled:
-                depths[entry.tenant] = depths.get(entry.tenant, 0) + 1
-        return depths
+        return dict(self._depths)
 
     def tenant_depth(self, tenant: str) -> int:
-        heap = self._heaps.get(tenant, ())
-        depth = sum(1 for _k, e in heap if not e._cancelled)
-        depth += sum(
-            1 for e in self._parked if e.tenant == tenant and not e._cancelled
-        )
-        return depth
+        return self._depths.get(tenant, 0)

@@ -170,6 +170,65 @@ def test_no_tenant_starves(arrivals, weights):
         remaining[tenant] -= 1
 
 
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from(["a", "b", "c"]),
+            st.integers(0, 2),  # priority
+            st.one_of(st.none(), st.integers(1, 12)),  # deadline
+            st.sampled_from(["x", "y"]),  # shape
+        ),
+        st.tuples(st.sampled_from(["pop", "pop_park"])),
+        st.tuples(st.just("pop_compatible"), st.sampled_from(["x", "y"])),
+        st.tuples(st.sampled_from(["requeue", "expire", "drain"])),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=queue_ops)
+def test_live_counters_equal_a_scan(ops):
+    """The O(1) counters equal a from-scratch scan after any op sequence.
+
+    The clock advances one tick per op, so deadlines pass while entries sit
+    in the heaps and the parking lot, and every path that removes an entry
+    (pop, coalescing pop, pruning in ``_settle``, ``expire``, ``drain``) runs.
+    """
+    queue = FairRequestQueue(mode="batch", weights={"a": 2})
+    for now, op in enumerate(ops):
+        if op[0] == "push":
+            _, tenant, priority, deadline, shape = op
+            queue.push(
+                entry(now, tenant=tenant, priority=priority, shape=shape,
+                      deadline=None if deadline is None else now + deadline)
+            )
+        elif op[0] in ("pop", "pop_park"):
+            popped, _expired = queue.pop_ready(now)
+            if popped is not None and op[0] == "pop_park":
+                queue.park(popped)
+        elif op[0] == "pop_compatible":
+            queue.pop_compatible(op[1], now)
+        elif op[0] == "requeue":
+            queue.requeue_parked()
+        elif op[0] == "expire":
+            queue.expire(now)
+        else:
+            queue.drain()
+
+        waiting = [e for heap in queue._heaps.values() for _key, e in heap]
+        assert queue.ready_count == len(waiting)
+        assert queue.parked_count == len(queue._parked)
+        assert len(queue) == len(waiting) + len(queue._parked)
+        depths = {}
+        for e in waiting + queue._parked:
+            depths[e.tenant] = depths.get(e.tenant, 0) + 1
+        assert queue.tenant_depths() == depths
+        for tenant in "abc":
+            assert queue.tenant_depth(tenant) == depths.get(tenant, 0)
+
+
 class TestTenantQuota:
     def test_over_quota_shed_carries_code_and_retry_after(self, tiny_tree):
         service = AdmissionService(

@@ -193,6 +193,27 @@ class TestBatchMode:
             assert waiter.outcome == OUTCOME_EXPIRED
 
 
+class TestTicketTable:
+    def test_resolved_tickets_are_evicted_and_a_queued_one_survives(self, tiny_tree):
+        class SmallTable(AdmissionService):
+            ticket_capacity = 8
+
+        with SmallTable(NetworkManager(tiny_tree), mode="batch", workers=1) as svc:
+            # Batch mode parks what does not fit: this ticket stays unresolved.
+            parked = svc.submit(huge_svc(tiny_tree), wait=False, timeout_s=60.0)
+            first = svc.submit(small_svc())
+            assert svc.release(first.request_id)
+            for _ in range(3 * SmallTable.ticket_capacity):
+                ticket = svc.submit(small_svc())
+                assert ticket.outcome == OUTCOME_ADMITTED
+                assert svc.release(ticket.request_id)
+                assert len(svc._tickets) <= SmallTable.ticket_capacity
+            assert not parked.done
+            assert svc.status(parked.ticket_id)["outcome"] == OUTCOME_QUEUED
+            assert svc.status(first.ticket_id) is None  # as for an unknown ticket
+            assert svc.status(ticket.ticket_id)["outcome"] == OUTCOME_ADMITTED
+
+
 class TestStats:
     def test_stats_payload_shape(self, tiny_tree, service):
         admitted = service.submit(small_svc())
