@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Doc-drift gate: the documentation must keep working as the code moves.
 
-Three checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
+Four checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
 
 1. **Fenced ``python`` blocks are executed** (``PYTHONPATH=src``, each block
    its own interpreter).  Blocks that talk to a daemon via ``ServiceClient``
@@ -14,6 +14,10 @@ Three checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
 3. **Referenced paths must exist**: any ``examples/…``, ``benchmarks/…``,
    ``scripts/…`` or ``docs/…`` file named in a bash block or inline code span
    has to be present in the repo.
+4. **Named metrics must exist**: every ``repro_*`` metric name anywhere in
+   the text is a key of ``repro.obs.instruments.FAMILIES`` (a histogram's
+   ``_bucket``/``_sum``/``_count`` series and prefixes ending in ``_`` are
+   fine), so a runbook row cannot outlive its metric.
 
 Opt out per block by placing ``<!-- check-docs: skip -->`` on the line above
 the opening fence (used for illustrative/pseudo-code fragments).
@@ -43,6 +47,8 @@ BLOCK_TIMEOUT_S = 180
 PATH_PATTERN = re.compile(
     r"\b((?:examples|benchmarks|scripts|docs|tests)/[\w][\w./-]*\.(?:py|md|json))\b"
 )
+METRIC_PATTERN = re.compile(r"\brepro_[a-z0-9_]+")
+HISTOGRAM_SERIES = re.compile(r"_(?:bucket|sum|count)$")
 
 sys.path.insert(0, str(SRC))
 
@@ -261,6 +267,32 @@ def lint_paths(text: str, where: str) -> List[Failure]:
     return failures
 
 
+# ---------------------------------------------------------------------------
+# Check 4: named metrics are families the code declares.
+# ---------------------------------------------------------------------------
+
+
+def lint_metric_names(doc: Path) -> List[Failure]:
+    from repro.obs.instruments import FAMILIES
+
+    failures = []
+    for number, line in enumerate(doc.read_text().splitlines(), start=1):
+        for name in METRIC_PATTERN.findall(line):
+            known = (
+                any(family.startswith(name) for family in FAMILIES)
+                if name.endswith("_")
+                else name in FAMILIES or HISTOGRAM_SERIES.sub("", name) in FAMILIES
+            )
+            if not known:
+                failures.append(
+                    Failure(
+                        f"{doc.relative_to(ROOT)}:{number}",
+                        f"{name!r} is not a metric family (repro.obs.instruments.FAMILIES)",
+                    )
+                )
+    return failures
+
+
 def default_docs() -> List[Path]:
     docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
     docs.extend(sorted((ROOT / "docs").glob("*.md")))
@@ -283,6 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     checked_blocks = executed = 0
     try:
         for doc in docs:
+            failures.extend(lint_metric_names(doc))
             for block in iter_blocks(doc):
                 where = f"{doc.relative_to(ROOT)}:{block.first_line}"
                 if block.skipped:

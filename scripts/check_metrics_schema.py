@@ -2,9 +2,11 @@
 
 Boots the miniature fully-wired system (see ``repro.obs.schema``), collects
 every metric family it registers, and diffs names and kinds against the
-checked-in contract.  Dashboards and alerts key on these names, so adding,
-renaming or re-typing a metric must be a reviewed change to the schema file
-— run with ``--update`` to rewrite it deliberately.
+checked-in contract — and diffs the contract against the ``FAMILIES`` table
+of ``repro.obs.instruments``, whose name/kind projection it is, so a row
+nothing emits is caught too.  Dashboards and alerts key on these names, so
+adding, renaming or re-typing a metric must be a reviewed change to the
+schema file — run with ``--update`` to rewrite it deliberately.
 
 Usage (repo root)::
 
@@ -18,6 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.obs.instruments import FAMILIES
 from repro.obs.schema import (
     SCHEMA_FILENAME,
     bootstrap_registry,
@@ -62,20 +65,29 @@ def main(argv=None) -> int:
         )
         return 1
     expected = load_schema(schema_path)
-    missing, unexpected, mismatched = diff_schema(expected, actual)
-    if not (missing or unexpected or mismatched):
+    table = {name: family.kind for name, family in FAMILIES.items()}
+    clean = True
+    for source, verb, families in (
+        ("registry", "emitted", actual),
+        ("FAMILIES table", "declared", table),
+    ):
+        missing, unexpected, mismatched = diff_schema(expected, families)
+        clean = clean and not (missing or unexpected or mismatched)
+        for name in missing:
+            print(f"[check_metrics_schema] MISSING  {name} (in schema, not {verb})",
+                  file=sys.stderr)
+        for name in unexpected:
+            print(f"[check_metrics_schema] NEW      {name} ({verb}, not in schema)",
+                  file=sys.stderr)
+        for line in mismatched:
+            print(f"[check_metrics_schema] KIND     {line} ({source})",
+                  file=sys.stderr)
+    if clean:
         print(
-            f"[check_metrics_schema] OK: {len(actual)} families match {schema_path.name}"
+            f"[check_metrics_schema] OK: {len(actual)} families match "
+            f"{schema_path.name} and the FAMILIES table"
         )
         return 0
-    for name in missing:
-        print(f"[check_metrics_schema] MISSING  {name} (in schema, not emitted)",
-              file=sys.stderr)
-    for name in unexpected:
-        print(f"[check_metrics_schema] NEW      {name} (emitted, not in schema)",
-              file=sys.stderr)
-    for line in mismatched:
-        print(f"[check_metrics_schema] KIND     {line}", file=sys.stderr)
     print(
         "[check_metrics_schema] metric names drifted from the checked-in schema; "
         "if intentional, rerun with --update and commit the result",

@@ -153,7 +153,7 @@ class CoreLinkLedger:
 
     Not thread-safe by itself: the coordinator performs every call while
     holding its own lock (same single-owner discipline as
-    :class:`repro.service.queue.RequestQueue`).
+    :class:`repro.service.queue.FairRequestQueue`).
     """
 
     def __init__(

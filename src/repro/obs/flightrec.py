@@ -23,6 +23,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.obs.instruments import count
+
 __all__ = [
     "FlightRecorder",
     "flight_recorder",
@@ -48,11 +50,6 @@ class FlightRecorder:
         self._dump_seq = 0
         self.dump_dir: Optional[str] = None
         self.auto_dump = True
-        # Metric-mirror cache: counter children resolved once per kind, not
-        # per event — keyed off the live registry object so a test-time
-        # registry reset transparently invalidates the cache.
-        self._counter_cache: Dict[str, Any] = {}
-        self._cache_registry: Any = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -72,32 +69,10 @@ class FlightRecorder:
                 self._seq += 1
                 event["seq"] = self._seq
                 self._events.append(event)
-            self._count_event(kind)
+            # Best-effort mirror into the metrics registry: the recorder
+            # works even when obs is off.
+            count("repro_flight_events_total", str(kind))
         except Exception:  # pragma: no cover - defensive, by contract
-            pass
-
-    def _count_event(self, kind: str) -> None:
-        # Best-effort mirror into the metrics registry (the same lazy-import
-        # pattern failpoints use): the recorder works even when obs is off.
-        try:
-            from repro.obs.instruments import enabled, global_registry
-
-            if not enabled():
-                return
-            registry = global_registry()
-            if registry is not self._cache_registry:
-                self._counter_cache.clear()
-                self._cache_registry = registry
-            counter = self._counter_cache.get(kind)
-            if counter is None:
-                counter = registry.counter(
-                    "repro_flight_events_total",
-                    "Flight-recorder events recorded, by kind.",
-                    kind=str(kind),
-                )
-                self._counter_cache[kind] = counter
-            counter.inc()
-        except Exception:
             pass
 
     # ------------------------------------------------------------------
@@ -132,7 +107,7 @@ class FlightRecorder:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
         os.replace(tmp, path)
-        self._count_dump(trigger)
+        count("repro_flight_dumps_total", str(trigger))
         return payload
 
     def maybe_dump(self, trigger: str) -> Optional[str]:
@@ -152,19 +127,6 @@ class FlightRecorder:
             return path
         except Exception:  # pragma: no cover - dump failure must not cascade
             return None
-
-    def _count_dump(self, trigger: str) -> None:
-        try:
-            from repro.obs.instruments import enabled, global_registry
-
-            if enabled():
-                global_registry().counter(
-                    "repro_flight_dumps_total",
-                    "Flight-recorder dumps written, by trigger.",
-                    trigger=str(trigger),
-                ).inc()
-        except Exception:
-            pass
 
 
 _RECORDER: Optional[FlightRecorder] = None

@@ -1,14 +1,23 @@
 """Pre-wired instrument sets binding the metric registry to the system layers.
 
 This module owns the **process-global registry** (the one the service's
-``metrics`` endpoint serves) and the instrument facades the hot paths call:
+``metrics`` endpoint serves), the :data:`FAMILIES` table — the one place a
+family's kind, help text, buckets, label names and present-from-start
+children are written down — and the instrument facades the hot paths call:
 
 - :func:`admission_instruments` — allocator-side tracing and counters
   (DP phase timings, table-cache hit rates, rejection reasons);
+- :func:`service_instruments`, :func:`cluster_instruments`,
+  :func:`experiment_instruments` — counters, histograms and pull gauges of
+  the admission service, the sharded coordinator and the sweep harness;
 - :func:`outage_monitor` — the empirical Eq.-(1) violation counter fed by
   the simulation engine's data plane;
 - :func:`bind_network_gauges` — pull gauges over a live ``NetworkManager``
   (per-level occupancy ``O_L``, headroom ``S_L - sum mu_i``, tenant count).
+
+Every facade resolves its children through the one cache, :class:`_Children`,
+so adding a metric is one ``FAMILIES`` row, one call site, and
+``scripts/check_metrics_schema.py --update`` for the reviewed contract.
 
 Everything is cheap-by-default: counters are O(1) increments, phase timing
 only happens on sampled traces, and :func:`configure` can disable the whole
@@ -18,21 +27,19 @@ layer (swapping in no-op facades) for overhead A/B measurements —
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_TIME_BUCKETS, MetricsRegistry
 from repro.obs.tracing import SpanTracer, Trace
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "global_registry",
     "reset_global_registry",
     "configure",
     "enabled",
+    "count",
     "admission_instruments",
     "AdmissionInstruments",
     "service_instruments",
@@ -63,6 +70,12 @@ _ALLOC_BUCKETS: Tuple[float, ...] = (
 #: Buckets for admission batch sizes (requests per dispatch).
 _BATCH_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: Buckets for sweep-cell wall times: 10ms (tiny cells) .. 1h (paper scale).
+_CELL_BUCKETS: Tuple[float, ...] = (
+    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
+)
+
 # Fast-DP phase names (Algorithm 1 stages, see DESIGN.md).
 PHASE_PRUNE = "prune"
 PHASE_TABLE_BUILD = "table_build"
@@ -74,10 +87,273 @@ PHASE_ALLOC = "alloc"
 REASON_NO_FREE_SLOTS = "no_free_slots"
 REASON_NO_FEASIBLE_SUBTREE = "no_feasible_subtree"
 
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """One metric family: everything the registry needs to make a child."""
+
+    kind: str
+    help: str
+    #: Label names, in the order call sites pass the values.
+    labels: Tuple[str, ...] = ()
+    #: Children that exist from the moment the owning facade is built, so a
+    #: scrape sees the series (at zero) before any traffic: one label value
+    #: per entry for a single-label family, ``_SOLE`` for the one child of an
+    #: unlabelled family.  Families whose children are bound to a live object
+    #: (``bind_service``, ``bind_coordinator``, ``bind_network_gauges``) or
+    #: keyed by an open set (allocator names) preset nothing.
+    preset: Tuple = ()
+    buckets: Tuple[float, ...] = DEFAULT_TIME_BUCKETS
+
+
+_SOLE = ((),)
+
+#: ``METRICS_SCHEMA.json`` is the name -> kind projection of this table.
+FAMILIES: Dict[str, Family] = {
+    # -- allocator admission path --------------------------------------
+    "repro_admission_requests_total": Family(
+        "counter", "Admission (allocate) attempts per allocator.", ("allocator",)
+    ),
+    "repro_admission_admitted_total": Family(
+        "counter", "Successful placements per allocator.", ("allocator",)
+    ),
+    "repro_admission_rejected_total": Family(
+        "counter", "Rejected placements per allocator and reason.",
+        ("allocator", "reason"),
+    ),
+    "repro_admission_allocate_seconds": Family(
+        "histogram", "Wall time of one allocate() decision.",
+        ("allocator",), buckets=_ALLOC_BUCKETS,
+    ),
+    "repro_admission_phase_seconds": Family(
+        "histogram", "Per-request wall time of one fast-DP phase (sampled traces).",
+        ("phase",), buckets=_ALLOC_BUCKETS,
+        preset=(PHASE_PRUNE, PHASE_TABLE_BUILD, PHASE_BATCH_OCCUPANCY,
+                PHASE_COMBINE, PHASE_ALLOC),
+    ),
+    "repro_admission_cache_lookups_total": Family(
+        "counter",
+        "DP table cache probes (machine = per-free-slot tables, "
+        "vertex = per-signature rack tables).",
+        ("cache",), preset=("machine", "vertex"),
+    ),
+    "repro_admission_cache_hits_total": Family(
+        "counter", "DP table cache probes answered by a shared table.",
+        ("cache",), preset=("machine", "vertex"),
+    ),
+    # -- admission service ---------------------------------------------
+    "repro_service_events_total": Family(
+        "counter", "Admission-service lifecycle events (submit/decision/release).",
+        ("event",),
+        # The fields of repro.service.concurrency.ServiceCounters.
+        preset=("submitted", "admitted", "rejected", "expired", "released",
+                "retries", "errors", "shed", "deduped", "batches", "coalesced",
+                "resized", "resize_rejected"),
+    ),
+    "repro_service_admission_latency_seconds": Family(
+        "histogram",
+        "End-to-end admission latency: enqueue to decision, queueing included.",
+        preset=_SOLE,
+    ),
+    "repro_service_batch_size": Family(
+        "histogram", "Coalesced requests dispatched per admission batch.",
+        preset=_SOLE, buckets=_BATCH_BUCKETS,
+    ),
+    "repro_resize_total": Family(
+        "counter", "Elastic resize operations, by outcome.",
+        ("outcome",), preset=("in_place", "replaced", "rejected"),
+    ),
+    "repro_service_resize_latency_seconds": Family(
+        "histogram", "End-to-end resize latency under the service lock.", preset=_SOLE
+    ),
+    "repro_service_tenant_shed_total": Family(
+        "counter", "Over-quota sheds, by tenant.", ("tenant",), preset=("none",)
+    ),
+    "repro_service_tenant_queue_depth": Family(
+        "gauge", "Waiting requests (ready + parked) per tenant.",
+        ("tenant",), preset=("none",),
+    ),
+    "repro_service_shed_total": Family(
+        "counter", "Requests refused with a typed load-shedding error, by reason.",
+        ("reason",), preset=("overloaded", "read_only", "unavailable", "over_quota"),
+    ),
+    "repro_service_degradation_transitions_total": Family(
+        "counter", "Degradation-ladder transitions, by destination state.",
+        ("to",), preset=("full", "read_only", "fast_fail"),
+    ),
+    "repro_service_queue_depth": Family(
+        "gauge", "Requests waiting in the admission queue.", ("queue",)
+    ),
+    "repro_service_uptime_seconds": Family(
+        "gauge", "Seconds since the admission service instance started."
+    ),
+    "repro_service_workers": Family("gauge", "Configured admission worker threads."),
+    "repro_service_degradation_state": Family(
+        "gauge", "Degradation ladder position: 0=full, 1=read_only, 2=fast_fail."
+    ),
+    "repro_service_coalesce_ratio": Family(
+        "gauge",
+        "Fraction of processed requests that shared a batch leader's "
+        "DP tables (0 = batching off or never coalesced).",
+    ),
+    # Written through count() by the failpoints and the flight recorder;
+    # preset (by the service facade) so a daemon that never faults or dumps
+    # still exposes them.
+    "repro_faults_injected_total": Family(
+        "counter", "Failpoint triggers, by failpoint name.",
+        ("failpoint",), preset=("none",),
+    ),
+    "repro_flight_events_total": Family(
+        "counter", "Flight-recorder events recorded, by kind.",
+        ("kind",), preset=("none",),
+    ),
+    "repro_flight_dumps_total": Family(
+        "counter", "Flight-recorder dumps written, by trigger.",
+        ("trigger",), preset=("none",),
+    ),
+    # -- experiment harness --------------------------------------------
+    "repro_experiment_cells_completed_total": Family(
+        "counter", "Sweep cells computed by this process, per experiment.",
+        ("experiment",), preset=("none",),
+    ),
+    "repro_experiment_cell_seconds": Family(
+        "histogram", "Wall time to compute one sweep cell.",
+        ("experiment",), preset=("none",), buckets=_CELL_BUCKETS,
+    ),
+    # -- empirical outage monitor (Eq. 1) ------------------------------
+    "repro_outage_link_seconds_total": Family(
+        "counter",
+        "(directed link, second) pairs whose offered demand exceeded capacity.",
+        preset=_SOLE,
+    ),
+    "repro_loaded_link_seconds_total": Family(
+        "counter", "(directed link, second) pairs that carried stochastic load.",
+        preset=_SOLE,
+    ),
+    "repro_outage_epsilon": Family(
+        "gauge", "Configured SLA risk factor epsilon of Eq. (1).", preset=_SOLE
+    ),
+    "repro_outage_empirical_rate": Family(
+        "gauge", "Measured outage frequency; the guarantee holds while <= epsilon.",
+        preset=_SOLE,
+    ),
+    # -- sharded coordinator -------------------------------------------
+    "repro_cluster_routing_total": Family(
+        "counter",
+        "Coordinator routing decisions (local/cross_shard/spill/reject/dedup).",
+        # repro.cluster.coordinator ROUTE_*.
+        ("decision",), preset=("local", "cross_shard", "spill", "reject", "dedup"),
+    ),
+    "repro_cluster_reservations_total": Family(
+        "counter",
+        "Core-link ledger reservation lifecycle events of the two-phase protocol.",
+        ("event",),
+        preset=("reserve", "reserve_denied", "commit", "abort", "expire", "mirror"),
+    ),
+    "repro_cluster_coordinator_latency_seconds": Family(
+        "histogram", "End-to-end coordinator decision latency, by admission path.",
+        ("path",), preset=("local", "cross"),
+    ),
+    # The three "none" gauges are placeholders: bind_coordinator adds the
+    # live per-shard / per-link children beside them.
+    "repro_cluster_shard_free_slots": Family(
+        "gauge", "Free VM slots per shard, read from the coordinator replica.",
+        ("shard",), preset=("none",),
+    ),
+    "repro_cluster_shard_queue_depth": Family(
+        "gauge", "Queued requests per shard (last collected shard summary).",
+        ("shard",), preset=("none",),
+    ),
+    "repro_cluster_core_link_occupancy": Family(
+        "gauge", "Ledger occupancy O_L per shared core link, committed + reserved.",
+        ("link",), preset=("none",),
+    ),
+    "repro_cluster_pending_reservations": Family(
+        "gauge", "Live (uncommitted, unexpired) core-link reservations.", preset=_SOLE
+    ),
+    "repro_cluster_federation_scrapes_total": Family(
+        "counter", "Per-shard registry snapshot collections by the coordinator.",
+        ("outcome",), preset=("ok", "error"),
+    ),
+    "repro_cluster_trace_spans_total": Family(
+        "counter", "Spans folded into end-to-end cluster traces, by origin.",
+        ("origin",), preset=("coordinator", "shard"),
+    ),
+    # -- network guarantee health (bind_network_gauges) ----------------
+    "repro_network_link_occupancy": Family(
+        "gauge", "Per-level link occupancy O_L (Eq. 6) at the configured epsilon.",
+        ("level", "stat"),
+    ),
+    "repro_network_headroom_mbps": Family(
+        "gauge", "Per-level stochastic headroom S_L - sum mu_i in Mbps.",
+        ("level", "stat"),
+    ),
+    "repro_network_max_occupancy": Family(
+        "gauge", "max_L O_L over the whole datacenter (the Fig. 9 statistic)."
+    ),
+    "repro_network_tenants": Family(
+        "gauge", "Tenants currently holding slots and bandwidth."
+    ),
+    "repro_network_slots": Family(
+        "gauge", "VM slot accounting of the managed datacenter.", ("state",)
+    ),
+}
+
+
+class _Children(dict):
+    """``children[name, *label values]`` -> the registry child, made once.
+
+    The only get-or-create in this module: a miss looks the family up in
+    :data:`FAMILIES`, asks the registry for the child with the table's help
+    text and buckets, and remembers it, so the hot path is one dict hit.
+    An unlabelled family may be keyed by its bare name.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        name, *values = (key,) if isinstance(key, str) else key
+        family = FAMILIES[name]
+        if len(values) != len(family.labels):
+            raise KeyError(f"{name} takes labels {family.labels}, got {values}")
+        labels = dict(zip(family.labels, values))
+        if family.kind == "histogram":
+            child = self.registry.histogram(
+                name, family.help, buckets=family.buckets, **labels
+            )
+        else:
+            make = getattr(self.registry, family.kind)  # counter | gauge
+            child = make(name, family.help, **labels)
+        self[key] = child
+        return child
+
+    def preset(self, *prefixes: str) -> "_Children":
+        """Make the preset children of every family under ``prefixes``."""
+        for name, family in FAMILIES.items():
+            if name.startswith(prefixes):
+                for values in family.preset:
+                    labels = (values,) if isinstance(values, str) else values
+                    self.__getitem__((name, *labels) if labels else name)
+        return self
+
+
+# ----------------------------------------------------------------------
+# Process-global state
+# ----------------------------------------------------------------------
+
 _REGISTRY = MetricsRegistry()
+_CHILDREN = _Children(_REGISTRY)
 _ENABLED = True
 _SAMPLE_EVERY = 64
 _SAMPLE_PHASE = 0
+#: The live facades of the global registry, by class, built on first use.
+_LIVE: Dict[type, object] = {}
 
 
 def global_registry() -> MetricsRegistry:
@@ -105,34 +381,72 @@ def configure(
     cluster does not sample the same startup-biased Nth calls on every
     shard.  Applying it resets the live tracer's call counter to the phase.
     """
-    global _ENABLED, _SAMPLE_EVERY, _SAMPLE_PHASE, _ADMISSION
+    global _ENABLED, _SAMPLE_EVERY, _SAMPLE_PHASE
+    admission = _LIVE.get(AdmissionInstruments)
     if enabled is not None:
         _ENABLED = bool(enabled)
     if sample_every is not None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         _SAMPLE_EVERY = int(sample_every)
-        if _ADMISSION is not None:
-            _ADMISSION.tracer.sample_every = _SAMPLE_EVERY
+        if admission is not None:
+            admission.tracer.sample_every = _SAMPLE_EVERY
     if sample_phase is not None:
         if sample_phase < 0:
             raise ValueError(f"sample_phase must be >= 0, got {sample_phase}")
         _SAMPLE_PHASE = int(sample_phase)
-        if _ADMISSION is not None:
-            _ADMISSION.tracer._calls = _SAMPLE_PHASE
-            _ADMISSION.tracer._phase = _SAMPLE_PHASE
+        if admission is not None:
+            admission.tracer._calls = _SAMPLE_PHASE
+            admission.tracer._phase = _SAMPLE_PHASE
 
 
 def reset_global_registry() -> MetricsRegistry:
     """Fresh global registry (tests only — live gauges are left behind)."""
-    global _REGISTRY, _ADMISSION, _OUTAGE, _SERVICE, _EXPERIMENT, _CLUSTER
+    global _REGISTRY, _CHILDREN
     _REGISTRY = MetricsRegistry()
-    _ADMISSION = None
-    _OUTAGE = None
-    _SERVICE = None
-    _EXPERIMENT = None
-    _CLUSTER = None
+    _CHILDREN = _Children(_REGISTRY)
+    _LIVE.clear()
     return _REGISTRY
+
+
+def _facade(cls, null, *args):
+    """The live ``cls`` facade of the global registry, or ``null`` when off."""
+    if not _ENABLED:
+        return null
+    live = _LIVE.get(cls)
+    if live is None:
+        live = _LIVE[cls] = cls(_REGISTRY, *args)
+    return live
+
+
+def count(name: str, *label_values: str) -> None:
+    """Bump one counter of the global registry (nothing when disabled).
+
+    For the writers outside the facades: failpoints and the flight recorder.
+    """
+    if _ENABLED:
+        _CHILDREN[(name, *label_values)].inc()
+
+
+def record_fault(failpoint: str) -> None:
+    """Count one failpoint trigger (called by ``repro.faults``, best effort)."""
+    count("repro_faults_injected_total", failpoint)
+
+
+class _NullFacade:
+    """Accepts every facade call and does nothing (instrumentation disabled)."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return self._ignore
+
+    @staticmethod
+    def _ignore(*args, **kwargs) -> None:
+        pass
+
+
+_NULL_FACADE = _NullFacade()
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +457,8 @@ def reset_global_registry() -> MetricsRegistry:
 class AdmissionInstruments:
     """Counters + sampled tracer for the allocator admission path.
 
-    One instance serves every allocator in the process; per-allocator and
-    per-reason children are resolved once and cached in plain dicts so the
-    per-request cost is a couple of dict lookups and integer adds.
+    One instance serves every allocator in the process; the per-request
+    cost is a handful of child-cache hits and integer adds.
     """
 
     enabled = True
@@ -153,95 +466,12 @@ class AdmissionInstruments:
     def __init__(
         self, registry: MetricsRegistry, sample_every: int = 64, phase: int = 0
     ) -> None:
-        self.registry = registry
         self.tracer = SpanTracer(sample_every=sample_every, phase=phase)
-        self._requests: Dict[str, Counter] = {}
-        self._admitted: Dict[str, Counter] = {}
-        self._rejected: Dict[Tuple[str, str], Counter] = {}
-        self._allocate_hist: Dict[str, Histogram] = {}
-        self._phase_hist: Dict[str, Histogram] = {}
-        self._cache_lookups: Dict[str, Counter] = {}
-        self._cache_hits: Dict[str, Counter] = {}
-        # Touch the stable families once so the exposition carries them from
-        # process start (schema checks rely on presence, not traffic).
-        for cache in ("machine", "vertex"):
-            self._cache_counter(cache)
-        for phase in (
-            PHASE_PRUNE, PHASE_TABLE_BUILD, PHASE_BATCH_OCCUPANCY,
-            PHASE_COMBINE, PHASE_ALLOC,
-        ):
-            self._phase(phase)
-
-    # -- child resolution (cached) -------------------------------------
-
-    def _for_allocator(self, name: str) -> None:
-        registry = self.registry
-        self._requests[name] = registry.counter(
-            "repro_admission_requests_total",
-            "Admission (allocate) attempts per allocator.",
-            allocator=name,
-        )
-        self._admitted[name] = registry.counter(
-            "repro_admission_admitted_total",
-            "Successful placements per allocator.",
-            allocator=name,
-        )
-        self._allocate_hist[name] = registry.histogram(
-            "repro_admission_allocate_seconds",
-            "Wall time of one allocate() decision.",
-            buckets=_ALLOC_BUCKETS,
-            allocator=name,
-        )
-
-    def _rejection_counter(self, allocator: str, reason: str) -> Counter:
-        key = (allocator, reason)
-        counter = self._rejected.get(key)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_admission_rejected_total",
-                "Rejected placements per allocator and reason.",
-                allocator=allocator,
-                reason=reason,
-            )
-            self._rejected[key] = counter
-        return counter
-
-    def _phase(self, phase: str) -> Histogram:
-        hist = self._phase_hist.get(phase)
-        if hist is None:
-            hist = self.registry.histogram(
-                "repro_admission_phase_seconds",
-                "Per-request wall time of one fast-DP phase (sampled traces).",
-                buckets=_ALLOC_BUCKETS,
-                phase=phase,
-            )
-            self._phase_hist[phase] = hist
-        return hist
-
-    def _cache_counter(self, cache: str) -> Tuple[Counter, Counter]:
-        lookups = self._cache_lookups.get(cache)
-        if lookups is None:
-            lookups = self.registry.counter(
-                "repro_admission_cache_lookups_total",
-                "DP table cache probes (machine = per-free-slot tables, "
-                "vertex = per-signature rack tables).",
-                cache=cache,
-            )
-            self._cache_lookups[cache] = lookups
-            self._cache_hits[cache] = self.registry.counter(
-                "repro_admission_cache_hits_total",
-                "DP table cache probes answered by a shared table.",
-                cache=cache,
-            )
-        return lookups, self._cache_hits[cache]
-
-    # -- hot-path API ---------------------------------------------------
+        self._children = _Children(registry).preset("repro_admission_")
 
     def start(self, allocator: str) -> Optional[Trace]:
         """Begin one admission decision; a Trace only when sampled."""
-        if allocator not in self._requests:
-            self._for_allocator(allocator)
-        self._requests[allocator].inc()
+        self._children["repro_admission_requests_total", allocator].inc()
         return self.tracer.start(allocator)
 
     def done(
@@ -254,16 +484,19 @@ class AdmissionInstruments:
         n_vms: int = 0,
     ) -> None:
         """Finish one admission decision started with :meth:`start`."""
-        self._allocate_hist[allocator].observe(duration_s)
+        children = self._children
+        children["repro_admission_allocate_seconds", allocator].observe(duration_s)
+        # Looked up on both branches: an allocator's admitted series exists
+        # from its first decision, even while everything is being rejected.
+        admitted_total = children["repro_admission_admitted_total", allocator]
         if admitted:
-            self._admitted[allocator].inc()
+            admitted_total.inc()
         else:
-            self._rejection_counter(
-                allocator, reason or REASON_NO_FEASIBLE_SUBTREE
-            ).inc()
+            why = reason or REASON_NO_FEASIBLE_SUBTREE
+            children["repro_admission_rejected_total", allocator, why].inc()
         if trace is not None:
             for phase, seconds in trace.phases.items():
-                self._phase(phase).observe(seconds)
+                children["repro_admission_phase_seconds", phase].observe(seconds)
             trace.annotate(
                 allocator=allocator,
                 admitted=admitted,
@@ -276,14 +509,19 @@ class AdmissionInstruments:
         """Fold one request's cache statistics in (O(1) per request)."""
         if lookups <= 0:
             return
-        lookup_counter, hit_counter = self._cache_counter(cache)
-        lookup_counter.inc(lookups)
+        children = self._children
+        children["repro_admission_cache_lookups_total", cache].inc(lookups)
+        hit_total = children["repro_admission_cache_hits_total", cache]
         if hits > 0:
-            hit_counter.inc(hits)
+            hit_total.inc(hits)
 
 
 class _NullAdmission:
-    """Shape-compatible no-op facade used while instrumentation is disabled."""
+    """Shape-compatible no-op facade used while instrumentation is disabled.
+
+    Written out (not :class:`_NullFacade`) because it is the measured
+    baseline of the overhead benchmark and ``tracer`` is read as a value.
+    """
 
     enabled = False
     tracer = None
@@ -299,19 +537,13 @@ class _NullAdmission:
 
 
 _NULL_ADMISSION = _NullAdmission()
-_ADMISSION: Optional[AdmissionInstruments] = None
 
 
 def admission_instruments():
     """The live admission facade, or the shared no-op when disabled."""
-    global _ADMISSION
-    if not _ENABLED:
-        return _NULL_ADMISSION
-    if _ADMISSION is None:
-        _ADMISSION = AdmissionInstruments(
-            _REGISTRY, sample_every=_SAMPLE_EVERY, phase=_SAMPLE_PHASE
-        )
-    return _ADMISSION
+    return _facade(
+        AdmissionInstruments, _NULL_ADMISSION, _SAMPLE_EVERY, _SAMPLE_PHASE
+    )
 
 
 # ----------------------------------------------------------------------
@@ -322,120 +554,18 @@ def admission_instruments():
 class ServiceInstruments:
     """Counters, latency histogram and live gauges for the admission service.
 
-    The service's legacy ``stats()`` integers stay authoritative for the
-    line-JSON ``stats`` op; this mirrors every increment onto the registry
-    so the ``metrics`` endpoint and Prometheus scrapers see the same story
-    with standard metric semantics.
+    The service's ``stats()`` integers are per instance and stay
+    authoritative for the line-JSON ``stats`` op; this mirrors every
+    increment onto the process-wide registry so the ``metrics`` endpoint
+    and Prometheus scrapers see the same story with standard metric
+    semantics.
     """
 
-    #: Mirror of :class:`repro.service.concurrency.ServiceCounters` fields.
-    EVENTS = (
-        "submitted",
-        "admitted",
-        "rejected",
-        "expired",
-        "released",
-        "retries",
-        "errors",
-        "shed",
-        "deduped",
-        "batches",
-        "coalesced",
-        "resized",
-        "resize_rejected",
-    )
-
-    #: Resize outcome label values (mirror of the manager's tallies).
-    RESIZE_OUTCOMES = ("in_place", "replaced", "rejected")
-
-    #: Load-shedding reasons (the typed error codes a shed maps to).
-    SHED_REASONS = ("overloaded", "read_only", "unavailable", "over_quota")
-
-    #: Degradation-ladder states a transition can land in.
-    DEGRADATION_STATES = ("full", "read_only", "fast_fail")
-
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._events: Dict[str, Counter] = {
-            name: registry.counter(
-                "repro_service_events_total",
-                "Admission-service lifecycle events (submit/decision/release).",
-                event=name,
-            )
-            for name in self.EVENTS
-        }
-        self._latency = registry.histogram(
-            "repro_service_admission_latency_seconds",
-            "End-to-end admission latency: enqueue to decision, queueing included.",
-            buckets=DEFAULT_TIME_BUCKETS,
-        )
-        self._batch_size = registry.histogram(
-            "repro_service_batch_size",
-            "Coalesced requests dispatched per admission batch.",
-            buckets=_BATCH_BUCKETS,
-        )
-        # Presence-before-traffic: all three outcome series exist from the
-        # first scrape, so dashboards can rate() them without gaps.
-        self._resize_outcomes: Dict[str, Counter] = {
-            outcome: registry.counter(
-                "repro_resize_total",
-                "Elastic resize operations, by outcome.",
-                outcome=outcome,
-            )
-            for outcome in self.RESIZE_OUTCOMES
-        }
-        self._resize_latency = registry.histogram(
-            "repro_service_resize_latency_seconds",
-            "End-to-end resize latency under the service lock.",
-            buckets=DEFAULT_TIME_BUCKETS,
-        )
-        self._tenant_sheds: Dict[str, Counter] = {
-            "none": registry.counter(
-                "repro_service_tenant_shed_total",
-                "Over-quota sheds, by tenant.",
-                tenant="none",
-            )
-        }
-        self._tenant_depths: Dict[str, object] = {}
-        # Presence-before-traffic for the per-tenant depth gauge family.
-        registry.gauge(
-            "repro_service_tenant_queue_depth",
-            "Waiting requests (ready + parked) per tenant.",
-            tenant="none",
-        )
-        self._shed: Dict[str, Counter] = {
-            reason: registry.counter(
-                "repro_service_shed_total",
-                "Requests refused with a typed load-shedding error, by reason.",
-                reason=reason,
-            )
-            for reason in self.SHED_REASONS
-        }
-        self._transitions: Dict[str, Counter] = {
-            state: registry.counter(
-                "repro_service_degradation_transitions_total",
-                "Degradation-ladder transitions, by destination state.",
-                to=state,
-            )
-            for state in self.DEGRADATION_STATES
-        }
-        # Presence-before-traffic: the fault counter family must appear in
-        # the exposition even in processes that never inject a fault.
-        registry.counter(
-            "repro_faults_injected_total",
-            "Failpoint triggers, by failpoint name.",
-            failpoint="none",
-        )
-        # Same for the flight recorder, whose writes are lazy best-effort.
-        registry.counter(
-            "repro_flight_events_total",
-            "Flight-recorder events recorded, by kind.",
-            kind="none",
-        )
-        registry.counter(
-            "repro_flight_dumps_total",
-            "Flight-recorder dumps written, by trigger.",
-            trigger="none",
+        # The fault and flight-recorder families are written lazily from
+        # outside (count()); the daemon's exposition must carry them anyway.
+        self._children = _Children(registry).preset(
+            "repro_service_", "repro_resize_", "repro_faults_", "repro_flight_"
         )
         # The metrics endpoint must always carry the guarantee-health
         # families, even before any simulation ran in this process.
@@ -443,72 +573,32 @@ class ServiceInstruments:
 
     def event(self, name: str, amount: int = 1) -> None:
         if amount > 0:
-            self._events[name].inc(amount)
+            self._children["repro_service_events_total", name].inc(amount)
 
     def observe_latency(self, seconds: float) -> None:
-        self._latency.observe(seconds)
+        self._children["repro_service_admission_latency_seconds"].observe(seconds)
 
     def observe_batch(self, size: int) -> None:
         """Record one batch dispatch and how many requests rode in it."""
-        self._batch_size.observe(float(size))
+        self._children["repro_service_batch_size"].observe(float(size))
 
     def resize(self, outcome: str, seconds: float) -> None:
         """Record one resize decision and its latency."""
-        counter = self._resize_outcomes.get(outcome)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_resize_total",
-                "Elastic resize operations, by outcome.",
-                outcome=outcome,
-            )
-            self._resize_outcomes[outcome] = counter
-        counter.inc()
-        self._resize_latency.observe(seconds)
+        self._children["repro_resize_total", outcome].inc()
+        self._children["repro_service_resize_latency_seconds"].observe(seconds)
 
     def tenant_shed(self, tenant: str) -> None:
-        counter = self._tenant_sheds.get(tenant)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_service_tenant_shed_total",
-                "Over-quota sheds, by tenant.",
-                tenant=tenant,
-            )
-            self._tenant_sheds[tenant] = counter
-        counter.inc()
+        self._children["repro_service_tenant_shed_total", tenant].inc()
 
     def bind_tenant_depth(self, tenant: str, read) -> None:
         """Register (or refresh) the pull gauge for one tenant's queue depth."""
-        gauge = self._tenant_depths.get(tenant)
-        if gauge is None:
-            gauge = self.registry.gauge(
-                "repro_service_tenant_queue_depth",
-                "Waiting requests (ready + parked) per tenant.",
-                tenant=tenant,
-            )
-            self._tenant_depths[tenant] = gauge
-        gauge.set_function(read)
+        self._children["repro_service_tenant_queue_depth", tenant].set_function(read)
 
     def shed_reason(self, reason: str) -> None:
-        counter = self._shed.get(reason)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_service_shed_total",
-                "Requests refused with a typed load-shedding error, by reason.",
-                reason=reason,
-            )
-            self._shed[reason] = counter
-        counter.inc()
+        self._children["repro_service_shed_total", reason].inc()
 
     def degradation_transition(self, to_state: str) -> None:
-        counter = self._transitions.get(to_state)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_service_degradation_transitions_total",
-                "Degradation-ladder transitions, by destination state.",
-                to=to_state,
-            )
-            self._transitions[to_state] = counter
-        counter.inc()
+        self._children["repro_service_degradation_transitions_total", to_state].inc()
 
     def bind_service(self, service) -> None:
         """Register pull gauges over one live ``AdmissionService``.
@@ -517,164 +607,58 @@ class ServiceInstruments:
         Re-binding (a fresh service in the same process) replaces the
         callbacks, so the exposition always follows the newest instance.
         """
-        registry = self.registry
-        for queue_name, read in (
-            ("ready", lambda: float(service.queue_depths()[0])),
-            ("parked", lambda: float(service.queue_depths()[1])),
-        ):
-            registry.gauge(
-                "repro_service_queue_depth",
-                "Requests waiting in the admission queue.",
-                queue=queue_name,
-            ).set_function(read)
-        registry.gauge(
-            "repro_service_uptime_seconds",
-            "Seconds since the admission service instance started.",
-        ).set_function(lambda: max(0.0, service.clock() - service.started_at))
-        registry.gauge(
-            "repro_service_workers",
-            "Configured admission worker threads.",
-        ).set_function(lambda: float(service.workers))
-        registry.gauge(
-            "repro_service_degradation_state",
-            "Degradation ladder position: 0=full, 1=read_only, 2=fast_fail.",
-        ).set_function(lambda: float(service.degradation_code()))
-        registry.gauge(
-            "repro_service_coalesce_ratio",
-            "Fraction of processed requests that shared a batch leader's "
-            "DP tables (0 = batching off or never coalesced).",
-        ).set_function(lambda: float(service.coalesce_ratio()))
-        bind_network_gauges(registry, service.manager)
-
-
-class _NullService:
-    """No-op facade used while instrumentation is disabled."""
-
-    def event(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def observe_latency(self, seconds: float) -> None:
-        pass
-
-    def observe_batch(self, size: int) -> None:
-        pass
-
-    def resize(self, outcome: str, seconds: float) -> None:
-        pass
-
-    def tenant_shed(self, tenant: str) -> None:
-        pass
-
-    def bind_tenant_depth(self, tenant: str, read) -> None:
-        pass
-
-    def shed_reason(self, reason: str) -> None:
-        pass
-
-    def degradation_transition(self, to_state: str) -> None:
-        pass
-
-    def bind_service(self, service) -> None:
-        pass
-
-
-_NULL_SERVICE = _NullService()
-_SERVICE: Optional[ServiceInstruments] = None
+        children = self._children
+        children["repro_service_queue_depth", "ready"].set_function(
+            lambda: float(service.queue_depths()[0])
+        )
+        children["repro_service_queue_depth", "parked"].set_function(
+            lambda: float(service.queue_depths()[1])
+        )
+        children["repro_service_uptime_seconds"].set_function(
+            lambda: max(0.0, service.clock() - service.started_at)
+        )
+        children["repro_service_workers"].set_function(lambda: float(service.workers))
+        children["repro_service_degradation_state"].set_function(
+            lambda: float(service.degradation_code())
+        )
+        children["repro_service_coalesce_ratio"].set_function(
+            lambda: float(service.coalesce_ratio())
+        )
+        bind_network_gauges(children.registry, service.manager)
 
 
 def service_instruments():
     """The live service facade, or the shared no-op when disabled."""
-    global _SERVICE
-    if not _ENABLED:
-        return _NULL_SERVICE
-    if _SERVICE is None:
-        _SERVICE = ServiceInstruments(_REGISTRY)
-    return _SERVICE
-
-
-def record_fault(failpoint: str) -> None:
-    """Count one failpoint trigger (called by ``repro.faults``, best effort)."""
-    if not _ENABLED:
-        return
-    _REGISTRY.counter(
-        "repro_faults_injected_total",
-        "Failpoint triggers, by failpoint name.",
-        failpoint=failpoint,
-    ).inc()
+    return _facade(ServiceInstruments, _NULL_FACADE)
 
 
 # ----------------------------------------------------------------------
 # Experiment harness instruments
 # ----------------------------------------------------------------------
 
-#: Buckets for sweep-cell wall times: 10ms (tiny cells) .. 1h (paper scale).
-_CELL_BUCKETS: Tuple[float, ...] = (
-    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-    30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
-)
-
 
 class ExperimentInstruments:
     """Progress counters for the (parallel) experiment harness.
 
-    One counter/histogram pair per experiment, resolved once and cached —
-    the harness records one observation per completed sweep cell, so the
+    The harness records one observation per completed sweep cell, so the
     cost is negligible next to the cell itself.  Resumed-from-checkpoint
     cells are *not* recorded: the metrics describe compute performed by
     this process, which is what a progress dashboard wants.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._completed: Dict[str, Counter] = {}
-        self._seconds: Dict[str, Histogram] = {}
-        # Presence-before-traffic: both families must appear in the
-        # exposition even in processes that never run an experiment.
-        self._for_experiment("none")
-
-    def _for_experiment(self, experiment: str) -> Tuple[Counter, Histogram]:
-        counter = self._completed.get(experiment)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_experiment_cells_completed_total",
-                "Sweep cells computed by this process, per experiment.",
-                experiment=experiment,
-            )
-            self._completed[experiment] = counter
-            self._seconds[experiment] = self.registry.histogram(
-                "repro_experiment_cell_seconds",
-                "Wall time to compute one sweep cell.",
-                buckets=_CELL_BUCKETS,
-                experiment=experiment,
-            )
-        return counter, self._seconds[experiment]
+        self._children = _Children(registry).preset("repro_experiment_")
 
     def cell_completed(self, experiment: str, seconds: float) -> None:
         """Record one freshly-computed cell and its wall time."""
-        counter, histogram = self._for_experiment(experiment)
-        counter.inc()
-        histogram.observe(seconds)
-
-
-class _NullExperiment:
-    """No-op facade used while instrumentation is disabled."""
-
-    def cell_completed(self, experiment: str, seconds: float) -> None:
-        pass
-
-
-_NULL_EXPERIMENT = _NullExperiment()
-_EXPERIMENT: Optional[ExperimentInstruments] = None
+        children = self._children
+        children["repro_experiment_cells_completed_total", experiment].inc()
+        children["repro_experiment_cell_seconds", experiment].observe(seconds)
 
 
 def experiment_instruments():
     """The live harness facade, or the shared no-op when disabled."""
-    global _EXPERIMENT
-    if not _ENABLED:
-        return _NULL_EXPERIMENT
-    if _EXPERIMENT is None:
-        _EXPERIMENT = ExperimentInstruments(_REGISTRY)
-    return _EXPERIMENT
+    return _facade(ExperimentInstruments, _NULL_FACADE)
 
 
 # ----------------------------------------------------------------------
@@ -693,23 +677,11 @@ class OutageMonitor:
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.outage = registry.counter(
-            "repro_outage_link_seconds_total",
-            "(directed link, second) pairs whose offered demand exceeded capacity.",
-        )
-        self.loaded = registry.counter(
-            "repro_loaded_link_seconds_total",
-            "(directed link, second) pairs that carried stochastic load.",
-        )
-        self._epsilon = registry.gauge(
-            "repro_outage_epsilon",
-            "Configured SLA risk factor epsilon of Eq. (1).",
-        )
-        rate = registry.gauge(
-            "repro_outage_empirical_rate",
-            "Measured outage frequency; the guarantee holds while <= epsilon.",
-        )
-        rate.set_function(self.rate)
+        children = _Children(registry)  # all four families are fetched below
+        self.outage = children["repro_outage_link_seconds_total"]
+        self.loaded = children["repro_loaded_link_seconds_total"]
+        self._epsilon = children["repro_outage_epsilon"]
+        children["repro_outage_empirical_rate"].set_function(self.rate)
 
     def record(self, outage_seconds: int, loaded_seconds: int) -> None:
         if loaded_seconds:
@@ -735,6 +707,8 @@ class OutageMonitor:
 
 
 class _NullOutage:
+    """Written out (not :class:`_NullFacade`): its answers are read."""
+
     def record(self, outage_seconds: int, loaded_seconds: int) -> None:
         pass
 
@@ -749,17 +723,11 @@ class _NullOutage:
 
 
 _NULL_OUTAGE = _NullOutage()
-_OUTAGE: Optional[OutageMonitor] = None
 
 
 def outage_monitor():
     """The live outage monitor, or a no-op when instrumentation is off."""
-    global _OUTAGE
-    if not _ENABLED:
-        return _NULL_OUTAGE
-    if _OUTAGE is None:
-        _OUTAGE = OutageMonitor(_REGISTRY)
-    return _OUTAGE
+    return _facade(OutageMonitor, _NULL_OUTAGE)
 
 
 # ----------------------------------------------------------------------
@@ -770,152 +738,30 @@ def outage_monitor():
 class ClusterInstruments:
     """Counters, latency histograms and gauges for the sharded coordinator.
 
-    Same discipline as the other facades: counter children resolved once
-    and cached, gauges are pull-based over the live coordinator, and every
-    family is touched at construction so the exposition carries the
+    Same discipline as the other facades: gauges are pull-based over the
+    live coordinator, and the preset children make the exposition carry the
     cluster story from process start even before the first request.
     """
 
-    #: Routing decisions (mirrors repro.cluster.coordinator ROUTE_*).
-    DECISIONS = ("local", "cross_shard", "spill", "reject", "dedup")
-
-    #: Two-phase reservation lifecycle events on the core-link ledger.
-    RESERVATION_EVENTS = (
-        "reserve", "reserve_denied", "commit", "abort", "expire", "mirror",
-    )
-
-    #: Coordinator paths timed end to end.
-    PATHS = ("local", "cross")
-
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._routing: Dict[str, Counter] = {
-            decision: registry.counter(
-                "repro_cluster_routing_total",
-                "Coordinator routing decisions (local/cross_shard/spill/"
-                "reject/dedup).",
-                decision=decision,
-            )
-            for decision in self.DECISIONS
-        }
-        self._reservations: Dict[str, Counter] = {
-            event: registry.counter(
-                "repro_cluster_reservations_total",
-                "Core-link ledger reservation lifecycle events of the "
-                "two-phase protocol.",
-                event=event,
-            )
-            for event in self.RESERVATION_EVENTS
-        }
-        self._latency: Dict[str, Histogram] = {
-            path: registry.histogram(
-                "repro_cluster_coordinator_latency_seconds",
-                "End-to-end coordinator decision latency, by admission path.",
-                buckets=DEFAULT_TIME_BUCKETS,
-                path=path,
-            )
-            for path in self.PATHS
-        }
-        # Presence-before-traffic for the gauge families; bind_coordinator
-        # replaces these placeholders with live per-shard/per-link children.
-        registry.gauge(
-            "repro_cluster_shard_free_slots",
-            "Free VM slots per shard, read from the coordinator replica.",
-            shard="none",
-        )
-        registry.gauge(
-            "repro_cluster_shard_queue_depth",
-            "Queued requests per shard (last collected shard summary).",
-            shard="none",
-        )
-        registry.gauge(
-            "repro_cluster_core_link_occupancy",
-            "Ledger occupancy O_L per shared core link, committed + reserved.",
-            link="none",
-        )
-        registry.gauge(
-            "repro_cluster_pending_reservations",
-            "Live (uncommitted, unexpired) core-link reservations.",
-        )
-        # Federation + distributed tracing families (presence-before-traffic).
-        self._federation: Dict[str, Counter] = {
-            outcome: registry.counter(
-                "repro_cluster_federation_scrapes_total",
-                "Per-shard registry snapshot collections by the coordinator.",
-                outcome=outcome,
-            )
-            for outcome in ("ok", "error")
-        }
-        self._trace_spans: Dict[str, Counter] = {
-            origin: registry.counter(
-                "repro_cluster_trace_spans_total",
-                "Spans folded into end-to-end cluster traces, by origin.",
-                origin=origin,
-            )
-            for origin in ("coordinator", "shard")
-        }
-
-    # -- hot-path API ---------------------------------------------------
+        self._children = _Children(registry).preset("repro_cluster_")
 
     def federation_scrape(self, outcome: str) -> None:
-        counter = self._federation.get(outcome)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_cluster_federation_scrapes_total",
-                "Per-shard registry snapshot collections by the coordinator.",
-                outcome=outcome,
-            )
-            self._federation[outcome] = counter
-        counter.inc()
+        self._children["repro_cluster_federation_scrapes_total", outcome].inc()
 
     def trace_spans(self, origin: str, count: int = 1) -> None:
-        if count <= 0:
-            return
-        counter = self._trace_spans.get(origin)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_cluster_trace_spans_total",
-                "Spans folded into end-to-end cluster traces, by origin.",
-                origin=origin,
-            )
-            self._trace_spans[origin] = counter
-        counter.inc(count)
+        if count > 0:
+            self._children["repro_cluster_trace_spans_total", origin].inc(count)
 
     def routing(self, decision: str) -> None:
-        counter = self._routing.get(decision)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_cluster_routing_total",
-                "Coordinator routing decisions (local/cross_shard/spill/"
-                "reject/dedup).",
-                decision=decision,
-            )
-            self._routing[decision] = counter
-        counter.inc()
+        self._children["repro_cluster_routing_total", decision].inc()
 
     def reservation(self, event: str) -> None:
-        counter = self._reservations.get(event)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_cluster_reservations_total",
-                "Core-link ledger reservation lifecycle events of the "
-                "two-phase protocol.",
-                event=event,
-            )
-            self._reservations[event] = counter
-        counter.inc()
+        self._children["repro_cluster_reservations_total", event].inc()
 
     def observe_latency(self, path: str, seconds: float) -> None:
-        histogram = self._latency.get(path)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                "repro_cluster_coordinator_latency_seconds",
-                "End-to-end coordinator decision latency, by admission path.",
-                buckets=DEFAULT_TIME_BUCKETS,
-                path=path,
-            )
-            self._latency[path] = histogram
-        histogram.observe(seconds)
+        latency = self._children["repro_cluster_coordinator_latency_seconds", path]
+        latency.observe(seconds)
 
     def bind_coordinator(self, coordinator) -> None:
         """Register pull gauges over one live ``ClusterCoordinator``.
@@ -926,76 +772,28 @@ class ClusterInstruments:
         live, committed plus reserved, which is exactly the quantity the
         two-phase protocol admits against.
         """
-        registry = self.registry
-
-        def _free(shard_index: int):
-            return lambda: float(coordinator.shard_free_slots(shard_index))
-
-        def _queue(shard_index: int):
-            return lambda: coordinator.cached_shard_stat(shard_index, "queue_depth")
-
+        children = self._children
         for shard in coordinator.shards:
             label = str(shard.index)
-            registry.gauge(
-                "repro_cluster_shard_free_slots",
-                "Free VM slots per shard, read from the coordinator replica.",
-                shard=label,
-            ).set_function(_free(shard.index))
-            registry.gauge(
-                "repro_cluster_shard_queue_depth",
-                "Queued requests per shard (last collected shard summary).",
-                shard=label,
-            ).set_function(_queue(shard.index))
-
-        def _occupancy(link_id: int):
-            return lambda: float(coordinator.ledger.occupancy_of(link_id))
-
+            children["repro_cluster_shard_free_slots", label].set_function(
+                lambda i=shard.index: float(coordinator.shard_free_slots(i))
+            )
+            children["repro_cluster_shard_queue_depth", label].set_function(
+                lambda i=shard.index: coordinator.cached_shard_stat(i, "queue_depth")
+            )
         for link_id in coordinator.partition.core_link_ids:
-            registry.gauge(
-                "repro_cluster_core_link_occupancy",
-                "Ledger occupancy O_L per shared core link, committed + reserved.",
-                link=coordinator.partition.tree.node(link_id).name,
-            ).set_function(_occupancy(link_id))
-        registry.gauge(
-            "repro_cluster_pending_reservations",
-            "Live (uncommitted, unexpired) core-link reservations.",
-        ).set_function(lambda: float(coordinator.ledger.pending_reservations))
-
-
-class _NullCluster:
-    """No-op facade used while instrumentation is disabled."""
-
-    def federation_scrape(self, outcome: str) -> None:
-        pass
-
-    def trace_spans(self, origin: str, count: int = 1) -> None:
-        pass
-
-    def routing(self, decision: str) -> None:
-        pass
-
-    def reservation(self, event: str) -> None:
-        pass
-
-    def observe_latency(self, path: str, seconds: float) -> None:
-        pass
-
-    def bind_coordinator(self, coordinator) -> None:
-        pass
-
-
-_NULL_CLUSTER = _NullCluster()
-_CLUSTER: Optional[ClusterInstruments] = None
+            link = coordinator.partition.tree.node(link_id).name
+            children["repro_cluster_core_link_occupancy", link].set_function(
+                lambda i=link_id: float(coordinator.ledger.occupancy_of(i))
+            )
+        children["repro_cluster_pending_reservations"].set_function(
+            lambda: float(coordinator.ledger.pending_reservations)
+        )
 
 
 def cluster_instruments():
     """The live cluster facade, or the shared no-op when disabled."""
-    global _CLUSTER
-    if not _ENABLED:
-        return _NULL_CLUSTER
-    if _CLUSTER is None:
-        _CLUSTER = ClusterInstruments(_REGISTRY)
-    return _CLUSTER
+    return _facade(ClusterInstruments, _NULL_FACADE)
 
 
 # ----------------------------------------------------------------------
@@ -1012,6 +810,8 @@ def bind_network_gauges(registry: MetricsRegistry, manager) -> None:
     """
     from repro.network.snapshot import utilization_by_level  # local: no cycle
 
+    children = _Children(registry)
+
     def _row(level: int, attr: str):
         def read() -> float:
             for row in utilization_by_level(manager.state):
@@ -1022,47 +822,22 @@ def bind_network_gauges(registry: MetricsRegistry, manager) -> None:
         return read
 
     for row in utilization_by_level(manager.state):
-        label = row.label
-        registry.gauge(
-            "repro_network_link_occupancy",
-            "Per-level link occupancy O_L (Eq. 6) at the configured epsilon.",
-            level=label,
-            stat="mean",
-        ).set_function(_row(row.level, "mean_occupancy"))
-        registry.gauge(
-            "repro_network_link_occupancy",
-            "Per-level link occupancy O_L (Eq. 6) at the configured epsilon.",
-            level=label,
-            stat="max",
-        ).set_function(_row(row.level, "max_occupancy"))
-        registry.gauge(
-            "repro_network_headroom_mbps",
-            "Per-level stochastic headroom S_L - sum mu_i in Mbps.",
-            level=label,
-            stat="mean",
-        ).set_function(_row(row.level, "mean_headroom_mbps"))
-        registry.gauge(
-            "repro_network_headroom_mbps",
-            "Per-level stochastic headroom S_L - sum mu_i in Mbps.",
-            level=label,
-            stat="min",
-        ).set_function(_row(row.level, "min_headroom_mbps"))
-
-    registry.gauge(
-        "repro_network_max_occupancy",
-        "max_L O_L over the whole datacenter (the Fig. 9 statistic).",
-    ).set_function(lambda: float(manager.max_occupancy()))
-    registry.gauge(
-        "repro_network_tenants",
-        "Tenants currently holding slots and bandwidth.",
-    ).set_function(lambda: float(manager.active_tenancies))
+        for name, stat, attr in (
+            ("repro_network_link_occupancy", "mean", "mean_occupancy"),
+            ("repro_network_link_occupancy", "max", "max_occupancy"),
+            ("repro_network_headroom_mbps", "mean", "mean_headroom_mbps"),
+            ("repro_network_headroom_mbps", "min", "min_headroom_mbps"),
+        ):
+            children[name, row.label, stat].set_function(_row(row.level, attr))
+    children["repro_network_max_occupancy"].set_function(
+        lambda: float(manager.max_occupancy())
+    )
+    children["repro_network_tenants"].set_function(
+        lambda: float(manager.active_tenancies)
+    )
     for state_name, read in (
         ("free", lambda: float(manager.state.total_free_slots)),
         ("used", lambda: float(manager.state.used_slots)),
         ("total", lambda: float(manager.state.total_slots)),
     ):
-        registry.gauge(
-            "repro_network_slots",
-            "VM slot accounting of the managed datacenter.",
-            state=state_name,
-        ).set_function(read)
+        children["repro_network_slots", state_name].set_function(read)

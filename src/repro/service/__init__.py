@@ -45,7 +45,7 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.journal import DurabilityStore, Journal
-from repro.service.queue import MODE_BATCH, MODE_ONLINE, QueuedRequest, RequestQueue
+from repro.service.queue import MODE_BATCH, MODE_ONLINE, QueuedRequest
 from repro.service.recovery import (
     RecoveryError,
     RecoveryReport,
@@ -74,7 +74,6 @@ __all__ = [
     "QueuedRequest",
     "RecoveryError",
     "RecoveryReport",
-    "RequestQueue",
     "RETRYABLE_CODES",
     "RetryExhaustedError",
     "RetryPolicy",

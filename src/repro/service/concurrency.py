@@ -57,7 +57,12 @@ from repro.network.snapshot import utilization_by_level
 from repro.obs.flightrec import flight_recorder
 from repro.obs.instruments import global_registry, service_instruments
 from repro.obs.tracing import TraceContext, activate_context, record_remote_span
-from repro.service.codec import request_from_dict, request_shape_key, request_to_dict
+from repro.service.codec import (
+    CodecError,
+    request_from_dict,
+    request_shape_key,
+    request_to_dict,
+)
 from repro.service.degrade import (
     STATE_FAST_FAIL,
     STATE_FULL,
@@ -101,6 +106,15 @@ DEFAULT_MAX_QUEUE_DEPTH = 1024
 
 #: Idempotency keys, and tickets, remembered live (oldest evicted beyond this).
 _IDEMPOTENCY_CAPACITY = 65536
+
+#: Longest tenant id a client may name.
+MAX_TENANT_LENGTH = 128
+
+#: Tenants that get a ``tenant`` label value and a ``stats`` row of their own
+#: (those given a weight at start-up, then first come); the rest report under
+#: ``OTHER_TENANTS``, so client-chosen ids cannot grow either without bound.
+TENANT_LABEL_CAP = 64
+OTHER_TENANTS = "other"
 
 #: Ops that mutate manager/journal state and are shed while degraded.
 MUTATING_OPS = frozenset({"submit", "release", "resize", "snapshot"})
@@ -373,6 +387,8 @@ class AdmissionService:
         # only when the metrics endpoint renders).
         self._obs = service_instruments()
         self._obs.bind_service(self)
+        for tenant in tenant_weights or ():
+            self._tenant_label(tenant)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -462,13 +478,31 @@ class AdmissionService:
         processed = self.counters.batches + self.counters.coalesced
         return self.counters.coalesced / processed if processed else 0.0
 
-    def _observe_tenant(self, tenant: str) -> None:
-        """First submit from a tenant: expose its queue-depth gauge (under lock)."""
-        if tenant in self._known_tenants:
-            return
-        self._known_tenants.add(tenant)
-        self._obs.bind_tenant_depth(
-            tenant, lambda t=tenant: float(self.tenant_depth(t))
+    def _tenant_label(self, tenant: str) -> str:
+        """The ``tenant`` label value one tenant reports under (under lock).
+
+        Its own name for the first ``TENANT_LABEL_CAP`` tenants — whose
+        queue-depth gauge is bound here, on first sight — and
+        ``OTHER_TENANTS`` for everyone after.  Only reporting is pooled:
+        lanes, quotas and weights always go by the real id.
+        """
+        known = self._known_tenants
+        if tenant in known:
+            return tenant
+        if len(known) < TENANT_LABEL_CAP and tenant != OTHER_TENANTS:
+            known.add(tenant)
+            self._obs.bind_tenant_depth(
+                tenant, lambda: float(self.tenant_depth(tenant))
+            )
+            return tenant
+        self._obs.bind_tenant_depth(OTHER_TENANTS, self._other_tenants_depth)
+        return OTHER_TENANTS
+
+    def _other_tenants_depth(self) -> float:
+        """Waiting requests of every tenant without a label of its own."""
+        known = self._known_tenants
+        return float(
+            sum(d for t, d in self.tenant_depths().items() if t not in known)
         )
 
     def _count(self, event: str, amount: int = 1) -> None:
@@ -674,6 +708,8 @@ class AdmissionService:
         round-robin and the per-tenant quota, when configured, sheds a
         tenant's overflow with :class:`OverQuotaError` — a *targeted*
         backpressure that leaves other tenants' admission rate untouched.
+        It arrives from the wire unchecked, so anything but a string of 1 to
+        ``MAX_TENANT_LENGTH`` characters is a :class:`CodecError` here.
 
         Raises :class:`DegradedError` while the ladder forbids mutations
         and :class:`OverloadedError` when the queue bound is reached.
@@ -682,7 +718,12 @@ class AdmissionService:
             request = request_from_dict(request)
         if timeout_s is None:
             timeout_s = self.default_timeout_s
-        tenant = tenant or DEFAULT_TENANT
+        if tenant is None:
+            tenant = DEFAULT_TENANT
+        elif not (isinstance(tenant, str) and 0 < len(tenant) <= MAX_TENANT_LENGTH):
+            raise CodecError(
+                f"tenant must be a string of 1 to {MAX_TENANT_LENGTH} characters"
+            )
         now = self.clock()
         deadline = now + timeout_s if timeout_s is not None else None
         with self._cond:
@@ -709,13 +750,13 @@ class AdmissionService:
                     tenant_depth = self._queue.tenant_depth(tenant)
                     if tenant_depth >= self.tenant_quota:
                         self._shed(OverQuotaError.code)
-                        self._obs.tenant_shed(tenant)
+                        self._obs.tenant_shed(self._tenant_label(tenant))
                         raise OverQuotaError(
                             f"tenant {tenant!r} is at its queue quota "
                             f"({tenant_depth}/{self.tenant_quota} waiting)",
                             retry_after=self._overload_retry_after(tenant_depth),
                         )
-                self._observe_tenant(tenant)
+                self._tenant_label(tenant)
                 ticket = Ticket(
                     ticket_id=self._next_ticket,
                     submitted_at=now,

@@ -59,7 +59,6 @@ class QueuedRequest:
     #: FIFO tiebreak, assigned by the queue on first push and kept across
     #: park/retry cycles so retried requests keep their arrival position.
     seq: int = field(default=0, repr=False)
-    _cancelled: bool = field(default=False, repr=False)
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -68,120 +67,11 @@ class QueuedRequest:
         return (-self.priority, self.seq)
 
 
-class RequestQueue:
-    """Priority + FIFO admission queue with deadlines and a parking lot."""
-
-    def __init__(self, mode: str = MODE_ONLINE) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown queue mode {mode!r}; choose from {MODES}")
-        self.mode = mode
-        self._heap: List[Tuple[Tuple[int, int], QueuedRequest]] = []
-        self._parked: List[QueuedRequest] = []
-        self._next_seq = 0
-
-    # ------------------------------------------------------------------
-    # Arrival side
-    # ------------------------------------------------------------------
-
-    def push(self, entry: QueuedRequest) -> None:
-        """Enqueue a new arrival (assigns its FIFO position)."""
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (entry.sort_key(), entry))
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-
-    def pop_ready(
-        self, now: float
-    ) -> Tuple[Optional[QueuedRequest], List[QueuedRequest]]:
-        """Next request to try, plus any expired entries drained on the way.
-
-        Expired entries are returned (not silently dropped) so the service
-        can resolve their tickets and count them.
-        """
-        expired: List[QueuedRequest] = []
-        while self._heap:
-            _key, entry = heapq.heappop(self._heap)
-            if entry._cancelled:
-                continue
-            if entry.expired(now):
-                expired.append(entry)
-                continue
-            return entry, expired
-        return None, expired
-
-    def park(self, entry: QueuedRequest) -> None:
-        """Batch mode: hold a rejected request for retry on departures."""
-        if self.mode != MODE_BATCH:
-            raise ValueError("parking rejected requests requires batch mode")
-        self._parked.append(entry)
-
-    def requeue_parked(self) -> int:
-        """Move every parked request back into the ready heap.
-
-        Called on each departure; retried entries keep their original
-        ``seq`` so the batch scenario remains FIFO within priority.
-        Returns how many were requeued.
-        """
-        count = 0
-        for entry in self._parked:
-            if not entry._cancelled:
-                heapq.heappush(self._heap, (entry.sort_key(), entry))
-                count += 1
-        self._parked.clear()
-        return count
-
-    def expire(self, now: float) -> List[QueuedRequest]:
-        """Remove and return every expired entry (ready and parked)."""
-        expired: List[QueuedRequest] = []
-        for entry in list(self._parked):
-            if entry.expired(now):
-                expired.append(entry)
-        self._parked = [e for e in self._parked if not e.expired(now)]
-        kept: List[Tuple[Tuple[int, int], QueuedRequest]] = []
-        for key, entry in self._heap:
-            if entry._cancelled:
-                continue
-            if entry.expired(now):
-                expired.append(entry)
-            else:
-                kept.append((key, entry))
-        heapq.heapify(kept)
-        self._heap = kept
-        return expired
-
-    def drain(self) -> List[QueuedRequest]:
-        """Remove and return everything still waiting (service shutdown)."""
-        entries = [e for _k, e in self._heap if not e._cancelled]
-        entries.extend(e for e in self._parked if not e._cancelled)
-        self._heap.clear()
-        self._parked.clear()
-        entries.sort(key=QueuedRequest.sort_key)
-        return entries
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def ready_count(self) -> int:
-        return sum(1 for _k, e in self._heap if not e._cancelled)
-
-    @property
-    def parked_count(self) -> int:
-        return sum(1 for e in self._parked if not e._cancelled)
-
-    def __len__(self) -> int:
-        return self.ready_count + self.parked_count
-
-
 class FairRequestQueue:
     """Per-tenant weighted deficit round-robin admission queue.
 
-    Each tenant owns a private priority+FIFO heap (the :class:`RequestQueue`
-    ordering, scoped to the tenant); across tenants a deficit round-robin
+    Each tenant owns a private heap ordered by priority, then arrival
+    (:meth:`QueuedRequest.sort_key`); across tenants a deficit round-robin
     rotation decides who is served next.  On each visit a tenant's deficit
     grows by its weight and every pop costs one unit, so a tenant with
     weight ``w`` gets up to ``w`` consecutive admissions per rotation lap —
@@ -193,8 +83,8 @@ class FairRequestQueue:
     shape keys (:meth:`pop_compatible`), so batched admission processes
     exactly the sequence an unbatched worker would, one decision at a time.
 
-    Same threading contract as :class:`RequestQueue`: not thread-safe, all
-    calls made under the service condition variable.
+    Not thread-safe (see the module docstring): all calls are made under
+    the service condition variable.
     """
 
     def __init__(

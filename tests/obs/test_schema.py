@@ -1,7 +1,10 @@
 """Metric-name contract: the wired system vs METRICS_SCHEMA.json."""
 
+import inspect
 from pathlib import Path
 
+from repro.obs import instruments
+from repro.obs.instruments import FAMILIES
 from repro.obs.schema import (
     SCHEMA_FILENAME,
     bootstrap_registry,
@@ -56,3 +59,63 @@ class TestCheckedInSchema:
         assert families["repro_network_link_occupancy"] == "gauge"
         assert families["repro_outage_empirical_rate"] == "gauge"
         assert families["repro_service_events_total"] == "counter"
+
+
+def build_every_facade():
+    return (
+        instruments.admission_instruments(),
+        instruments.service_instruments(),
+        instruments.cluster_instruments(),
+        instruments.experiment_instruments(),
+        instruments.outage_monitor(),
+    )
+
+
+def preset_labels(family):
+    """The table's preset column as label dicts, one per child."""
+    for values in family.preset:
+        values = (values,) if isinstance(values, str) else values
+        yield dict(zip(family.labels, values))
+
+
+class TestFamilyTable:
+    """What one declaration per family makes checkable."""
+
+    def test_schema_file_is_the_name_kind_projection(self):
+        table = {name: family.kind for name, family in FAMILIES.items()}
+        assert table == load_schema(REPO_ROOT / SCHEMA_FILENAME)
+
+    def test_live_label_names_equal_the_table(self, fresh_registry):
+        for family in bootstrap_registry().families():
+            declared = set(FAMILIES[family.name].labels)
+            for items in family.children:
+                assert {key for key, _ in items} == declared, (family.name, items)
+
+    def test_presets_exist_at_zero_before_any_traffic(self, fresh_registry):
+        build_every_facade()
+        expected = 0
+        for name, family in FAMILIES.items():
+            for labels in preset_labels(family):
+                child = fresh_registry.get(name, **labels)
+                assert child is not None, (name, labels)
+                zero = child.count if family.kind == "histogram" else child.value
+                assert zero == 0, (name, labels)
+                expected += 1
+        # ... and nothing but the presets: building a facade is not traffic.
+        live = sum(len(family.children) for family in fresh_registry.families())
+        assert live == expected
+
+    def test_disabled_facades_accept_every_live_method(self, fresh_registry):
+        live = build_every_facade()
+        registry = instruments.reset_global_registry()
+        instruments.configure(enabled=False)
+        for facade, null in zip(live, build_every_facade()):
+            assert type(null) is not type(facade)
+            for name, member in inspect.getmembers(type(facade), inspect.isfunction):
+                if name.startswith("_"):
+                    continue
+                # Every parameter filled with a string: a no-op must not
+                # care, and a missing no-op twin is an AttributeError.
+                arity = len(inspect.signature(member).parameters) - 1
+                getattr(null, name)(*["x"] * arity)
+        assert list(registry.families()) == []

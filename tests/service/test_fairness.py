@@ -1,15 +1,28 @@
 """Per-tenant fair queueing: DRR scheduling, quotas, starvation-freedom."""
 
+import asyncio
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abstractions import HomogeneousSVC
 from repro.manager.network_manager import NetworkManager
-from repro.service.codec import request_shape_key
-from repro.service.concurrency import OUTCOME_ADMITTED, AdmissionService
-from repro.service.errors import CODE_OVER_QUOTA, OverQuotaError
+from repro.obs import instruments
+from repro.service.aio import AsyncFrontDoor
+from repro.service.client import ServiceClient
+from repro.service.codec import CodecError, request_shape_key
+from repro.service.concurrency import (
+    MAX_TENANT_LENGTH,
+    OTHER_TENANTS,
+    OUTCOME_ADMITTED,
+    TENANT_LABEL_CAP,
+    AdmissionService,
+)
+from repro.service.errors import CODE_OVER_QUOTA, OverQuotaError, ServiceError
 from repro.service.queue import DEFAULT_TENANT, FairRequestQueue, QueuedRequest
+from repro.service.server import dispatch_command
 
 
 def entry(ticket_id, tenant=DEFAULT_TENANT, priority=0, shape=None, deadline=None):
@@ -278,3 +291,124 @@ class TestTenantQuota:
                 )
                 assert ticket.outcome == OUTCOME_ADMITTED
                 service.release(ticket.request_id)
+
+
+MALFORMED_TENANTS = [7, ["a", "b"], {"name": "a"}, "", "x" * (MAX_TENANT_LENGTH + 1)]
+MALFORMED_IDS = ["int", "list", "dict", "empty", "too_long"]
+WIRE_REQUEST = {"kind": "homogeneous", "n_vms": 2, "mean": 10.0, "std": 1.0}
+
+
+class TestTenantFromTheWire:
+    """``tenant`` is client input: a bad one is a typed refusal, never state."""
+
+    @pytest.mark.parametrize("tenant", MALFORMED_TENANTS, ids=MALFORMED_IDS)
+    def test_dispatch_command_refuses_and_stats_still_answers(self, tiny_tree, tenant):
+        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+            command = {"op": "submit", "request": WIRE_REQUEST, "tenant": tenant}
+            with pytest.raises(CodecError, match="tenant must be a string"):
+                dispatch_command(service, command, lambda: None)
+            stats = dispatch_command(service, {"op": "stats"}, lambda: None)["stats"]
+            assert stats["counters"]["submitted"] == 0  # nothing was enqueued
+            assert stats["tenants"]["weights"] == {}
+
+    def test_live_front_door_refuses_and_stats_still_answers(self, tiny_tree):
+        with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
+            doors = []
+            bound = threading.Event()
+
+            async def serve():
+                door = AsyncFrontDoor(service, port=0, pool_size=2)
+                await door.start()
+                doors.append(door)
+                bound.set()
+                await door.serve_until_shutdown()
+
+            thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
+            thread.start()
+            assert bound.wait(10.0), "front door never bound"
+            try:
+                with ServiceClient(host="127.0.0.1", port=doors[0].port) as client:
+                    for tenant in MALFORMED_TENANTS:
+                        with pytest.raises(ServiceError, match="tenant must be a string"):
+                            client.call("submit", request=WIRE_REQUEST, tenant=tenant)
+                    reply = client.call("submit", request=WIRE_REQUEST, tenant="gold")
+                    assert reply["outcome"] == OUTCOME_ADMITTED
+                    stats = client.stats()
+            finally:
+                doors[0].request_shutdown()
+                thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert stats["counters"]["submitted"] == 1
+        assert stats["tenants"]["weights"] == {"gold": 1}
+
+
+@pytest.fixture
+def registry():
+    registry = instruments.reset_global_registry()
+    yield registry
+    instruments.reset_global_registry()
+
+
+class TestTenantLabelCap:
+    """Client-chosen tenant ids cannot grow the exposition or ``stats``."""
+
+    def test_tenants_past_the_cap_report_as_other(self, tiny_tree, registry):
+        service = AdmissionService(
+            NetworkManager(tiny_tree),
+            workers=1,
+            max_queue_depth=None,
+            tenant_quota=1,
+            tenant_weights={"gold": 3},
+        )
+        service._running = True  # no workers: every submission stays queued
+        request = HomogeneousSVC(n_vms=2, mean=10.0, std=1.0)
+        tenants = [f"t{index}" for index in range(3 * TENANT_LABEL_CAP)]
+        try:
+            for tenant in tenants:
+                service.submit(request, wait=False, tenant=tenant)
+            # The weighted tenant held its place before any traffic, the
+            # first cap - 1 arrivals took the rest; ``none`` is the preset.
+            labelled = {"gold", *tenants[: TENANT_LABEL_CAP - 1]}
+            for family in (
+                "repro_service_tenant_queue_depth",
+                "repro_service_tenant_shed_total",
+            ):
+                series = registry.snapshot()[family]["series"]
+                assert len(series) <= TENANT_LABEL_CAP + 2, family
+            depths = {
+                entry["labels"]["tenant"]: entry["value"]
+                for entry in registry.snapshot()[
+                    "repro_service_tenant_queue_depth"
+                ]["series"]
+            }
+            assert set(depths) == labelled | {OTHER_TENANTS, "none"}
+            assert depths[OTHER_TENANTS] == len(tenants) - (TENANT_LABEL_CAP - 1)
+            assert depths["t0"] == 1 and depths["gold"] == 0
+            stats = service.stats()
+            assert set(stats["tenants"]["weights"]) == labelled
+            assert stats["tenants"]["weights"]["gold"] == 3
+            # Pooled for reporting only: a capped tenant is still shed by
+            # its own quota of one, and the shed is counted under ``other``.
+            capped = tenants[-1]
+            with pytest.raises(OverQuotaError):
+                service.submit(request, wait=False, tenant=capped)
+            shed = registry.get("repro_service_tenant_shed_total", tenant=OTHER_TENANTS)
+            assert shed.value == 1
+            assert registry.get("repro_service_tenant_shed_total", tenant=capped) is None
+        finally:
+            service.stop()
+
+    def test_a_tenant_named_other_shares_the_pool(self, tiny_tree, registry):
+        service = AdmissionService(NetworkManager(tiny_tree), workers=1)
+        service._running = True
+        try:
+            service.submit(
+                HomogeneousSVC(n_vms=2, mean=10.0, std=1.0),
+                wait=False,
+                tenant=OTHER_TENANTS,
+            )
+            depth = registry.get("repro_service_tenant_queue_depth", tenant=OTHER_TENANTS)
+            assert depth.value == 1
+            assert service.stats()["tenants"]["weights"] == {}
+        finally:
+            service.stop()

@@ -1,9 +1,13 @@
-"""Queue disciplines: priority order, FIFO ties, deadlines, batch parking."""
+"""Queue disciplines: priority order, FIFO ties, deadlines, batch parking.
+
+Driven with a single tenant, where the fair queue reduces to one
+priority + FIFO heap; cross-tenant scheduling is ``test_fairness.py``.
+"""
 
 import pytest
 
 from repro.abstractions import HomogeneousSVC
-from repro.service.queue import MODE_BATCH, MODE_ONLINE, QueuedRequest, RequestQueue
+from repro.service.queue import MODE_BATCH, MODE_ONLINE, FairRequestQueue, QueuedRequest
 
 
 def entry(ticket_id, priority=0, deadline=None):
@@ -17,14 +21,14 @@ def entry(ticket_id, priority=0, deadline=None):
 
 class TestOrdering:
     def test_fifo_within_priority(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         for ticket_id in (1, 2, 3):
             queue.push(entry(ticket_id))
         popped = [queue.pop_ready(0.0)[0].ticket_id for _ in range(3)]
         assert popped == [1, 2, 3]
 
     def test_higher_priority_first(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1, priority=0))
         queue.push(entry(2, priority=5))
         queue.push(entry(3, priority=1))
@@ -32,14 +36,14 @@ class TestOrdering:
         assert popped == [2, 3, 1]
 
     def test_empty_queue_pops_none(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         ready, expired = queue.pop_ready(0.0)
         assert ready is None and expired == []
 
 
 class TestDeadlines:
     def test_pop_drains_expired_entries(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1, deadline=5.0))
         queue.push(entry(2, deadline=100.0))
         ready, expired = queue.pop_ready(now=10.0)
@@ -47,7 +51,7 @@ class TestDeadlines:
         assert [e.ticket_id for e in expired] == [1]
 
     def test_expire_sweeps_ready_and_parked(self):
-        queue = RequestQueue(MODE_BATCH)
+        queue = FairRequestQueue(MODE_BATCH)
         queue.push(entry(1, deadline=5.0))
         parked = entry(2, deadline=6.0)
         queue.push(parked)
@@ -58,7 +62,7 @@ class TestDeadlines:
         assert len(queue) == 0
 
     def test_no_deadline_never_expires(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1))
         assert queue.expire(now=1e12) == []
         assert queue.pop_ready(1e12)[0].ticket_id == 1
@@ -69,7 +73,7 @@ class TestTieBreaking:
     reorder the heap, they only expire entries at pop time."""
 
     def test_equal_priority_is_fifo_regardless_of_deadlines(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1, deadline=100.0))
         queue.push(entry(2, deadline=5.0))  # tighter deadline, later arrival
         queue.push(entry(3))
@@ -77,7 +81,7 @@ class TestTieBreaking:
         assert popped == [1, 2, 3]
 
     def test_priority_beats_earlier_deadline(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1, priority=0, deadline=1.0))
         queue.push(entry(2, priority=3, deadline=1000.0))
         ready, expired = queue.pop_ready(now=0.5)
@@ -85,7 +89,7 @@ class TestTieBreaking:
         assert expired == []
 
     def test_expired_ties_drain_in_arrival_order(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         queue.push(entry(1, deadline=5.0))
         queue.push(entry(2, deadline=5.0))
         queue.push(entry(3, deadline=100.0))
@@ -94,7 +98,7 @@ class TestTieBreaking:
         assert [e.ticket_id for e in expired] == [1, 2]
 
     def test_parked_retry_keeps_original_seq_among_equal_priorities(self):
-        queue = RequestQueue(MODE_BATCH)
+        queue = FairRequestQueue(MODE_BATCH)
         queue.push(entry(1))
         queue.push(entry(2))
         first, _ = queue.pop_ready(0.0)
@@ -118,12 +122,12 @@ class TestTieBreaking:
 
 class TestBatchParking:
     def test_online_mode_rejects_parking(self):
-        queue = RequestQueue(MODE_ONLINE)
+        queue = FairRequestQueue(MODE_ONLINE)
         with pytest.raises(ValueError, match="batch mode"):
             queue.park(entry(1))
 
     def test_parked_requests_keep_fifo_position_on_retry(self):
-        queue = RequestQueue(MODE_BATCH)
+        queue = FairRequestQueue(MODE_BATCH)
         for ticket_id in (1, 2, 3):
             queue.push(entry(ticket_id))
         first, _ = queue.pop_ready(0.0)
@@ -135,7 +139,7 @@ class TestBatchParking:
         assert order == [1, 2, 3]
 
     def test_drain_returns_everything_in_order(self):
-        queue = RequestQueue(MODE_BATCH)
+        queue = FairRequestQueue(MODE_BATCH)
         for ticket_id in (1, 2):
             queue.push(entry(ticket_id))
         popped, _ = queue.pop_ready(0.0)
@@ -146,4 +150,4 @@ class TestBatchParking:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown queue mode"):
-            RequestQueue("bursty")
+            FairRequestQueue("bursty")
