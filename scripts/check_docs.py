@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Doc-drift gate: the documentation must keep working as the code moves.
 
-Four checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
+Five checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
 
 1. **Fenced ``python`` blocks are executed** (``PYTHONPATH=src``, each block
    its own interpreter).  Blocks that talk to a daemon via ``ServiceClient``
@@ -18,6 +18,9 @@ Four checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
    the text is a key of ``repro.obs.instruments.FAMILIES`` (a histogram's
    ``_bucket``/``_sum``/``_count`` series and prefixes ending in ``_`` are
    fine), so a runbook row cannot outlive its metric.
+5. **Retired names stay retired**: a doc that still speaks of the second
+   copy of committed core-link load the ledger used to keep
+   (``commit_direct``, ``committed_totals``, ``event="mirror"``) fails.
 
 Opt out per block by placing ``<!-- check-docs: skip -->`` on the line above
 the opening fence (used for illustrative/pseudo-code fragments).
@@ -49,6 +52,12 @@ PATH_PATTERN = re.compile(
 )
 METRIC_PATTERN = re.compile(r"\brepro_[a-z0-9_]+")
 HISTOGRAM_SERIES = re.compile(r"_(?:bucket|sum|count)$")
+#: Names the code no longer has, and what a doc should say instead.
+RETIRED = {
+    "commit_direct": "tenancies enter the replica through the coordinator's _install",
+    "committed_totals": "committed core-link load is the replica's LinkState",
+    'event="mirror"': "nothing emits it: the ledger holds no committed copy",
+}
 
 sys.path.insert(0, str(SRC))
 
@@ -293,6 +302,25 @@ def lint_metric_names(doc: Path) -> List[Failure]:
     return failures
 
 
+# ---------------------------------------------------------------------------
+# Check 5: names the code retired do not live on in the docs.
+# ---------------------------------------------------------------------------
+
+
+def lint_retired_names(doc: Path) -> List[Failure]:
+    failures = []
+    for number, line in enumerate(doc.read_text().splitlines(), start=1):
+        for name, instead in RETIRED.items():
+            if name in line:
+                failures.append(
+                    Failure(
+                        f"{doc.relative_to(ROOT)}:{number}",
+                        f"{name!r} is retired ({instead})",
+                    )
+                )
+    return failures
+
+
 def default_docs() -> List[Path]:
     docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
     docs.extend(sorted((ROOT / "docs").glob("*.md")))
@@ -316,6 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for doc in docs:
             failures.extend(lint_metric_names(doc))
+            failures.extend(lint_retired_names(doc))
             for block in iter_blocks(doc):
                 where = f"{doc.relative_to(ROOT)}:{block.first_line}"
                 if block.skipped:

@@ -8,9 +8,10 @@ is split **by aggregation subtree** into K shard views
 (:mod:`repro.cluster.shard`, :mod:`repro.cluster.worker`); a coordinator
 (:mod:`repro.cluster.coordinator`) routes requests placement-locality-first
 to a single shard and admits cross-shard placements through a two-phase
-reserve/commit protocol on the shared core-link ledger
-(:mod:`repro.cluster.ledger`), so the Eq. (1) outage bound composes across
-shards without double-counting or leaks.
+reserve/commit protocol whose holds on the shared core links live in
+:mod:`repro.cluster.ledger` (what is committed lives in the coordinator's
+replica alone), so the Eq. (1) outage bound composes across shards without
+double-counting or leaks.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError

@@ -21,10 +21,11 @@ referee checks the cluster-level contract:
    is active on its shard, every shard tenancy is accounted for (no
    orphans after the recovery sweep), and the replica tenant count
    matches;
-3. **no reservation leaks**: zero pending reservations after recovery and
-   the ledger's committed totals equal the core footprint recomputed from
-   the live global allocations — the ledger sums to committed tenants
-   *exactly*;
+3. **no reservation leaks, one true copy**: zero pending reservations
+   after recovery, and on every core link the replica's running sums
+   (``mean_total``, ``var_total``, ``deterministic_total`` — the only
+   record of committed core-link load) equal the footprint recomputed from
+   scratch over the replica's tenancies;
 4. **no acked admission lost, no acked release resurrected** — judged at
    the coordinator's global ids;
 5. ``O_L < 1`` on every link of every shard, on the replica, and on the
@@ -77,9 +78,16 @@ CLUSTER_CRASH_SITES = (
 
 _DECISION_TIMEOUT_S = 5.0
 
-#: Ledger totals are rebuilt by replaying per-tenant demands, so they must
-#: agree with a fresh recomputation to float-sum noise only.
+#: The replica's per-link sums are kept incrementally across adopts and
+#: releases, so they must agree with a fresh recomputation to float-sum
+#: noise only.
 _SUM_TOLERANCE = 1e-6
+#: ``LinkState`` running sum -> the ``CoreDemand`` field it accumulates.
+_LINK_SUMS = (
+    ("mean_total", "mean"),
+    ("var_total", "variance"),
+    ("deterministic_total", "deterministic"),
+)
 
 
 def cluster_chaos_plan(seed: int, operations: int = 40) -> ChaosPlan:
@@ -241,30 +249,28 @@ def _referee(
             f"tenancies, coordinator maps {len(coordinator._gid_map)}"
         )
 
-    # 3. No reservation leaks; ledger sums to committed tenants exactly.
+    # 3. No reservation leaks; the replica's core-link sums equal a
+    # from-scratch recomputation over its tenancies.
     if coordinator.ledger.pending_reservations != 0:
         result.fail(
             f"[{stage}] {coordinator.ledger.pending_reservations} reservations "
             "leaked past recovery"
         )
-    expected: Dict[int, Dict[str, float]] = {
-        link_id: {"mean": 0.0, "variance": 0.0, "deterministic": 0.0}
-        for link_id in partition.core_link_ids
-    }
-    for tenancy in coordinator.replica.tenancies():
-        for link_id, demand in core_demands_of(
-            tenancy.allocation, partition.core_link_ids
-        ).items():
-            expected[link_id]["mean"] += demand.mean
-            expected[link_id]["variance"] += demand.variance
-            expected[link_id]["deterministic"] += demand.deterministic
-    for link_id, totals in coordinator.ledger.committed_totals().items():
-        for component, value in totals.items():
-            want = expected[link_id][component]
-            if abs(value - want) > _SUM_TOLERANCE:
+    tenancies = list(coordinator.replica.tenancies())
+    for link_id in partition.core_link_ids:
+        demands = [
+            demand
+            for tenancy in tenancies
+            for demand in core_demands_of(tenancy.allocation, (link_id,)).values()
+        ]
+        link_state = coordinator.replica.state.links[link_id]
+        for component, part in _LINK_SUMS:
+            have = getattr(link_state, component)
+            want = sum(getattr(demand, part) for demand in demands)
+            if abs(have - want) > _SUM_TOLERANCE:
                 result.fail(
-                    f"[{stage}] ledger {component} on core link {link_id} is "
-                    f"{value}, committed tenants sum to {want}"
+                    f"[{stage}] replica {component} on core link {link_id} is "
+                    f"{have}, its tenancies sum to {want}"
                 )
 
     # 4. Acked admits survive; acked releases stay released.

@@ -6,14 +6,17 @@ discipline as ``AdmissionService``):
 
 * a **replica** ``NetworkManager`` over the *global* tree, kept in sync by
   applying every shard admission and release (translated to global ids).
-  Routing reads per-shard free slots from it without touching a shard, and
-  the cross-shard allocator runs on it with the exact full-tree Lemma-1
-  moments — so a placement spanning shards carries the same per-link
-  effective bandwidth ``E^L_i`` a single giant manager would compute, and
-  Eq. (1) composes across shards (DESIGN.md §9);
-* the **core-link ledger** (:mod:`repro.cluster.ledger`): the global truth
-  for aggregation-uplink capacity, with TTL'd reservations for in-flight
-  two-phase rounds;
+  It is the only record of what the cluster has admitted, core links
+  included: tenancies enter and leave it — together with the gid/srid maps —
+  through :meth:`ClusterCoordinator._install` / ``_uninstall`` and nowhere
+  else, live or in recovery.  Routing reads per-shard free slots from it
+  without touching a shard, and the cross-shard allocator runs on it with
+  the exact full-tree Lemma-1 moments — so a placement spanning shards
+  carries the same per-link effective bandwidth ``E^L_i`` a single giant
+  manager would compute, and Eq. (1) composes across shards (DESIGN.md §9);
+* the **core-link ledger** (:mod:`repro.cluster.ledger`): TTL'd holds on
+  aggregation-uplink capacity for in-flight two-phase rounds, priced on top
+  of the replica's committed core-link load;
 * a **write-ahead log** (reusing :class:`repro.service.journal.Journal`)
   whose record order is the order coordinator state changed.
 
@@ -23,14 +26,15 @@ Request lifecycle:
   advisory rebalancer; with a single shard this degenerates to a pass-
   through, which is what makes the one-shard cluster bit-identical to the
   direct service).  The shard's own serialized admission guards everything
-  it touches, including its own core links; the coordinator mirrors the
-  decision into replica + ledger after the ack.
+  it touches, including its own core links; the coordinator installs the
+  decision into the replica after the ack.
 * **cross-shard** — placement computed on the replica, then a two-phase
   round: ``reserve`` effective bandwidth on the ledger (TTL'd), journal the
-  intent, ``adopt`` one revalidated fragment per shard, ``commit`` the
-  reservation (or release every adopted fragment and ``abort`` on any
-  conflict).  Every step is idempotent per global request id, so crash
-  recovery can re-walk the protocol without double-counting or leaking.
+  intent, ``adopt`` one revalidated fragment per shard, then drop the hold
+  (``commit``) and install the tenancy (or release every adopted fragment
+  and ``abort`` on any conflict).  Every step is idempotent per global
+  request id, so crash recovery can re-walk the protocol without
+  double-counting or leaking.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import logging
 import os
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -140,9 +144,8 @@ class ClusterCoordinator:
         self.max_cross_retries = max_cross_retries
         self.replica = NetworkManager(partition.tree, epsilon=epsilon, allocator=allocator)
         self.ledger = CoreLinkLedger(
-            partition.tree,
+            self.replica.state,
             partition.core_link_ids,
-            epsilon=epsilon,
             reserve_ttl_s=reserve_ttl_s,
             clock=clock,
         )
@@ -153,6 +156,9 @@ class ClusterCoordinator:
         self._gid_map: Dict[int, Dict[int, int]] = {}
         #: (shard index, shard-local request id) -> global id.
         self._srid_map: Dict[Tuple[int, int], int] = {}
+        #: gid -> allocation installed by recovery but not yet adopted into
+        #: the replica (DESIGN.md §9.4); ``None`` outside recovery.
+        self._awaiting: Optional[Dict[int, Allocation]] = None
         #: client idempotency key -> decision payload.
         self._idem: Dict[str, Dict[str, Any]] = {}
         #: client keys with a decision currently in flight (double-submit guard).
@@ -417,6 +423,111 @@ class ClusterCoordinator:
         self._obs.reservation("abort")
         self._flight("reservation_abort", gid=gid, reason=reason)
 
+    def _expire_holds(self) -> None:
+        for _expired in self.ledger.expire():
+            self._obs.reservation("expire")
+
+    def _reserve(self, hold_id: int, demands: Dict[int, CoreDemand], **audit) -> bool:
+        """Take a ledger hold, or leave the audit trail of the denial."""
+        if self.ledger.reserve(hold_id, demands):
+            self._obs.reservation("reserve")
+            return True
+        self._obs.reservation("reserve_denied")
+        self._flight("reservation_denied", **audit)
+        return False
+
+    # ------------------------------------------------------------------
+    # Tenancies in and out, keys, decisions: one path each (lock held)
+    # ------------------------------------------------------------------
+
+    def _install(self, gid: int, srids: Dict[int, int], allocation: Allocation) -> None:
+        """The one way a tenancy enters coordinator state.
+
+        Replica and both id maps change together; a gid that is already
+        there is swapped (resize).  In recovery the replica half waits in
+        ``_awaiting`` until the recovered set is reconciled with the shards.
+        """
+        self._uninstall(gid)
+        if self._awaiting is None:
+            self.replica.adopt(allocation)
+        else:
+            self._awaiting[gid] = allocation
+        self._gid_map[gid] = dict(srids)
+        for fragment in srids.items():
+            self._srid_map[fragment] = gid
+
+    def _uninstall(self, gid: int) -> Optional[Dict[int, int]]:
+        """The one way out; returns the fragments held, None if unknown."""
+        srids = self._gid_map.pop(gid, None)
+        if srids is None:
+            return None
+        for fragment in srids.items():
+            self._srid_map.pop(fragment, None)
+        if self._awaiting is not None:
+            self._awaiting.pop(gid, None)
+        tenancy = self.replica.get_tenancy(gid)
+        if tenancy is not None:
+            self.replica.release(tenancy)
+        return srids
+
+    @contextmanager
+    def _claim(self, key: Optional[str]):
+        """Hold ``key`` in flight for one decision (takes the lock itself).
+
+        Yields the remembered decision if there is one, else None; a second
+        caller while the first is still deciding is refused.
+        """
+        if key is None:
+            yield None
+            return
+        with self._lock:
+            known = self._idem.get(key)
+            if known is not None:
+                yield dict(known, deduped=True)  # lock held: callers count it
+                return
+            if key in self._inflight:
+                raise CoordinatorError(
+                    f"key {key!r} already has a decision in flight; "
+                    "retry after it resolves"
+                )
+            self._inflight.add(key)
+        try:
+            yield None
+        finally:
+            with self._lock:
+                self._inflight.discard(key)
+
+    def _decide(
+        self, gid: int, outcome: str, route: str, *, key: Optional[str],
+        started: float, path: str = "local", detail: Optional[str] = None,
+        trace: Optional[Trace] = None, **audit: Any,
+    ) -> Dict[str, Any]:
+        """The one decision epilogue: tally, remember, observe, audit.
+
+        ``path`` is the latency series; ``"resize"`` also selects the resize
+        tallies and the ``cluster_resize`` event over the admission ones.
+        """
+        if path == "resize":
+            self.resize_counts[outcome] += 1
+        elif outcome == "admitted":
+            self.admitted_count += 1
+        else:
+            self.rejected_count += 1
+        payload = self._decision(gid, outcome, detail, route)
+        self._remember(key, payload)
+        self._obs.observe_latency(path, self.clock() - started)
+        if outcome == RESIZE_REJECTED:  # == "rejected": both kinds say why
+            audit["detail"] = detail
+        if path == "resize":
+            self._flight("cluster_resize", gid=gid, outcome=outcome, **audit)
+        else:
+            self._obs.routing(route)
+            self._flight(
+                "cluster_decision", gid=gid, outcome=outcome, route=route, **audit
+            )
+        self._finish_trace(trace, route, outcome)
+        return payload
+
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -464,24 +575,11 @@ class ClusterCoordinator:
         retries with the same ``idempotency_key`` and converges on the
         journaled decision.
         """
-        if idempotency_key is None:
-            return self._submit(request, None, timeout)
-        with self._lock:
-            known = self._idem.get(idempotency_key)
+        with self._claim(idempotency_key) as known:
             if known is not None:
                 self._obs.routing(ROUTE_DEDUP)
-                return dict(known, deduped=True)
-            if idempotency_key in self._inflight:
-                raise CoordinatorError(
-                    f"key {idempotency_key!r} already has a decision in "
-                    "flight; retry after it resolves"
-                )
-            self._inflight.add(idempotency_key)
-        try:
+                return known
             return self._submit(request, idempotency_key, timeout)
-        finally:
-            with self._lock:
-                self._inflight.discard(idempotency_key)
 
     def _submit(
         self,
@@ -493,13 +591,7 @@ class ClusterCoordinator:
         trace = self.tracer.start("cluster_admission")
         tctx: Optional[TraceContext] = None
         with self._lock:
-            for _expired in self.ledger.expire():
-                self._obs.reservation("expire")
-            if idempotency_key is not None:
-                known = self._idem.get(idempotency_key)
-                if known is not None:
-                    self._obs.routing(ROUTE_DEDUP)
-                    return dict(known, deduped=True)
+            self._expire_holds()
             gid = self._next_gid
             self._next_gid += 1
             if trace is not None:
@@ -543,8 +635,7 @@ class ClusterCoordinator:
                         first_reject=decision, trace=trace, tctx=tctx,
                     )
                 return self._complete_reject(
-                    gid, idempotency_key, decision.get("detail"), started,
-                    ROUTE_REJECT, trace=trace,
+                    gid, idempotency_key, decision.get("detail"), started, trace
                 )
             raise CoordinatorError(
                 f"shard {target} returned outcome {outcome!r} (ticket unresolved?)"
@@ -597,26 +688,12 @@ class ClusterCoordinator:
                 idem=idempotency_key,
                 allocation=allocation_to_dict(global_allocation),
             )
-            self.replica.adopt(global_allocation)
-            core = core_demands_of(global_allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-                self._obs.reservation("mirror")
-            self._gid_map[gid] = {shard_index: srid}
-            self._srid_map[(shard_index, srid)] = gid
-            self.admitted_count += 1
-            payload = self._decision(
-                gid, "admitted", decision.get("detail"), ROUTE_LOCAL
+            self._install(gid, {shard_index: srid}, global_allocation)
+            return self._decide(
+                gid, "admitted", ROUTE_LOCAL, key=idempotency_key,
+                started=started, detail=decision.get("detail"), trace=trace,
+                shard=shard_index,
             )
-            self._remember(idempotency_key, payload)
-            self._obs.routing(ROUTE_LOCAL)
-            self._obs.observe_latency("local", self.clock() - started)
-            self._flight(
-                "cluster_decision", gid=gid, outcome="admitted",
-                route=ROUTE_LOCAL, shard=shard_index,
-            )
-            self._finish_trace(trace, ROUTE_LOCAL, "admitted")
-            return payload
 
     def _complete_reject(
         self,
@@ -624,8 +701,7 @@ class ClusterCoordinator:
         idempotency_key: Optional[str],
         detail: Optional[str],
         started: float,
-        route: str,
-        trace: Optional[Trace] = None,
+        trace: Optional[Trace],
     ) -> Dict[str, Any]:
         with self._lock:
             if idempotency_key is not None:
@@ -634,17 +710,10 @@ class ClusterCoordinator:
                 self._journal(
                     OP_RREJECT, required=False, gid=gid, idem=idempotency_key
                 )
-            self.rejected_count += 1
-            payload = self._decision(gid, "rejected", detail, route)
-            self._remember(idempotency_key, payload)
-            self._obs.routing(route)
-            self._obs.observe_latency("local", self.clock() - started)
-            self._flight(
-                "cluster_decision", gid=gid, outcome="rejected",
-                route=route, detail=detail,
+            return self._decide(
+                gid, "rejected", ROUTE_REJECT, key=idempotency_key,
+                started=started, detail=detail, trace=trace,
             )
-            self._finish_trace(trace, route, "rejected")
-            return payload
 
     # ------------------------------------------------------------------
     # Cross-shard two-phase path
@@ -670,24 +739,17 @@ class ClusterCoordinator:
                     )
                 if allocation is None:
                     return self._complete_reject(
-                        gid, idempotency_key, last_detail, started,
-                        ROUTE_REJECT, trace=trace,
+                        gid, idempotency_key, last_detail, started, trace
                     )
                 core = core_demands_of(allocation, self.partition.core_link_ids)
                 with _tspan(trace, "reserve"):
-                    reserved = self.ledger.reserve(gid, core)
+                    reserved = self._reserve(gid, core, gid=gid)
                 if not reserved:
-                    self._obs.reservation("reserve_denied")
-                    self._flight("reservation_denied", gid=gid)
                     return self._complete_reject(
-                        gid,
-                        idempotency_key,
+                        gid, idempotency_key,
                         "core links at capacity (reservation denied)",
-                        started,
-                        ROUTE_REJECT,
-                        trace=trace,
+                        started, trace,
                     )
-                self._obs.reservation("reserve")
                 FAILPOINTS.hit(FP_COORD_AFTER_RESERVE)
                 fragments = self._fragment(allocation)
                 self._journal(
@@ -731,7 +793,6 @@ class ClusterCoordinator:
                         # Without the commit record recovery would presume-
                         # abort this round — make the live process agree.
                         self._release_fragments(gid, adopted)
-                        self.ledger.release(gid)
                         self._abort_round(gid, "commit_not_journaled")
 
                     self._journal(
@@ -745,22 +806,14 @@ class ClusterCoordinator:
                         },
                     )
                     FAILPOINTS.hit(FP_COORD_AFTER_COMMIT)
-                    self.replica.adopt(allocation)
-                    self._gid_map[gid] = dict(adopted)
-                    for shard_index, srid in adopted.items():
-                        self._srid_map[(shard_index, srid)] = gid
-                    self.admitted_count += 1
-                    route = ROUTE_SPILL if len(fragments) == 1 else ROUTE_CROSS
-                    payload = self._decision(gid, "admitted", None, route)
-                    self._remember(idempotency_key, payload)
-                    self._obs.routing(route)
-                    self._obs.observe_latency("cross", self.clock() - started)
-                    self._flight(
-                        "cluster_decision", gid=gid, outcome="admitted",
-                        route=route, shards=sorted(fragments),
+                    self._install(gid, adopted, allocation)
+                    return self._decide(
+                        gid,
+                        "admitted",
+                        ROUTE_SPILL if len(fragments) == 1 else ROUTE_CROSS,
+                        key=idempotency_key, started=started, path="cross",
+                        trace=trace, shards=sorted(fragments),
                     )
-                    self._finish_trace(trace, route, "admitted")
-                    return payload
             # Roll back this round: release adopted fragments, abort the
             # reservation, journal the abort, then retry or give up.
             self._release_fragments(gid, adopted)
@@ -776,12 +829,9 @@ class ClusterCoordinator:
                 f"cross-shard round for gid={gid} failed: {failure}"
             ) from failure
         return self._complete_reject(
-            gid,
-            idempotency_key,
+            gid, idempotency_key,
             last_detail or "cross-shard placement kept conflicting",
-            started,
-            ROUTE_REJECT,
-            trace=trace,
+            started, trace,
         )
 
     def _fragment(self, allocation: Allocation) -> Dict[int, Allocation]:
@@ -898,14 +948,8 @@ class ClusterCoordinator:
             # is acked (a retry re-runs the idempotent steps), or recovery
             # would re-adopt the surviving fragments.
             journaled = bool(shard_failures) and self._journal(OP_RELEASE, gid=gid)
-            if self._gid_map.pop(gid, None) is None:
+            if self._uninstall(gid) is None:
                 return True  # lost a race with a concurrent release
-            for shard_index, srid in fragments.items():
-                self._srid_map.pop((shard_index, srid), None)
-            tenancy = self.replica.get_tenancy(gid)
-            if tenancy is not None:
-                self.replica.release(tenancy)
-            self.ledger.release(gid)
             if not journaled:
                 # Roll forward: every fragment is gone from its shard
                 # journal, so recovery's release-completion pass finishes
@@ -932,9 +976,9 @@ class ClusterCoordinator:
         would add effective bandwidth to the shared core links first pass a
         two-phase **delta reservation** on the ledger (estimated from an
         in-place plan on the replica), so a concurrent cross-shard round
-        cannot race the grown footprint past ``O_L = 1``; the reservation
-        is dropped once the ledger's committed entry is swapped to the
-        post-resize footprint (or on any failure).  Cross-shard tenancies
+        cannot race the grown footprint past ``O_L = 1``; the hold is
+        dropped once the shard has answered, in the same lock hold that
+        swaps the replica to the post-resize footprint.  Cross-shard tenancies
         are rejected — shrinking or growing a placement that spans shards
         would need a cross-shard re-plan, not a resize.
 
@@ -943,25 +987,12 @@ class ClusterCoordinator:
         ``idempotency_key`` converges on the journaled decision.
         """
         started = self.clock()
-        if idempotency_key is not None:
-            with self._lock:
-                known = self._idem.get(idempotency_key)
-                if known is not None:
-                    return dict(known, deduped=True)
-                if idempotency_key in self._inflight:
-                    raise CoordinatorError(
-                        f"key {idempotency_key!r} already has a decision in "
-                        "flight; retry after it resolves"
-                    )
-                self._inflight.add(idempotency_key)
-        try:
+        with self._claim(idempotency_key) as known:
+            if known is not None:
+                return known
             return self._resize(
                 gid, new_n, new_mu, new_sigma, idempotency_key, started
             )
-        finally:
-            if idempotency_key is not None:
-                with self._lock:
-                    self._inflight.discard(idempotency_key)
 
     def _resize(
         self,
@@ -973,9 +1004,22 @@ class ClusterCoordinator:
         started: float,
     ) -> Dict[str, Any]:
         reserve_id = -gid  # synthetic ledger id for the delta hold
+
+        def rejected(detail: Optional[str]) -> Dict[str, Any]:
+            """Settle a rejected resize: journal, tally, remember (lock held)."""
+            # Roll forward: the old allocation stands either way; a post-crash
+            # retry re-runs the (deterministic) decision.
+            self._journal(
+                OP_RSDONE, required=False, gid=gid, outcome=RESIZE_REJECTED,
+                idem=idempotency_key,
+            )
+            return self._decide(
+                gid, RESIZE_REJECTED, ROUTE_LOCAL, key=idempotency_key,
+                started=started, path="resize", detail=detail,
+            )
+
         with self._lock:
-            for _expired in self.ledger.expire():
-                self._obs.reservation("expire")
+            self._expire_holds()
             entry = self._gid_map.get(gid)
             if entry is None:
                 return {
@@ -984,21 +1028,13 @@ class ClusterCoordinator:
                     "detail": f"no active tenancy with id {gid}",
                 }
             if len(entry) > 1:
-                return self._resize_rejected(
-                    gid,
+                return rejected(
                     "tenancy spans multiple shards; resize requires a "
-                    "single-shard placement",
-                    idempotency_key,
-                    started,
+                    "single-shard placement"
                 )
             ((shard_index, srid),) = entry.items()
-            tenancy = self.replica.get_tenancy(gid)
-            if tenancy is None:
-                raise CoordinatorError(
-                    f"gid {gid} mapped to shard {shard_index} but absent "
-                    "from the replica"
-                )
-            old_allocation = tenancy.allocation
+            # In the replica because in the maps: _install sets both or neither.
+            old_allocation = self.replica.tenancy(gid).allocation
             try:
                 new_request = resized_request(
                     old_allocation.request,
@@ -1007,27 +1043,15 @@ class ClusterCoordinator:
                     new_sigma=new_sigma,
                 )
             except ValueError as exc:
-                return self._resize_rejected(
-                    gid, str(exc), idempotency_key, started
-                )
+                return rejected(str(exc))
             # Two-phase delta: estimate the post-resize core footprint from
             # an in-place plan on the replica and reserve the positive
             # component deltas before asking the shard.  The estimate only
             # guards capacity — the committed footprint is reconciled from
             # the shard's actual post-resize allocation afterwards.
             delta = self._core_delta(old_allocation, new_request)
-            if delta:
-                reserved = self.ledger.reserve(reserve_id, delta)
-                if not reserved:
-                    self._obs.reservation("reserve_denied")
-                    self._flight("reservation_denied", gid=gid, resize=True)
-                    return self._resize_rejected(
-                        gid,
-                        "core links at capacity (resize delta denied)",
-                        idempotency_key,
-                        started,
-                    )
-                self._obs.reservation("reserve")
+            if delta and not self._reserve(reserve_id, delta, gid=gid, resize=True):
+                return rejected("core links at capacity (resize delta denied)")
             self._resize_seq += 1
             rseq = self._resize_seq
             skey = f"rs-{gid}-{rseq}"
@@ -1067,9 +1091,7 @@ class ClusterCoordinator:
                         f"shard {shard_index} returned resize outcome "
                         f"{outcome!r} for gid {gid}"
                     )
-                return self._resize_rejected(
-                    gid, decision.get("detail"), idempotency_key, started
-                )
+                return rejected(decision.get("detail"))
             local_allocation = decision.get("allocation")
             if local_allocation is None:
                 # The shard deduplicated the key onto an earlier round; its
@@ -1084,62 +1106,31 @@ class ClusterCoordinator:
             global_allocation = view.allocation_to_global(
                 local_allocation, request_id=gid
             )
-            # Roll forward: the shard has already committed the new size and
-            # its journal is authoritative — recovery's shard reconciliation
-            # re-derives the post-resize allocation without this record.
-            self._journal(
-                OP_RSDONE,
-                required=False,
-                gid=gid,
-                shard=shard_index,
-                srid=srid,
-                outcome=outcome,
+            self._journal_resized(
+                gid, shard_index, srid, outcome, global_allocation,
                 idem=idempotency_key,
-                allocation=allocation_to_dict(global_allocation),
             )
             FAILPOINTS.hit(FP_COORD_RESIZE_AFTER_WAL)
-            old_tenancy = self.replica.get_tenancy(gid)
-            if old_tenancy is not None:
-                self.replica.release(old_tenancy)
-            self.replica.adopt(global_allocation)
-            self.ledger.release(gid)
-            core = core_demands_of(global_allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-                self._obs.reservation("mirror")
-            self.resize_counts[outcome] += 1
-            payload = self._decision(
-                gid, outcome, decision.get("detail"), ROUTE_LOCAL
+            self._install(gid, {shard_index: srid}, global_allocation)
+            return self._decide(
+                gid, outcome, ROUTE_LOCAL, key=idempotency_key, started=started,
+                path="resize", detail=decision.get("detail"), shard=shard_index,
             )
-            self._remember(idempotency_key, payload)
-            self._obs.observe_latency("resize", self.clock() - started)
-            self._flight(
-                "cluster_resize", gid=gid, outcome=outcome, shard=shard_index,
-            )
-            return payload
 
-    def _resize_rejected(
-        self,
-        gid: int,
-        detail: Optional[str],
-        idempotency_key: Optional[str],
-        started: float,
-    ) -> Dict[str, Any]:
-        """Settle a rejected resize: journal, tally, remember. Lock held."""
-        # Roll forward: the old allocation stands either way; a post-crash
-        # retry re-runs the (deterministic) decision.
+    def _journal_resized(
+        self, gid: int, shard_index: int, srid: int, outcome: str,
+        allocation: Allocation, **fields: Any,
+    ) -> None:
+        """Journal an accepted resize (lock held), live or re-derived.
+
+        Roll forward: the shard has already committed the new size and its
+        journal is authoritative — recovery's shard reconciliation
+        re-derives the post-resize allocation without this record.
+        """
         self._journal(
-            OP_RSDONE, required=False, gid=gid, outcome=RESIZE_REJECTED,
-            idem=idempotency_key,
+            OP_RSDONE, required=False, gid=gid, shard=shard_index, srid=srid,
+            outcome=outcome, **fields, allocation=allocation_to_dict(allocation),
         )
-        self.resize_counts[RESIZE_REJECTED] += 1
-        payload = self._decision(gid, RESIZE_REJECTED, detail, ROUTE_LOCAL)
-        self._remember(idempotency_key, payload)
-        self._obs.observe_latency("resize", self.clock() - started)
-        self._flight(
-            "cluster_resize", gid=gid, outcome=RESIZE_REJECTED, detail=detail,
-        )
-        return payload
 
     def _core_delta(
         self, old_allocation: Allocation, new_request
@@ -1199,114 +1190,87 @@ class ClusterCoordinator:
         """Rebuild coordinator state from the WAL + the recovered shards.
 
         The shards recover themselves (their own WALs) before the
-        coordinator is constructed; this pass reconciles the coordinator's
-        view with what each shard actually journaled: dangling two-phase
-        rounds are presumed aborted, in-flight keyed submits resolve to
-        the shard's journaled decision, half-done releases are finished,
-        and shard tenancies the WAL never acknowledged are re-attached
-        under fresh global ids.  Idempotent: recovering twice converges.
+        coordinator is constructed; this pass replays the WAL through the
+        same ``_install``/``_uninstall`` pair the live paths use, then
+        reconciles the result with what each shard actually journaled:
+        dangling two-phase rounds are presumed aborted, in-flight keyed
+        submits resolve to the shard's journaled decision, half-done
+        releases are finished, and shard tenancies the WAL never
+        acknowledged are re-attached under fresh global ids.  Every record
+        appended here restates what the shard journals re-derive, so each is
+        a roll-forward append.  Idempotent: recovering twice converges.
 
-        Replica/ledger adoption is deferred until after the recovered set
-        has been reconciled against the shards' live tenancies.  The WAL
-        alone can over-state occupancy — a roll-forward release whose
-        record was lost leaves a stale radmit whose slots the shard has
-        since reused — and adopting stale tenancies into the replica
-        first would conflict with the re-used slots.  Shard journals are
-        authoritative for their own tenancies; only fragments still
-        active at their shard are adopted.
+        Replica adoption is deferred (``_awaiting``) until after the
+        recovered set has been reconciled against the shards' live
+        tenancies.  The WAL alone can over-state occupancy — a roll-forward
+        release whose record was lost leaves a stale radmit whose slots the
+        shard has since reused — and adopting stale tenancies into the
+        replica first would conflict with the re-used slots.  Shard
+        journals are authoritative for their own tenancies; only fragments
+        still active at their shard are adopted.
         """
         assert self._wal is not None
+        self._awaiting = {}
         open_rintents: Dict[int, Dict[str, Any]] = {}
         open_xintents: Dict[int, Dict[str, Any]] = {}
         open_resizes: Dict[int, Dict[str, Any]] = {}
         closed_xintents: List[Dict[str, Any]] = []
-        # gid -> (fragments {shard: srid}, global Allocation): the WAL's
-        # view of what is admitted, before shard reconciliation.
-        recovered: Dict[int, Tuple[Dict[int, int], Allocation]] = {}
-        srid_to_gid: Dict[Tuple[int, int], int] = {}
         # Fragments of WAL-acknowledged releases: a shard that was down
         # for its fragment release still journals the tenancy as active,
         # and the orphan sweep must finish the release, not resurrect it.
-        released_srids: set = set()
-
-        def remember_admit(
-            gid: int, srids: Dict[int, int], allocation: Allocation, key: Optional[str]
-        ) -> None:
-            if gid in recovered:
-                return
-            recovered[gid] = (dict(srids), allocation)
-            for shard_index, srid in srids.items():
-                srid_to_gid[(shard_index, srid)] = gid
-            if key is not None:
-                self._idem[key] = self._decision(gid, "admitted", None)
-            self.admitted_count += 1
+        released: Dict[Tuple[int, int], int] = {}
 
         max_gid = 0
         for record in Journal.iter_records(self._wal.path):
             op = record.get("op")
             gid = int(record.get("gid", 0))
+            key = record.get("idem")
             max_gid = max(max_gid, gid)
             if op == OP_RINTENT:
                 open_rintents[gid] = record
             elif op == OP_RADMIT:
-                key = record.get("idem")
                 open_rintents.pop(gid, None)
-                shard_index = int(record["shard"])
-                srid = int(record["srid"])
-                if (shard_index, srid) in srid_to_gid:
-                    if key is not None:
-                        existing = srid_to_gid[(shard_index, srid)]
-                        self._idem[key] = self._decision(existing, "admitted", None)
-                    continue
-                allocation = allocation_from_dict(record["allocation"])
-                remember_admit(gid, {shard_index: srid}, allocation, key)
+                self._replay_admit(
+                    gid, {int(record["shard"]): int(record["srid"])},
+                    allocation_from_dict(record["allocation"]), key,
+                )
             elif op == OP_RREJECT:
-                key = record.get("idem")
                 open_rintents.pop(gid, None)
-                if key is not None:
-                    self._idem[key] = self._decision(gid, "rejected", None)
+                self._remember(key, self._decision(gid, "rejected", None))
                 self.rejected_count += 1
             elif op == OP_XINTENT:
                 open_xintents[gid] = record
             elif op == OP_XCOMMIT:
                 open_rintents.pop(gid, None)
                 intent = open_xintents.pop(gid, None)
-                if intent is None:
-                    continue
-                allocation = allocation_from_dict(intent["allocation"])
-                srids = {
-                    int(shard_index): int(srid)
-                    for shard_index, srid in record.get("srids", {}).items()
-                }
-                remember_admit(gid, srids, allocation, record.get("idem"))
+                if intent is not None:
+                    srids = record.get("srids", {})
+                    self._replay_admit(
+                        gid, {int(index): int(srid) for index, srid in srids.items()},
+                        allocation_from_dict(intent["allocation"]), key,
+                    )
             elif op == OP_XABORT:
                 intent = open_xintents.pop(gid, None)
                 if intent is not None:
                     closed_xintents.append(intent)
             elif op == OP_RELEASE:
-                entry = recovered.pop(gid, None)
                 open_resizes.pop(gid, None)
-                if entry is None:
-                    continue
-                for shard_index, srid in entry[0].items():
-                    srid_to_gid.pop((shard_index, srid), None)
-                    released_srids.add((shard_index, srid))
+                for fragment in (self._uninstall(gid) or {}).items():
+                    released[fragment] = gid
+                if record.get("forget_keys"):
+                    self._forget_admission(gid)
             elif op == OP_RSINTENT:
                 self._resize_seq = max(self._resize_seq, int(record.get("rseq", 0)))
                 open_resizes[gid] = record
             elif op == OP_RSDONE:
                 open_resizes.pop(gid, None)
                 outcome = str(record.get("outcome", RESIZE_REJECTED))
-                key = record.get("idem")
-                if key is not None:
-                    self._idem[key] = self._decision(gid, outcome, None)
+                self._remember(key, self._decision(gid, outcome, None))
                 if outcome in self.resize_counts and not record.get("reconciled"):
                     self.resize_counts[outcome] += 1
-                if "allocation" in record and gid in recovered:
-                    srids, _stale = recovered[gid]
-                    recovered[gid] = (
-                        srids, allocation_from_dict(record["allocation"])
-                    )
+                if "allocation" in record and gid in self._gid_map:
+                    allocation = allocation_from_dict(record["allocation"])
+                    self._install(gid, self._gid_map[gid], allocation)
             # Unknown ops are skipped (forward compatibility).
         self._next_gid = max(self._next_gid, max_gid + 1)
 
@@ -1333,114 +1297,82 @@ class ClusterCoordinator:
                     # Journaled at the shard but since released — the
                     # coordinator rolled it back before the crash.
                     continue
-                if (shard_index, int(srid)) in srid_to_gid:
-                    if key is not None:
-                        self._idem[key] = self._decision(
-                            srid_to_gid[(shard_index, int(srid))],
-                            "admitted", None,
-                        )
-                    continue
                 view = self.shards[shard_index].view
-                global_allocation = view.allocation_to_global(allocation, request_id=gid)
-                self._wal.append(
-                    OP_RADMIT,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=int(srid),
-                    idem=key,
-                    allocation=allocation_to_dict(global_allocation),
+                self._replay_admit(
+                    gid, {shard_index: int(srid)},
+                    view.allocation_to_global(allocation, request_id=gid),
+                    key, journal=True,
                 )
-                remember_admit(gid, {shard_index: int(srid)}, global_allocation, key)
             elif found.get("outcome") == "rejected" and self.num_shards == 1:
                 # With one shard the shard's decision IS the decision.  In
                 # a multi-shard cluster a local reject only means "did not
                 # fit here" — the cross-shard path never concluded, so the
                 # outcome stays unknown and a retry re-decides.
                 if key is not None:
-                    self._wal.append(OP_RREJECT, gid=gid, idem=key)
-                    self._idem[key] = self._decision(gid, "rejected", None)
+                    self._journal(OP_RREJECT, required=False, gid=gid, idem=key)
+                    self._remember(key, self._decision(gid, "rejected", None))
                 self.rejected_count += 1
 
         # Finish releases that were acknowledged by some shards only (or
         # whose WAL record was lost in a roll-forward): a gid with ANY
         # fragment gone from its shard was being released — shards are the
         # source of truth, so drop it and release the remaining fragments.
+        # An admission that was never acked can end up here too (its radmit
+        # outlived a failed append and the rollback that followed), so the
+        # keys that answer "admitted" with the gid go with it, and the flag
+        # on the record repeats that at the next restart.
         live_by_shard: Dict[int, Dict[int, Allocation]] = {
             shard.index: self._shard_active(shard.index) for shard in self.shards
         }
-        active_by_shard = {
-            shard_index: set(active) for shard_index, active in live_by_shard.items()
-        }
-        for gid in sorted(list(recovered)):
-            fragments = recovered[gid][0]
-            if all(
-                srid in active_by_shard.get(shard_index, set())
-                for shard_index, srid in fragments.items()
-            ):
+        for gid in sorted(self._gid_map):
+            remaining = {
+                shard_index: srid
+                for shard_index, srid in self._gid_map[gid].items()
+                if srid in live_by_shard.get(shard_index, {})
+            }
+            if len(remaining) == len(self._gid_map[gid]):
                 continue
-            for shard_index, srid in sorted(fragments.items()):
-                if srid in active_by_shard.get(shard_index, set()):
-                    try:
-                        self.shards[shard_index].release(srid)
-                        active_by_shard[shard_index].discard(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "recovery: gid=%d fragment on shard %d not releasable",
-                            gid, shard_index,
-                        )
-                srid_to_gid.pop((shard_index, srid), None)
-            recovered.pop(gid, None)
-            self._wal.append(OP_RELEASE, gid=gid)
+            self._release_fragments(gid, remaining)
+            self._uninstall(gid)
+            self._forget_admission(gid)
+            self._journal(OP_RELEASE, required=False, gid=gid, forget_keys=True)
 
         # Resolve in-flight resizes against the owning shard's journal: an
         # intent without a done record means the crash hit between the two
         # appends — the shard either never saw the round (nothing changed)
         # or committed it (its journal is authoritative for the new size).
         for gid, record in sorted(open_resizes.items()):
-            if gid not in recovered:
-                continue
+            if gid not in self._gid_map:
+                continue  # the release pass already settled this gid
             shard_index = int(record["shard"])
             srid = int(record["srid"])
             skey = record.get("skey")
             key = record.get("idem")
             found = self._shard_idem(shard_index, skey) if skey else None
-            if found is None:
-                continue  # never reached the shard; a retry starts fresh
-            outcome = found.get("outcome")
-            if outcome in (RESIZE_IN_PLACE, RESIZE_REPLACED):
-                live = live_by_shard.get(shard_index, {}).get(srid)
-                if live is None:
-                    continue  # the release pass already settled this gid
+            outcome = found.get("outcome") if found is not None else None
+            live = live_by_shard.get(shard_index, {}).get(srid)
+            if outcome in (RESIZE_IN_PLACE, RESIZE_REPLACED) and live is not None:
                 view = self.shards[shard_index].view
                 live_global = view.allocation_to_global(live, request_id=gid)
-                self._wal.append(
-                    OP_RSDONE,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=srid,
-                    outcome=outcome,
-                    idem=key,
-                    allocation=allocation_to_dict(live_global),
+                self._journal_resized(
+                    gid, shard_index, srid, outcome, live_global, idem=key
                 )
-                srids = recovered[gid][0]
-                recovered[gid] = (srids, live_global)
-                if key is not None:
-                    self._idem[key] = self._decision(gid, outcome, None)
-                self.resize_counts[outcome] += 1
+                self._install(gid, self._gid_map[gid], live_global)
             elif outcome == RESIZE_REJECTED:
-                self._wal.append(
-                    OP_RSDONE, gid=gid, outcome=RESIZE_REJECTED, idem=key
+                self._journal(
+                    OP_RSDONE, required=False, gid=gid, outcome=outcome, idem=key
                 )
-                if key is not None:
-                    self._idem[key] = self._decision(gid, RESIZE_REJECTED, None)
-                self.resize_counts[RESIZE_REJECTED] += 1
+            else:
+                continue  # never reached the shard; a retry starts fresh
+            self._remember(key, self._decision(gid, outcome, None))
+            self.resize_counts[outcome] += 1
 
         # Shard-authoritative size reconciliation: whatever the WAL believes
         # a single-fragment tenant's allocation is, the shard's live tenancy
         # wins (a resize whose done record was rolled forward past a WAL
         # failure is re-derived here — no tenant stays half-sized).
-        for gid in sorted(recovered):
-            srids, allocation = recovered[gid]
+        for gid in sorted(self._gid_map):
+            srids = self._gid_map[gid]
             if len(srids) != 1:
                 continue
             ((shard_index, srid),) = srids.items()
@@ -1449,17 +1381,12 @@ class ClusterCoordinator:
                 continue
             view = self.shards[shard_index].view
             live_global = view.allocation_to_global(live, request_id=gid)
-            if self._footprint(live_global) != self._footprint(allocation):
-                self._wal.append(
-                    OP_RSDONE,
-                    gid=gid,
-                    shard=shard_index,
-                    srid=srid,
-                    outcome=RESIZE_IN_PLACE,
+            if self._footprint(live_global) != self._footprint(self._awaiting[gid]):
+                self._journal_resized(
+                    gid, shard_index, srid, RESIZE_IN_PLACE, live_global,
                     reconciled=True,
-                    allocation=allocation_to_dict(live_global),
                 )
-                recovered[gid] = (srids, live_global)
+                self._install(gid, srids, live_global)
 
         # Orphan sweep: shard tenancies the coordinator WAL never linked
         # (crash between shard ack and the radmit append).  Re-attach them
@@ -1467,48 +1394,67 @@ class ClusterCoordinator:
         for shard in self.shards:
             active = self._shard_active(shard.index)
             for srid in sorted(active):
-                if (shard.index, srid) in srid_to_gid:
+                if (shard.index, srid) in self._srid_map:
                     continue
-                if (shard.index, srid) in released_srids:
+                if (shard.index, srid) in released:
                     # The WAL acknowledged this tenant's release; the shard
                     # was down for its fragment — finish the release now.
-                    try:
-                        shard.release(srid)
-                    except ServiceError:
-                        logger.warning(
-                            "recovery: released gid's fragment on shard %d "
-                            "srid %d not releasable", shard.index, srid,
-                        )
+                    self._release_fragments(
+                        released[shard.index, srid], {shard.index: srid}
+                    )
                     continue
-                allocation = active[srid]
                 gid = self._next_gid
                 self._next_gid += 1
-                global_allocation = shard.view.allocation_to_global(
-                    allocation, request_id=gid
+                self._replay_admit(
+                    gid, {shard.index: srid},
+                    shard.view.allocation_to_global(active[srid], request_id=gid),
+                    None, journal=True,
                 )
-                self._wal.append(
-                    OP_RADMIT,
-                    gid=gid,
-                    shard=shard.index,
-                    srid=srid,
-                    idem=None,
-                    allocation=allocation_to_dict(global_allocation),
-                )
-                remember_admit(gid, {shard.index: srid}, global_allocation, None)
 
         # Adopt the reconciled set: every fragment is live at its shard and
         # every shard is internally capacity-consistent, so the union fits
         # the replica by construction (machines and pod-internal links are
         # owned by exactly one shard each).
-        for gid in sorted(recovered):
-            srids, allocation = recovered[gid]
-            self.replica.adopt(allocation)
-            core = core_demands_of(allocation, self.partition.core_link_ids)
-            if core:
-                self.ledger.commit_direct(gid, core)
-            self._gid_map[gid] = dict(srids)
-            for shard_index, srid in srids.items():
-                self._srid_map[(shard_index, srid)] = gid
+        awaiting, self._awaiting = self._awaiting, None
+        for gid in sorted(awaiting):
+            self._install(gid, self._gid_map[gid], awaiting[gid])
+
+    def _replay_admit(
+        self, gid: int, srids: Dict[int, int], allocation: Allocation,
+        key: Optional[str], journal: bool = False,
+    ) -> None:
+        """Recovery: one acknowledged admission enters the recovered set.
+
+        A fragment some gid already owns only points ``key`` at that owner
+        (the shard deduplicated a retried key); ``journal`` writes the
+        radmit the crash kept from the WAL.
+        """
+        owner = next(
+            (self._srid_map[f] for f in srids.items() if f in self._srid_map), None
+        )
+        if owner is None:
+            if gid in self._gid_map:
+                return
+            if journal:
+                ((shard_index, srid),) = srids.items()
+                self._journal(
+                    OP_RADMIT, required=False, gid=gid, shard=shard_index,
+                    srid=srid, idem=key, allocation=allocation_to_dict(allocation),
+                )
+            self._install(gid, srids, allocation)
+            self.admitted_count += 1
+            owner = gid
+        self._remember(key, self._decision(owner, "admitted", None))
+
+    def _forget_admission(self, gid: int) -> None:
+        """Drop every key that answers "admitted" with ``gid``."""
+        stale = [
+            key
+            for key, known in self._idem.items()
+            if known.get("request_id") == gid and known.get("outcome") == "admitted"
+        ]
+        for key in stale:
+            del self._idem[key]
 
     @staticmethod
     def _footprint(allocation: Allocation) -> Dict[str, Any]:
@@ -1526,26 +1472,20 @@ class ClusterCoordinator:
         """Release any adopted fragments of a round that never committed."""
         gid = int(intent["gid"])
         fragment_key = intent.get("fkey")
+        adopted: Dict[int, int] = {}
         if fragment_key is not None:
             for shard_text in intent.get("fragments", {}):
-                shard_index = int(shard_text)
-                found = self._shard_idem(shard_index, fragment_key)
+                found = self._shard_idem(int(shard_text), fragment_key)
                 if (
                     found is not None
                     and found.get("outcome") == "admitted"
                     and found.get("request_id") is not None
                     and found.get("allocation") is not None
                 ):
-                    try:
-                        self.shards[shard_index].release(int(found["request_id"]))
-                    except ServiceError:
-                        logger.warning(
-                            "presumed abort: gid=%d fragment on shard %d not "
-                            "releasable", gid, shard_index,
-                        )
-        self.ledger.abort(gid)
-        if journal_abort and self._wal is not None:
-            self._wal.append(OP_XABORT, gid=gid)
+                    adopted[int(shard_text)] = int(found["request_id"])
+        self._release_fragments(gid, adopted)
+        if journal_abort:
+            self._journal(OP_XABORT, required=False, gid=gid)
 
     def _shard_idem(self, shard_index: int, key: str) -> Optional[Dict[str, Any]]:
         try:

@@ -18,8 +18,8 @@ the only links shared with the rest of the datacenter.  Each core link hangs
 under exactly one pod and therefore belongs to exactly one shard, but its
 *capacity* is a datacenter-wide resource: cross-shard placements load core
 links of several shards at once, which is why the coordinator accounts for
-them on a shared ledger (:mod:`repro.cluster.ledger`) instead of trusting
-any single shard's view.
+them itself — committed load in its full-tree replica, in-flight holds in
+:mod:`repro.cluster.ledger` — instead of trusting any single shard's view.
 """
 
 from __future__ import annotations

@@ -252,7 +252,7 @@ FAMILIES: Dict[str, Family] = {
         "counter",
         "Core-link ledger reservation lifecycle events of the two-phase protocol.",
         ("event",),
-        preset=("reserve", "reserve_denied", "commit", "abort", "expire", "mirror"),
+        preset=("reserve", "reserve_denied", "commit", "abort", "expire"),
     ),
     "repro_cluster_coordinator_latency_seconds": Family(
         "histogram", "End-to-end coordinator decision latency, by admission path.",

@@ -27,11 +27,15 @@ replay from seq 0 must always reproduce the same state, which is what the
 oracle-replay tests exercise.
 
 Failure handling: a failed append (I/O error, failed fsync, torn write)
-marks the tail *dirty* — the bytes past the last known-good offset can no
-longer be trusted, because a record whose append raised was never
-acknowledged and must not reappear on replay.  The next append first
-truncates back to the good offset, so the on-disk journal always equals
-the sequence of successfully acknowledged appends.  The compiled
+leaves bytes past the last known-good offset that can no longer be
+trusted, because a record whose append raised was never acknowledged and
+must not reappear on replay.  The append truncates back to the good offset
+before it raises (and marks the tail *dirty* for the next append to repair
+if that truncate itself fails), so while the process lives the on-disk
+journal equals the sequence of successfully acknowledged appends.  A
+process that dies inside the append truncates nothing: reopening trims a
+torn line, but a complete line whose fsync never returned is kept — it
+cannot be told from an acknowledged record.  The compiled
 failpoints ``journal.write`` (error/crash/corrupt — corrupt writes a torn
 half-line), ``journal.fsync`` (error before the fsync call) and
 ``snapshot.write`` (error, or corrupt = a truncated snapshot file) let the
@@ -135,10 +139,16 @@ class Journal:
     def append(self, op: str, **fields: Any) -> int:
         """Durably append one record; returns its sequence number.
 
-        On any failure the record does not count as appended: the tail is
-        marked dirty and the next append truncates back to the last good
-        offset, so a record whose append raised (and was therefore never
-        acknowledged) can never resurface on replay.
+        On an ``Exception`` the record does not count as appended and its
+        bytes are truncated away before the error propagates, so it is
+        never replayed while the process survives the failed append — not
+        even if nothing is appended afterwards (if the truncate fails too,
+        the tail stays dirty and the next append repairs it).  Any other
+        ``BaseException`` stands for the process dying mid-append
+        (:class:`~repro.faults.failpoints.InjectedCrash`): a dead process
+        truncates nothing, the bytes stay for :meth:`_recover_tail`, which
+        trims a torn line but cannot tell a complete un-fsynced record
+        from an acknowledged one.
         """
         if self._tail_dirty:
             self._repair_tail()
@@ -162,7 +172,14 @@ class Journal:
                 # every fsync-gated WAL must take.
                 FAILPOINTS.hit(FP_JOURNAL_FSYNC)
                 os.fsync(self._file.fileno())
-        except BaseException:
+        except Exception:
+            self._tail_dirty = True
+            try:
+                self._repair_tail()
+            except OSError:
+                pass  # still dirty: the next append tries again
+            raise
+        except BaseException:  # process death: a dead process repairs nothing
             self._tail_dirty = True
             raise
         self._good_offset += len(data)

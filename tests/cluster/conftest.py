@@ -14,3 +14,13 @@ def clean_failpoints():
     FAILPOINTS.seed(0)
     yield
     FAILPOINTS.clear()
+
+
+class FakeClock:
+    """A clock the test moves by hand (ledger TTLs)."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now

@@ -34,3 +34,18 @@ def test_schedule_holds_invariants(seed, tmp_path):
     assert result.ok, f"seed {seed} violations: {result.failures}"
     # A planned crash may cut the workload short; some ops must still run.
     assert 0 < result.operations_run <= 25
+
+
+def test_seed_18_failed_fsync_then_crash(tmp_path):
+    """The one seed of the CI range (0-199) that failed before PR 15.
+
+    With the default 40 operations the plan fails a coordinator ``radmit``
+    at ``journal.fsync`` and crashes before the next coordinator append.
+    The journal used to repair a failed append lazily, at the next append —
+    so the un-acked record stayed in the file, recovery replayed it, and
+    the client's retry was told it owned a tenancy that did not exist.  (At
+    ``operations=25`` the plan differs and never reached the window.)
+    """
+    result = run_cluster_chaos_schedule(18, tmp_path / "run18", shards=2)
+    assert result.ok, f"seed 18 violations: {result.failures}"
+    assert result.crashed and result.unacked_keys > 0

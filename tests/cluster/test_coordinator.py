@@ -8,6 +8,7 @@ single-node stack.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -15,7 +16,13 @@ from repro.abstractions import HomogeneousSVC
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError
 from repro.cluster.partition import ClusterPartition
 from repro.cluster.shard import LocalShard
-from repro.faults.failpoints import FAILPOINTS, FP_JOURNAL_WRITE
+from repro.cluster.coordinator import WAL_FILENAME
+from repro.faults.failpoints import (
+    FAILPOINTS,
+    FP_COORD_BEFORE_COMMIT,
+    FP_JOURNAL_WRITE,
+    InjectedCrash,
+)
 from repro.manager.network_manager import NetworkManager
 from repro.obs.flightrec import flight_recorder
 from repro.service.codec import network_state_to_dict
@@ -52,6 +59,14 @@ def shutdown(coordinator, shards):
         shard.close()
 
 
+def crash(coordinator, shards):
+    """Drop everything without a drain; ``build_cluster`` on the same
+    directory is then a restart (shards recover first, then the coordinator)."""
+    coordinator.kill()
+    for shard in shards:
+        shard.close()
+
+
 class TestLocalPath:
     def test_admit_then_release_leaves_clean_state(self):
         _partition, shards, coordinator = build_cluster(2)
@@ -84,6 +99,45 @@ class TestLocalPath:
         finally:
             shutdown(coordinator, shards)
 
+    def test_a_key_in_flight_refuses_a_second_decision(self, monkeypatch):
+        """One guard for every keyed op: while a decision for a key is in
+        flight neither submit nor resize may start another with it."""
+        _partition, shards, coordinator = build_cluster(1)
+        entered, proceed = threading.Event(), threading.Event()
+        shard_submit = shards[0].submit
+
+        def slow_submit(*args, **kwargs):
+            entered.set()
+            assert proceed.wait(timeout=30.0)
+            return shard_submit(*args, **kwargs)
+
+        monkeypatch.setattr(shards[0], "submit", slow_submit)
+        decisions = []
+        worker = threading.Thread(
+            target=lambda: decisions.append(
+                coordinator.submit(small_request(), idempotency_key="k")
+            )
+        )
+        try:
+            worker.start()
+            assert entered.wait(timeout=30.0)
+            with pytest.raises(CoordinatorError, match="in flight"):
+                coordinator.submit(small_request(), idempotency_key="k")
+            with pytest.raises(CoordinatorError, match="in flight"):
+                coordinator.resize(1, new_n=2, idempotency_key="k")
+            proceed.set()
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
+            (first,) = decisions
+            assert first["outcome"] == "admitted"
+            again = coordinator.submit(small_request(), idempotency_key="k")
+            assert again["deduped"] is True
+            assert again["request_id"] == first["request_id"]
+            assert coordinator._inflight == set()
+        finally:
+            proceed.set()
+            shutdown(coordinator, shards)
+
     def test_oversize_request_rejected(self):
         _partition, shards, coordinator = build_cluster(2)
         try:
@@ -113,13 +167,13 @@ class TestCrossShardTwoPhase:
             assert all(
                 shard.stats()["active_tenancies"] == 1 for shard in shards
             )
-            # The ledger carries the committed core footprint...
-            assert coordinator.ledger.is_committed(gid)
+            # The replica carries the committed core footprint...
+            assert coordinator.allocation_of(gid) is not None
             assert 0.0 < coordinator.ledger.max_occupancy() < 1.0
             assert coordinator.ledger.pending_reservations == 0
-            # ...and release drains every fragment plus the ledger entry.
+            # ...and release drains every fragment plus the core-link load.
             assert coordinator.release(gid)
-            assert not coordinator.ledger.is_committed(gid)
+            assert coordinator.allocation_of(gid) is None
             assert coordinator.ledger.max_occupancy() == 0.0
             assert all(
                 shard.stats()["active_tenancies"] == 0 for shard in shards
@@ -161,7 +215,14 @@ def cluster_view(coordinator, shards):
             t.request_id: list(t.vm_machines) for t in replica.tenancies()
         },
         "rate_limiters": dict(replica.rate_limiters._caps),
-        "ledger": coordinator.ledger.committed_totals(),
+        "ledger": {
+            link_id: (
+                replica.state.links[link_id].mean_total,
+                replica.state.links[link_id].var_total,
+                replica.state.links[link_id].deterministic_total,
+            )
+            for link_id in coordinator.partition.core_link_ids
+        },
         "pending": coordinator.ledger.pending_reservations,
         "fragments": {
             gid: coordinator.fragments_of(gid) for gid in sorted(coordinator._gid_map)
@@ -224,6 +285,54 @@ WAL_CASES = {
     # rsintent, shard resize, rsdone
     "rsdone": ("rsdone", 3, False, _resize(5)),
     "rsdone-rejected": ("rsdone", 3, False, _resize(500)),
+}
+
+
+def _crash_at_append(nth, operation):
+    """Die at the ``nth`` journal append of ``operation`` (a coordinator one)."""
+
+    def prepare(coordinator, shards, gid, monkeypatch):
+        FAILPOINTS.arm(FP_JOURNAL_WRITE, "crash", every=nth, max_hits=1)
+        operation(coordinator, gid)
+
+    return prepare
+
+
+def _crash_before_xcommit(coordinator, shards, gid, monkeypatch):
+    FAILPOINTS.arm(FP_COORD_BEFORE_COMMIT, "crash", max_hits=1)
+    coordinator.submit(SPANNING, idempotency_key="k")
+
+
+def _lost_resize_record(coordinator, shards, gid, monkeypatch):
+    """An accepted resize whose done record is lost, then a rejected one:
+    no intent is left open, and the WAL still believes the old size."""
+    FAILPOINTS.arm(FP_JOURNAL_WRITE, "error", every=3, max_hits=1)
+    assert coordinator.resize(gid, new_n=5)["outcome"] != "rejected"
+    FAILPOINTS.clear()
+    assert coordinator.resize(gid, new_n=500)["outcome"] == "rejected"
+
+
+def _tenancy_behind_the_coordinators_back(coordinator, shards, gid, monkeypatch):
+    assert shards[1].submit(small_request())["outcome"] == "admitted"
+
+
+#: case -> (shards, the op recovery appends, its position among the journal
+#: appends recovery makes — shard releases share the failpoint —, how the
+#: cluster got there).  Durable TINY shards, one resident 3-VM tenant.
+RECOVERY_CASES = {
+    # rintent, shard admit, (crash) -> the open intent resolves to an admit
+    "radmit": (2, "radmit", 1, _crash_at_append(3, _submit(small_request()))),
+    # one shard: its reject is the decision
+    "rreject": (1, "rreject", 1, _crash_at_append(3, _submit(OVERSIZE))),
+    # shard release, (crash) -> the release is completed
+    "release": (2, "release", 1, _crash_at_append(2, _release)),
+    # rsintent, shard resize, (crash) -> the open resize resolves
+    "rsdone": (2, "rsdone", 1, _crash_at_append(3, _resize(5))),
+    "rsdone-rejected": (2, "rsdone", 1, _crash_at_append(3, _resize(500))),
+    "rsdone-reconciled": (2, "rsdone", 1, _lost_resize_record),
+    # two adopted fragments are released at their shards, then the xabort
+    "xabort": (2, "xabort", 3, _crash_before_xcommit),
+    "radmit-orphan": (2, "radmit", 1, _tenancy_behind_the_coordinators_back),
 }
 
 
@@ -316,6 +425,57 @@ class TestFailedAppendPolicy:
             live["rejected"] -= 1
         assert recovered == live
 
+    @pytest.mark.parametrize("case", sorted(RECOVERY_CASES))
+    def test_one_failed_append_during_recovery(self, tmp_path, monkeypatch, case):
+        """Recovery's own appends are roll-forward: each restates what the
+        shard journals re-derive, so losing one costs a ``wal_error`` event
+        and nothing else — the coordinator comes up, and a second restart
+        from the same directory reaches the same state."""
+        num_shards, op, nth, prepare = RECOVERY_CASES[case]
+        _partition, shards, coordinator = build_cluster(
+            num_shards, directory=tmp_path, max_cross_retries=0
+        )
+        try:
+            resident = coordinator.submit(small_request(), idempotency_key="resident")
+            try:
+                prepare(coordinator, shards, resident["request_id"], monkeypatch)
+            except InjectedCrash:
+                pass
+        finally:
+            FAILPOINTS.clear()
+            monkeypatch.undo()
+            crash(coordinator, shards)
+
+        def restart(inject):
+            watermark = flight_recorder().events()[-1]["seq"]
+            if inject:
+                # Shard recovery appends nothing, so the count starts with
+                # the coordinator's.
+                FAILPOINTS.arm(FP_JOURNAL_WRITE, "error", every=nth, max_hits=1)
+            try:
+                _partition, shards, coordinator = build_cluster(
+                    num_shards, directory=tmp_path
+                )
+            finally:
+                FAILPOINTS.clear()
+            try:
+                events = [
+                    event["op"]
+                    for event in flight_recorder().events()
+                    if event["kind"] == "wal_error" and event["seq"] > watermark
+                ]
+                return cluster_view(coordinator, shards), events
+            finally:
+                crash(coordinator, shards)
+
+        first, events = restart(inject=True)
+        assert events == [op]
+        second, events = restart(inject=False)
+        assert events == []
+        assert second == first
+        third, _events = restart(inject=False)  # the re-derived record landed
+        assert third == first
+
 
 class TestRecovery:
     def test_round_trip_restores_admissions_and_dedup(self, tmp_path):
@@ -357,7 +517,7 @@ class TestRecovery:
             for key in ("a", "big"):
                 gid = decisions[key]["request_id"]
                 assert coordinator.fragments_of(gid) == fragments_before[key]
-            assert coordinator.ledger.is_committed(decisions["big"]["request_id"])
+            assert coordinator.allocation_of(decisions["big"]["request_id"]) is not None
             # Dedup survives the restart for every keyed decision.
             for key in ("a", "big", "reject"):
                 replay = coordinator.submit(
@@ -372,6 +532,62 @@ class TestRecovery:
             assert coordinator.ledger.max_occupancy() == 0.0
         finally:
             shutdown(coordinator, shards)
+
+
+    @pytest.mark.parametrize(
+        "last_op", [_submit(small_request()), _release, _resize(5)],
+        ids=["radmit", "release", "rsdone"],
+    )
+    def test_torn_coordinator_wal_tail_is_rederived(self, tmp_path, last_op):
+        """Cut ``coordinator.jsonl`` in the middle of its last record: the
+        reopened WAL drops the torn line, recovery re-derives what it said
+        from the shard journals, and later appends extend the intact prefix."""
+        _partition, shards, coordinator = build_cluster(2, directory=tmp_path)
+        try:
+            resident = coordinator.submit(small_request(), idempotency_key="resident")
+            last_op(coordinator, resident["request_id"])
+            live = cluster_view(coordinator, shards)
+        finally:
+            crash(coordinator, shards)
+        wal = tmp_path / "coordinator" / WAL_FILENAME
+        content = wal.read_bytes()
+        last_record = content.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+        wal.write_bytes(content[: len(content) - len(last_record) // 2])
+
+        for _restart in range(2):
+            _partition, shards, coordinator = build_cluster(2, directory=tmp_path)
+            try:
+                assert cluster_view(coordinator, shards) == live
+            finally:
+                crash(coordinator, shards)
+
+    def test_a_completed_release_takes_its_admitted_keys_along(self, tmp_path):
+        """A WAL admission whose fragment is gone from its shard is dropped
+        by recovery, and so is the key that would answer "admitted" with it
+        — also on the restart after, which replays the recovered release.
+        An ordinary, acknowledged release keeps its key."""
+        _partition, shards, coordinator = build_cluster(2, directory=tmp_path)
+        try:
+            kept = coordinator.submit(small_request(), idempotency_key="kept")
+            assert coordinator.release(kept["request_id"])
+            lost = coordinator.submit(small_request(), idempotency_key="lost")
+            ((home, srid),) = coordinator.fragments_of(lost["request_id"]).items()
+            assert shards[home].release(srid)  # behind the coordinator's back
+        finally:
+            crash(coordinator, shards)
+        for restart in range(2):
+            _partition, shards, coordinator = build_cluster(2, directory=tmp_path)
+            try:
+                assert coordinator.active_tenancies == 0
+                assert "lost" not in coordinator._idem
+                assert coordinator._idem["kept"]["request_id"] == kept["request_id"]
+                if restart == 1:
+                    again = coordinator.submit(small_request(), idempotency_key="lost")
+                    assert again.get("deduped") is None
+                    assert again["outcome"] == "admitted"
+                    assert coordinator.fragments_of(again["request_id"]) is not None
+            finally:
+                crash(coordinator, shards)
 
 
 class TestSingleShardEquivalence:

@@ -4,7 +4,21 @@ import json
 
 import pytest
 
+from repro.faults.failpoints import (
+    FAILPOINTS,
+    FP_JOURNAL_FSYNC,
+    FP_JOURNAL_WRITE,
+    FailpointError,
+    InjectedCrash,
+)
 from repro.service.journal import DurabilityStore, Journal, ReplaySummary
+
+
+@pytest.fixture()
+def failpoints():
+    FAILPOINTS.clear()
+    yield FAILPOINTS
+    FAILPOINTS.clear()
 
 
 class TestJournal:
@@ -68,6 +82,98 @@ class TestJournal:
 
     def test_missing_file_replays_empty(self, tmp_path):
         assert Journal.replay(tmp_path / "absent.jsonl") == []
+
+
+class TestFailedAppend:
+    """A record whose append raised was never acknowledged.
+
+    It must be gone from the file at once, not at the next append: the
+    process may stop before there is one, and recovery would replay it.
+    """
+
+    def test_failed_fsync_leaves_no_record_without_a_further_append(
+        self, tmp_path, failpoints
+    ):
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path, fsync=True)
+        journal.append("admit", index=0)
+        failpoints.arm(FP_JOURNAL_FSYNC, "error", max_hits=1)
+        with pytest.raises(FailpointError):
+            journal.append("admit", index=1)  # written in full, then fsync fails
+        assert journal.next_seq == 2
+        journal.close()  # the process stops here: no repairing append follows
+        assert [r["index"] for r in Journal.replay(path)] == [0]
+        with Journal(path) as reopened:
+            assert reopened.next_seq == 2
+            assert reopened.append("admit", index=2) == 2
+        assert [r["index"] for r in Journal.replay(path)] == [0, 2]
+
+    def test_torn_write_is_truncated_at_once(self, tmp_path, failpoints):
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path)
+        journal.append("admit", index=0)
+        intact = path.read_bytes()
+        failpoints.arm(FP_JOURNAL_WRITE, "corrupt", max_hits=1)
+        with pytest.raises(FailpointError):
+            journal.append("admit", index=1)
+        assert path.read_bytes() == intact
+        journal.close()
+
+    def test_a_failed_truncate_is_retried_by_the_next_append(
+        self, tmp_path, failpoints, monkeypatch
+    ):
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path, fsync=True)
+        journal.append("admit", index=0)
+        repair = journal._repair_tail
+
+        def broken():
+            raise OSError("injected: truncate failed")
+
+        monkeypatch.setattr(journal, "_repair_tail", broken)
+        failpoints.arm(FP_JOURNAL_FSYNC, "error", max_hits=1)
+        with pytest.raises(FailpointError):
+            journal.append("admit", index=1)
+        monkeypatch.setattr(journal, "_repair_tail", repair)
+        assert journal.append("admit", index=2) == 2
+        journal.close()
+        assert [r["index"] for r in Journal.replay(path)] == [0, 2]
+
+    def test_a_crash_inside_the_write_leaves_the_bytes_for_reopen(
+        self, tmp_path, monkeypatch
+    ):
+        # A dead process truncates nothing: what the crash left is trimmed
+        # by the next open (_recover_tail), as after a real power loss.
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path)
+        journal.append("admit", index=0)
+        intact = path.read_bytes()
+        write = journal._file.write
+
+        def dies_mid_write(data):
+            write(data[: len(data) // 2])
+            journal._file.flush()
+            raise InjectedCrash("power loss mid-write")
+
+        monkeypatch.setattr(journal, "_file", _WriteProxy(journal._file, dies_mid_write))
+        with pytest.raises(InjectedCrash):
+            journal.append("admit", index=1)
+        journal.close()
+        assert len(path.read_bytes()) > len(intact)  # the half line is on disk
+        with Journal(path) as reopened:
+            assert reopened.next_seq == 2
+        assert path.read_bytes() == intact
+
+
+class _WriteProxy:
+    """A file object whose ``write`` is replaced (built-in files refuse setattr)."""
+
+    def __init__(self, handle, write):
+        self._handle = handle
+        self.write = write
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
 
 
 class TestDurabilityStore:
