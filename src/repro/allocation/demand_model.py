@@ -213,12 +213,6 @@ class SegmentDemandTable:
         """Original VM indices of segment ``[start, end)`` of the sorted order."""
         return self.order[start:end]
 
-    def freeze(self) -> "SegmentDemandTable":
-        """Mark the moment matrices read-only (shared cached instances)."""
-        self.demand_mean.flags.writeable = False
-        self.demand_var.flags.writeable = False
-        return self
-
     def segment_demand(self, start: int, end: int) -> Normal:
         """Demand on a link separating segment ``[start, end)`` from the rest."""
         if not 0 <= start <= end <= self.n_vms:
@@ -226,34 +220,3 @@ class SegmentDemandTable:
         return Normal.from_variance(
             float(self.demand_mean[start, end]), float(self.demand_var[start, end])
         )
-
-
-#: Bounded memo of :func:`segment_demand_table` results, same discipline as
-#: ``_SPLIT_MOMENTS_CACHE``: heterogeneous workload generators draw per-VM
-#: rates from a small discrete set, so whole request shapes recur across
-#: admissions; the cached table's arrays are frozen before sharing.
-_SEGMENT_TABLE_CACHE: "dict" = {}
-_SEGMENT_TABLE_CACHE_MAX = 256
-
-
-def segment_demand_table(
-    request: HeterogeneousSVC, percentile: float = 95.0
-) -> SegmentDemandTable:
-    """Memoized :class:`SegmentDemandTable` per request shape and percentile.
-
-    Keyed by the exact per-VM ``(mean, variance)`` sequence, so two equal
-    requests share one table (``O(N^2)`` Lemma-1 work saved per admission).
-    The returned table is shared and read-only; copy before mutating.
-    """
-    key = (
-        tuple((demand.mean, demand.variance) for demand in request.demands),
-        percentile,
-    )
-    cached = _SEGMENT_TABLE_CACHE.get(key)
-    if cached is None:
-        cached = SegmentDemandTable(request, percentile=percentile).freeze()
-        if len(_SEGMENT_TABLE_CACHE) >= _SEGMENT_TABLE_CACHE_MAX:
-            # Simple wholesale reset: shapes are few, refilling is cheap.
-            _SEGMENT_TABLE_CACHE.clear()
-        _SEGMENT_TABLE_CACHE[key] = cached
-    return cached

@@ -37,31 +37,40 @@ in ``svc_homogeneous.py``:
   ``(A ⊗ B)[s, e] = min over k of max(A[s, k], B[k, e])`` is an exactly
   associative (min, max)-matrix product over IEEE floats (``min``/``max``
   select an operand, they never round), so vertex *values* may be computed
-  in any grouping.  Concretely it (a) memoizes the ``O(N^2)`` Lemma-1
-  segment-demand table per request shape, (b) stores every fast-path table
-  in **band form** ``band[s, d] = table[s, s + d]`` — an
-  ``(N+1) x (cap+1)`` rectangle holding exactly the potentially-finite
-  entries (the invariant ``band[s, d] = inf`` whenever ``s + d > N`` keeps
-  out-of-range reads harmless), so each kernel does work proportional to
-  the feasible band instead of the full ``(N+1)^2`` matrix, (c) shares one
-  read-only machine table per free-slot count, (d) shares the per-child
-  effective band per (child table, uplink state) and derives from each its
-  **tight cap** — the longest segment the child can still absorb once
-  uplink occupancy is masked — which bounds every later band, (e) scans
-  each tree level with a **row-0-only** value vector per vertex (all a
-  host check needs is ``Opt[0, N]``), materializing full tables only for
-  levels the search ascends past, (f) materializes those tables with a
-  **balanced pair-combine** whose intermediates are cached by operand
-  identity (runs of identical children — pristine racks — collapse to
-  ``O(log)`` unique combines), and (g) rebuilds per-child split choices
-  **lazily**, only for vertices on the accepted placement path, with the
-  reference's sequential combine.
+  in any grouping.  Concretely it (a) reads the ``O(N^2)`` Lemma-1
+  segment-demand table once, in band form, (b) stores every fast-path table
+  in **band form** ``band[d, s] = table[s, s + d]`` — a
+  ``(cap+1) x (N+1)`` rectangle holding exactly the potentially-finite
+  entries, segment start innermost so every kernel slice is a long
+  contiguous run (the invariant ``band[d, s] = inf`` whenever
+  ``s + d > N`` keeps out-of-range reads harmless), so each kernel does
+  work proportional to the feasible band instead of the full ``(N+1)^2``
+  matrix, (c) shares one read-only machine table per free-slot count,
+  (d) builds the effective child bands of a whole tree level in one
+  stacked occupancy pass, one slot per distinct (child table, uplink
+  state), and derives from each its **tight cap** — the longest segment
+  the child can still absorb once uplink occupancy is masked — which
+  bounds every later band, (e) scans a level with **one row-0 fold** over
+  its signature-unique vertices stacked into a ``(V, W, N+1)`` tensor (all
+  a host check needs is ``Opt[0, N]``; a vertex whose children's tight
+  caps sum below ``N`` is ``inf`` without a scan), materializing full
+  tables only for levels the search ascends past, (f) materializes those
+  tables with a **balanced pair-combine**, each round one kernel call per
+  operand shape over the level's distinct pairs (runs of identical
+  children — pristine racks — collapse to ``O(log)`` unique combines), and
+  (g) recovers per-child split choices from **one DP row**: a backtrack
+  enters a vertex with a fixed ``start`` and row ``start`` of the
+  sequential DP is closed over itself, so the prefix rows plus one banded
+  first-``argmin`` per child are the reference's first-minimizing splits
+  — no choice table is ever built.
 
-Every value the fast path compares or returns is produced by the same
-max/min/compare operations on the same floats as the reference path (bands
-only ever exclude provably-``inf`` candidates), so the produced host /
-placement / ``max_occupancy`` decisions are bit-for-bit the same — not
-merely statistically equivalent
+Where bands of unequal caps share a stack, the narrower reads as ``inf``
+past its cap, which the band invariant already makes inert.  Every value
+the fast path compares or returns is produced by the same max/min/compare
+operations on the same floats as the reference path (bands only ever
+exclude provably-``inf`` candidates), so the produced host / placement /
+``max_occupancy`` decisions are bit-for-bit the same — not merely
+statistically equivalent
 (``tests/allocation/test_het_fast_equivalence.py``).
 """
 
@@ -69,14 +78,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.abstractions.requests import HeterogeneousSVC, VirtualClusterRequest
 from repro.allocation.base import Allocation, Allocator
-from repro.allocation.demand_model import SegmentDemandTable, segment_demand_table
+from repro.allocation.demand_model import SegmentDemandTable, subset_split_demand
 from repro.network.link_state import LinkState, NetworkState
 from repro.obs.instruments import (
     PHASE_ALLOC,
@@ -91,12 +99,6 @@ from repro.stochastic.normal import Normal
 
 _FEASIBLE_LIMIT = 1.0
 
-# Below this request size the structural caps (free slots under a child)
-# are already narrow relative to N and the tight-cap finite scans cost more
-# than the band width they'd shave.  Purely a work-routing threshold: caps
-# only ever exclude provably-inf candidates, so values are unaffected.
-_DENSE_N = 52
-
 
 @dataclass
 class _SegmentTable:
@@ -110,14 +112,14 @@ class _SegmentTable:
 class _ValueTable:
     """Value-only DP state per vertex (fast path), in band form.
 
-    ``values[s, d]`` is the table entry for segment ``[s, s + d)`` — the
-    whole ``(N+1) x (cap+1)`` rectangle of *potentially* finite entries,
+    ``values[d, s]`` is the table entry for segment ``[s, s + d)`` — the
+    whole ``(cap+1) x (N+1)`` rectangle of *potentially* finite entries,
     where ``cap`` is the band width: every segment longer than ``cap`` is
     provably ``inf`` (no longer segment is allocable in the subtree), as is
     every entry with ``s + d > N``.  Band form keeps the per-combine work
     proportional to the feasible entries instead of the full ``(N+1)^2``
-    matrix.  Split choices are not stored — they are rebuilt lazily for the
-    placement path only.
+    matrix.  Split choices are not stored — the backtrack recovers them from
+    one DP row per vertex on the placement path.
     """
 
     values: np.ndarray
@@ -125,46 +127,151 @@ class _ValueTable:
 
 
 def _band_of(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Strided band view ``band[s, d] = matrix[s, s + d]`` over a padded copy.
+    """Band form ``band[d, s] = matrix[s, s + d]`` of a full segment matrix.
 
-    Entries with ``s + d > n`` read padding or a neighboring row — they are
-    never *used*: every consumer masks them with a table band that is inf
-    there (the band invariant), so only in-bounds reads matter and the view
-    costs one flat copy.
+    Read through a strided view of a padded flat copy.  Entries with
+    ``s + d > n`` hold padding or a neighboring row — they are never
+    *used*: every consumer masks them with a table band that is inf there
+    (the band invariant), so only in-bounds reads matter.
     """
     flat = np.full((n + 1) * (n + 2), np.inf)
     flat[: (n + 1) * (n + 1)] = matrix.ravel()
-    stride = flat.strides[0]
-    band = as_strided(flat, shape=(n + 1, n + 1), strides=((n + 2) * stride, stride))
+    stride = flat.itemsize
+    sheared = np.ndarray((n + 1, n + 1), flat.dtype, flat, 0, (stride, (n + 2) * stride))
+    band = sheared.copy()  # contiguous: it is broadcast against every arena slot
     band.flags.writeable = False
     return band
 
 
-@dataclass
-class _FastCaches:
-    """Per-``allocate`` table caches of the fast path (no cross-request state).
+def _fold_rows(rows: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """One child folded into a stack of DP rows.
 
-    ``machine`` shares one read-only table per free-slot count; ``vertex``
-    (full tables) and ``row0`` (host-check vectors) share whole vertex
-    results per child-state signature; ``eff`` shares the effective child
-    band — paired with its tight finite-band cap — per (child table
-    identity, uplink state); ``pair`` shares balanced-combine intermediates
-    per operand identity.  The lookup counters feed the obs cache-hit
-    counters once per request.
+    ``rows[v, k]`` is ``partial[start, k]`` of vertex ``v`` before the child
+    and ``bands[v]`` the child's effective band; the result is the row after
+    it, ``new[v, e] = min over k of max(rows[v, k], eff[k, e])`` — a row of
+    the sequential DP is closed over the same row of its partials, so a
+    host check (``start = 0``) and a split recovery (the backtrack's
+    ``start``) cost ``O(children * N * cap)`` per vertex, not a table.  In
+    band coordinates the fold is an anti-diagonal min, ``new[e] = min over
+    length l of max(row[e - l], band[l, e - l])``: one sheared view over a
+    padded max tensor.  Every skipped candidate is outside a feasible
+    band and hence provably ``inf``; same floats otherwise.
+    """
+    count, width, height = bands.shape
+    padded = np.full((count, width, height + width - 1), np.inf)
+    np.maximum(rows[:, None, :], bands, out=padded[:, :, width - 1 :])
+    plane, row, col = padded.strides
+    # shifted[v, l, e] = folded[v, l, e - l]  (inf padding where e < l).
+    shifted = np.ndarray(
+        (count, width, height), padded.dtype, padded,
+        (width - 1) * col, (plane, row - col, col),
+    )
+    return shifted.min(axis=1)
+
+
+def _combine_bands(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """Stacked values-only band combine of ``left[p] ⊗ right[p]`` per pair.
+
+    In band coordinates the segment combine reads
+    ``new[d, s] = min over j of max(a[j, s], b[d - j, s + j])`` with ``j``
+    the length placed in the left operand.  The *narrower* operand stack is
+    enumerated: each iteration fixes one split length and folds a
+    rectangular slice of the other with an in-place min, ``O(cap_a * cap_b
+    * N)`` contiguous ops per pair and one numpy dispatch per split length
+    for the whole stack (walking ``b``'s split lengths reads
+    ``b[db, s + d - db]`` — a function of ``s + d`` — through a strided view
+    of ``b`` padded with ``inf`` columns).  Every skipped ``j`` is outside a
+    feasible band and hence provably ``inf``; min/max are exactly
+    associative and commutative over floats, so any fold order gives the
+    reference's values bit for bit.  The output keeps the band invariant:
+    entries with ``s + d > n`` only ever see ``inf`` candidates (both
+    operands hold the invariant) and stay ``inf``.
+    """
+    count, width_a, height = left.shape
+    width_b = right.shape[1]
+    width = min(n, width_a + width_b - 2) + 1
+    out = np.full((count, width, height), np.inf)
+    if width_a <= width_b:
+        for da in range(width_a):
+            hi = min(da + width_b, width)
+            # new[da + t, s] <- max(a[da, s], b[t, s + da])
+            target = out[:, da:hi, : height - da]
+            np.minimum(
+                target,
+                np.maximum(left[:, da, None, : height - da], right[:, : hi - da, da:]),
+                out=target,
+            )
+    else:
+        padded = np.full((count, width_b, height + width_a - 1), np.inf)
+        padded[:, :, :height] = right
+        plane, row, col = padded.strides
+        for db in range(width_b):
+            hi = min(db + width_a, width)
+            # shifted[p, t, s] = b[db, s + t]
+            shifted = np.ndarray(
+                (count, hi - db, height), padded.dtype, padded,
+                db * row, (plane, col, col),
+            )
+            target = out[:, db:hi]
+            np.minimum(target, np.maximum(left[:, : hi - db], shifted), out=target)
+    return out
+
+
+@dataclass
+class _LevelBands:
+    """One tree level's effective child bands, stacked, and what is built on them.
+
+    A vertex DP is a pure function of its children's tables and uplink
+    states, so each distinct (child table, uplink state) of the level owns
+    one ``arena`` slot and a vertex is its tuple of slots — its
+    **signature**: vertices with equal signatures (the common case: most
+    racks of a datacenter look alike) share one ``row0`` value and one
+    table.  ``bands`` and ``caps`` are indexed by *name*: the arena slots
+    first, then every pair combine of the balanced materialization, named
+    by ``names[left, right]`` so a pair met twice is combined once.
     """
 
+    arena: np.ndarray  # (slots, W, N+1); arena[slot] = one effective band
+    caps: List[int]  # per name: the tight cap (a pair's: the sum, cut at N)
+    slots: Dict[int, Tuple[int, ...]]  # vertex -> one slot per child, in order
+    bands: List[np.ndarray] = field(default_factory=list)  # filled when materializing
+    names: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    row0: Dict[Tuple[int, ...], float] = field(default_factory=dict)
+    tables: Dict[Tuple[int, ...], _ValueTable] = field(default_factory=dict)
+
+
+@dataclass
+class _FastCaches:
+    """Per-``allocate`` state of the fast path (no cross-request state).
+
+    ``machine`` shares one read-only table per free-slot count; ``tables``
+    holds the full band table of every node the search has ascended past
+    (machines, then each materialized level); ``levels`` maps a scanned
+    vertex to its level's :class:`_LevelBands`, which is all the backtrack
+    needs to recover splits.  The lookup/build counters feed the obs
+    cache-hit counters once per request: a *lookup* is one machine, vertex
+    or child that needed a table, value or effective band, a *build* one
+    distinct result; every other lookup was served by a shared one
+    (``hits = lookups - builds``).
+    """
+
+    n: int
+    # The request's segment demand moments in band form (see _band_of).
+    mean_band: np.ndarray
+    var_band: np.ndarray
     machine: Dict[int, _ValueTable] = field(default_factory=dict)
-    vertex: Dict[Tuple, _ValueTable] = field(default_factory=dict)
-    row0: Dict[Tuple, np.ndarray] = field(default_factory=dict)
-    eff: Dict[Tuple, Tuple[np.ndarray, int]] = field(default_factory=dict)
-    # pair values keep their operands alive so the id()-based key stays unique.
-    pair: Dict[Tuple, Tuple] = field(default_factory=dict)
-    # Band views of the request's segment demand moments (see _band_of).
-    mean_band: Optional[np.ndarray] = None
-    var_band: Optional[np.ndarray] = None
+    tables: Dict[int, _ValueTable] = field(default_factory=dict)
+    levels: Dict[int, _LevelBands] = field(default_factory=dict)
     machine_lookups: int = 0
     vertex_lookups: int = 0
+    vertex_builds: int = 0
     eff_lookups: int = 0
+    eff_builds: int = 0
+
+
+def _add_phase(phases: Optional[Dict[str, float]], phase: str, since: float) -> None:
+    if phases is not None:
+        phases[phase] = phases.get(phase, 0.0) + perf_counter() - since
 
 
 def _empty_segments(n: int) -> np.ndarray:
@@ -211,8 +318,6 @@ class SVCHeterogeneousAllocator(Allocator):
             raise TypeError(f"{self.name} cannot resize a {type(new_request).__name__}")
         if machine_vms is None:
             raise ValueError("heterogeneous resize needs per-machine VM identities")
-        from repro.allocation.demand_model import subset_split_demand
-
         tree = state.tree
         below: Dict[int, List[int]] = {}
         for machine_id, vms in machine_vms.items():
@@ -248,110 +353,34 @@ class SVCHeterogeneousAllocator(Allocator):
                 reason=REASON_NO_FREE_SLOTS, trace=trace, n_vms=n,
             )
             return None
-        segments = segment_demand_table(request, percentile=self._percentile)
+        segments = SegmentDemandTable(request, percentile=self._percentile)
 
         tree = state.tree
-        tables: Dict = {}
+        tables: Dict[int, _SegmentTable] = {}
         host: Optional[int] = None
         host_value = np.inf
-        caches = _FastCaches() if self._fast else None
-        if caches is not None:
-            caches.mean_band = _band_of(segments.demand_mean, n)
-            caches.var_band = _band_of(segments.demand_var, n)
-        # Fast path: nodes of the previous level scanned but not yet
-        # materialized into full tables (they are, lazily, only if the
-        # search ascends past them — their children feed the next level).
-        pending: List[int] = []
-        scan_inputs: Dict[int, Tuple[Tuple, List[Tuple[np.ndarray, int]]]] = {}
-        for _level, node_ids in tree.bottom_up_levels():
-            if caches is not None and _level == 0:
-                # Machine level, unrolled: the table is the shared 0/inf band
-                # per free-slot count, and a machine hosts the whole request
-                # iff its free slots cover N — in which case its Opt value is
-                # 0.0 and the first such machine in node order wins, exactly
-                # as the generic loop below decides.
-                t_phase = perf_counter() if phases is not None else 0.0
-                free_slots = state.free_slots
-                for node_id in node_ids:
-                    free = free_slots(node_id)
-                    tables[node_id] = self._machine_table(
-                        min(free, n), n, caches.machine
-                    )
-                    if host is None and free >= n:
-                        host, host_value = node_id, 0.0
-                caches.machine_lookups = len(node_ids)
-                if phases is not None:
-                    phases[PHASE_TABLE_BUILD] = (
-                        phases.get(PHASE_TABLE_BUILD, 0.0) + perf_counter() - t_phase
-                    )
-                if host is not None:
-                    break
-                continue
-            if caches is not None:
-                for prev_id in pending:
-                    t_phase = perf_counter() if phases is not None else 0.0
-                    key, effs_caps = scan_inputs[prev_id]
-                    caches.vertex_lookups += 1
-                    table = caches.vertex.get(key)
-                    if table is None:
-                        table = self._balanced_values(effs_caps, n, caches)
-                        caches.vertex[key] = table
-                    tables[prev_id] = table
-                    if phases is not None:
-                        phases[PHASE_COMBINE] = (
-                            phases.get(PHASE_COMBINE, 0.0) + perf_counter() - t_phase
-                        )
-                pending = []
-                for node_id in node_ids:
-                    node = tree.node(node_id)
-                    if node.is_machine:
-                        caches.machine_lookups += 1
-                        free = state.free_slots(node_id)
-                        tables[node_id] = self._machine_table(
-                            min(free, n), n, caches.machine
-                        )
-                        if free >= n and 0.0 < host_value:
-                            host, host_value = node_id, 0.0
-                        continue
-                    key, effs_caps = self._vertex_inputs(
-                        state, node_id, n, segments, tables, caches, phases
-                    )
-                    scan_inputs[node_id] = (key, effs_caps)
-                    t_phase = perf_counter() if phases is not None else 0.0
-                    caches.vertex_lookups += 1
-                    row0 = caches.row0.get(key)
-                    if row0 is None:
-                        row0 = self._row0_values(effs_caps, n)
-                        row0.flags.writeable = False
-                        caches.row0[key] = row0
-                    if phases is not None:
-                        phases[PHASE_TABLE_BUILD] = (
-                            phases.get(PHASE_TABLE_BUILD, 0.0)
-                            + perf_counter() - t_phase
-                        )
-                    value = float(row0[n])
-                    if np.isfinite(value) and value < host_value:
-                        host, host_value = node_id, value
-                    pending.append(node_id)
-            else:
+        caches: Optional[_FastCaches] = None
+        if self._fast:
+            caches = _FastCaches(
+                n, _band_of(segments.demand_mean, n), _band_of(segments.demand_var, n)
+            )
+            host, host_value = self._search_fast(state, caches, phases)
+            obs.cache("het_machine", caches.machine_lookups,
+                      caches.machine_lookups - len(caches.machine))
+            obs.cache("het_vertex", caches.vertex_lookups,
+                      caches.vertex_lookups - caches.vertex_builds)
+            obs.cache("het_eff", caches.eff_lookups,
+                      caches.eff_lookups - caches.eff_builds)
+        else:
+            for _level, node_ids in tree.bottom_up_levels():
                 for node_id in node_ids:
                     table = self._build_vertex(state, node_id, n, segments, tables)
                     tables[node_id] = table
                     value = float(table.values[0, n])
                     if np.isfinite(value) and value < host_value:
                         host, host_value = node_id, value
-            if host is not None:
-                break
-        if caches is not None:
-            # Every probe that did not insert a new table was served by a
-            # shared one (hits = lookups - inserts), folded in once per request.
-            obs.cache("het_machine", caches.machine_lookups,
-                      caches.machine_lookups - len(caches.machine))
-            obs.cache("het_vertex", caches.vertex_lookups,
-                      caches.vertex_lookups
-                      - len(caches.row0) - len(caches.vertex))
-            obs.cache("het_eff", caches.eff_lookups,
-                      caches.eff_lookups - len(caches.eff))
+                if host is not None:
+                    break
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
@@ -362,10 +391,7 @@ class SVCHeterogeneousAllocator(Allocator):
         t_alloc = perf_counter() if phases is not None else 0.0
         node_segments: Dict[int, Tuple[int, int]] = {}
         if caches is not None:
-            self._backtrack_fast(
-                state, n, segments, tables, caches, {}, host, 0, n,
-                node_segments, phases,
-            )
+            self._backtrack_fast(tree, caches, host, 0, n, node_segments, phases)
         else:
             self._backtrack(tree, tables, host, 0, n, node_segments)
 
@@ -469,9 +495,58 @@ class SVCHeterogeneousAllocator(Allocator):
         np.fill_diagonal(effective, 0.0)
         return effective
 
+
     # ------------------------------------------------------------------
     # Fast DP construction (numerically identical to the reference above)
     # ------------------------------------------------------------------
+
+    def _search_fast(
+        self,
+        state: NetworkState,
+        caches: _FastCaches,
+        phases: Optional[Dict[str, float]],
+    ) -> Tuple[Optional[int], float]:
+        """Level-by-level host search: the lowest level with a feasible
+        vertex, and on it the first vertex of minimum ``Opt[0, N]``."""
+        n = caches.n
+        host: Optional[int] = None
+        host_value = np.inf
+        scanned: Optional[_LevelBands] = None  # the level below, tables not built yet
+        for level, node_ids in state.tree.bottom_up_levels():
+            since = perf_counter()
+            if level == 0:
+                # A machine's table is the shared 0/inf band of its free-slot
+                # count, and it hosts the whole request iff its free slots
+                # cover N — at Opt value 0.0, the first such machine winning.
+                free_slots = state.free_slots
+                for node_id in node_ids:
+                    free = free_slots(node_id)
+                    caches.tables[node_id] = self._machine_table(
+                        min(free, n), n, caches.machine
+                    )
+                    if host is None and free >= n:
+                        host, host_value = node_id, 0.0
+                caches.machine_lookups = len(node_ids)
+                _add_phase(phases, PHASE_TABLE_BUILD, since)
+            else:
+                if scanned is not None:
+                    # The search ascends past the level below: its vertices'
+                    # full tables are this level's children.
+                    self._materialize(scanned, caches)
+                    _add_phase(phases, PHASE_COMBINE, since)
+                    since = perf_counter()
+                scanned = self._level_bands(state, node_ids, caches)
+                _add_phase(phases, PHASE_BATCH_OCCUPANCY, since)
+                since = perf_counter()
+                self._scan_row0(scanned, caches)
+                for node_id in node_ids:
+                    value = scanned.row0[scanned.slots[node_id]]
+                    if value < host_value:
+                        host, host_value = node_id, value
+                _add_phase(phases, PHASE_TABLE_BUILD, since)
+            if host is not None:
+                break
+        return host, host_value
 
     @staticmethod
     def _machine_table(
@@ -481,198 +556,148 @@ class SVCHeterogeneousAllocator(Allocator):
 
         Machines with the same number of free slots have identical DP tables
         (any segment no longer than ``limit`` fits at inner objective 0), so
-        one read-only ``(n+1) x (limit+1)`` band serves all of them for the
+        one read-only ``(limit+1) x (n+1)`` band serves all of them for the
         current request.
         """
         table = machine_cache.get(limit)
         if table is None:
-            values = np.zeros((n + 1, limit + 1))
-            over = np.arange(n + 1)[:, None] + np.arange(limit + 1)[None, :] > n
+            values = np.zeros((limit + 1, n + 1))
+            over = np.arange(limit + 1)[:, None] + np.arange(n + 1)[None, :] > n
             values[over] = np.inf
             values.flags.writeable = False
             table = _ValueTable(values=values, cap=limit)
             machine_cache[limit] = table
         return table
 
-    def _vertex_inputs(
-        self,
-        state: NetworkState,
-        node_id: int,
-        n: int,
-        segments: SegmentDemandTable,
-        tables: Dict,
-        caches: _FastCaches,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> Tuple[Tuple, List[Tuple[np.ndarray, int]]]:
-        """Signature + per-child (effective band, tight cap) for a vertex.
 
-        The vertex DP is a pure function of the children's tables and uplink
-        states, so vertices whose children are in bit-identical states (the
-        common case: most racks of a datacenter look alike) share results
-        via the signature-keyed ``row0``/``vertex`` caches.  Table identity
-        is safe as a key: machine tables are shared per free-slot count and
-        vertex tables per signature, so equal ids imply bit-identical tables.
+    def _level_bands(
+        self, state: NetworkState, node_ids: Sequence[int], caches: _FastCaches
+    ) -> _LevelBands:
+        """Effective child bands of every vertex of one level, in one pass.
 
-        The tight cap — the longest segment whose effective entry is still
-        finite — is a pure function of the effective matrix, so it is cached
-        alongside it and the signature caches stay consistent.  Bands built
-        from tight caps exclude only provably-``inf`` candidates.
-        """
-        t_phase = perf_counter() if phases is not None else 0.0
-        links = state.links
-        free_under = state.free_slots_under
-        signature: List[Tuple] = []
-        entries: List = []
-        caps: List[int] = []
-        misses: List[Tuple[int, int, Tuple]] = []
-        for index, child_id in enumerate(state.tree.node(node_id).children):
-            link_state = links[child_id]
-            cap = min(n, free_under(child_id))
-            sig = (
-                id(tables[child_id]),
-                link_state.deterministic_total,
-                link_state.mean_total,
-                link_state.var_total,
-                link_state.capacity,
-                cap,
-            )
-            signature.append(sig)
-            caps.append(cap)
-            caches.eff_lookups += 1
-            eff_key = sig[:5]  # child table identity + uplink state
-            entry = caches.eff.get(eff_key)
-            entries.append(entry)
-            if entry is None:
-                misses.append((index, child_id, eff_key))
-        if misses:
-            unique: Dict[Tuple, Tuple[int, int]] = {}
-            for index, child_id, eff_key in misses:
-                unique.setdefault(eff_key, (index, child_id))
-            built = self._child_effective_bands(
-                state, [child_id for _, child_id in unique.values()], n, caches,
-                tables,
-            )
-            # Segments longer than the tight cap are provably inf, so bands
-            # built from it exclude nothing reachable.  At small sizes the
-            # scan costs more than it saves; the structural cap serves then.
-            tighten = n > _DENSE_N
-            for (eff_key, (index, _child_id)), eff in zip(unique.items(), built):
-                eff.flags.writeable = False
-                if tighten:
-                    # Column 0 (empty segments) is always finite (0.0), so
-                    # the finite-column set is never empty and the tight cap
-                    # is well defined.
-                    finite_cols = np.isfinite(eff).any(axis=0)
-                    entry = (eff, int(np.nonzero(finite_cols)[0].max()))
-                else:
-                    entry = (eff, min(caps[index], eff.shape[1] - 1))
-                caches.eff[eff_key] = entry
-            for index, _child_id, eff_key in misses:
-                entries[index] = caches.eff[eff_key]
-        effs_caps = [
-            (entry[0], min(cap, entry[1])) for entry, cap in zip(entries, caps)
-        ]
-        if phases is not None:
-            phases[PHASE_BATCH_OCCUPANCY] = (
-                phases.get(PHASE_BATCH_OCCUPANCY, 0.0) + perf_counter() - t_phase
-            )
-        return tuple(signature), effs_caps
+        Table identity is safe inside a slot key: machine tables are shared
+        per free-slot count and vertex tables per signature, so equal ids
+        imply bit-identical tables.
 
-    def _child_effective_bands(
-        self,
-        state: NetworkState,
-        child_ids: List[int],
-        n: int,
-        caches: _FastCaches,
-        tables: Dict,
-    ) -> List[np.ndarray]:
-        """One stacked occupancy pass over several children, in band form.
-
-        Broadcasting the per-child uplink scalars over the band views of the
+        Broadcasting the per-slot uplink scalars over the band views of the
         request's segment demand moments applies the exact per-element float
         operations of :meth:`_child_effective` in the exact same order, so
         every in-band entry is bit-identical to the scalar full-matrix build
-        — there are just ``O(1)`` numpy dispatches per vertex, each over
-        ``O(N * cap)`` elements.  Entries past a child's ``s + d > n``
-        boundary read the demand bands' padding but are forced to ``inf`` by
-        the child table band (the band invariant), never by a float that
-        could differ.  Zero-capacity uplinks admit only the zero-cost empty
-        segment.
+        — in ``O(1)`` numpy dispatches per level.  Entries past a child's
+        ``s + d > n`` boundary read the demand bands' padding but are forced
+        to ``inf`` by the child table band (the band invariant), never by a
+        float that could differ.  A zero-capacity uplink admits only the
+        zero-cost empty segment (a raw division would yield inf, or NaN for
+        an all-zero numerator, and NaN slips through every comparison mask).
+
+        The tight cap — the longest segment whose effective entry is still
+        finite — is read off the arena in the same pass; bands cut at it
+        exclude only provably-``inf`` candidates.
         """
+        n = caches.n
         links = state.links
-        widths = [tables[c].values.shape[1] for c in child_ids]
-        results: Dict[int, np.ndarray] = {}
-        live = [c for c in child_ids if links[c].capacity > 0.0]
-        if live:
-            wmax = max(tables[c].values.shape[1] for c in live)
-            stacked_tables = np.full((len(live), n + 1, wmax), np.inf)
-            for slot, child_id in enumerate(live):
-                band = tables[child_id].values
-                stacked_tables[slot, :, : band.shape[1]] = band
-            det = np.array([links[c].deterministic_total for c in live])[:, None, None]
-            mean = np.array([links[c].mean_total for c in live])[:, None, None]
-            var = np.array([links[c].var_total for c in live])[:, None, None]
-            capacity = np.array([links[c].capacity for c in live])[:, None, None]
-            variance = var + caches.var_band[None, :, :wmax]
-            effective_demand = (
-                mean + caches.mean_band[None, :, :wmax]
-            ) + state.risk_c * np.sqrt(np.maximum(variance, 0.0))
-            occupancy = (det + effective_demand) / capacity
-            stacked = np.maximum(stacked_tables, occupancy)
-            stacked[occupancy >= _FEASIBLE_LIMIT] = np.inf
-            stacked[:, :, 0] = 0.0
-            for slot, child_id in enumerate(live):
-                results[child_id] = stacked[slot, :, : tables[child_id].values.shape[1]]
-        for child_id, width in zip(child_ids, widths):
-            if child_id not in results:
-                # Guarded zero-capacity uplink: nothing but the empty
-                # segment enters the subtree (a raw division would yield
-                # inf, or NaN for an all-zero numerator, and NaN slips
-                # through every comparison mask).
-                band = np.full((n + 1, width), np.inf)
-                band[:, 0] = 0.0
-                results[child_id] = band
-        return [results[c] for c in child_ids]
+        children = state.tree.children
+        tables = caches.tables
+        slot_of: Dict[Tuple, int] = {}
+        distinct: Dict[int, _ValueTable] = {}  # id(child table) -> table, in stack order
+        slots: Dict[int, Tuple[int, ...]] = {}
+        for node_id in node_ids:
+            row = []
+            for child_id in children(node_id):
+                link_state = links[child_id]
+                table = tables[child_id]
+                key = (
+                    id(table),
+                    link_state.deterministic_total,
+                    link_state.mean_total,
+                    link_state.var_total,
+                    link_state.capacity,
+                )
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(slot_of)
+                    distinct.setdefault(key[0], table)
+                row.append(slot)
+            slots[node_id] = tuple(row)
+            caches.eff_lookups += len(row)
+        caches.eff_builds += len(slot_of)
+        if not slot_of:  # a level of childless switches
+            arena = np.empty((0, 1, n + 1))
+            level = _LevelBands(arena, [], slots)
+        else:
+            width = max(len(table.values) for table in distinct.values())
+            stack = np.full((len(distinct), width, n + 1), np.inf)
+            for index, table in enumerate(distinct.values()):
+                stack[index, : len(table.values)] = table.values
+            row_of = {table_id: index for index, table_id in enumerate(distinct)}
+            scalars = np.array([key[1:] for key in slot_of]).T[:, :, None, None]
+            det, mean, var, capacity = scalars
+            dead = capacity <= 0.0
+            # The reference's expression, operation for operation (float
+            # addition commutes exactly), accumulated in one buffer.
+            occupancy = var + caches.var_band[:width]
+            np.maximum(occupancy, 0.0, out=occupancy)
+            np.sqrt(occupancy, out=occupancy)
+            occupancy *= state.risk_c
+            occupancy += mean + caches.mean_band[:width]
+            occupancy += det
+            occupancy /= np.where(dead, 1.0, capacity)
+            arena = np.maximum(stack[[row_of[key[0]] for key in slot_of]], occupancy)
+            arena[occupancy >= _FEASIBLE_LIMIT] = np.inf
+            arena[dead[:, 0, 0]] = np.inf
+            arena[:, 0] = 0.0
+            arena.flags.writeable = False
+            # Length 0 (empty segments) is always finite (0.0), so the
+            # finite-length set is never empty and the tight cap well defined.
+            finite = np.isfinite(arena).any(axis=2)
+            caps = width - 1 - np.argmax(finite[:, ::-1], axis=1)
+            level = _LevelBands(arena, caps.tolist(), slots)
+        caches.levels.update(dict.fromkeys(node_ids, level))
+        return level
 
     @staticmethod
-    def _row0_values(effs_caps: List[Tuple[np.ndarray, int]], n: int) -> np.ndarray:
-        """Row 0 of the vertex table: ``Opt(T_v, [0, e))`` for every ``e``.
+    def _scan_row0(level: _LevelBands, caches: _FastCaches) -> None:
+        """``Opt[0, N]`` of every signature of the level: one stacked fold.
 
-        The host check only reads ``Opt[0, N]``, and row 0 of the sequential
-        DP is closed over row 0 of its partials — ``new[0, e] = min over k
-        of max(row[k], eff[k, e])`` — so a level scan needs one
-        ``O(children * N * cap)`` vector pass per vertex instead of the full
-        table.  With the child in band form the fold becomes an
-        anti-diagonal min: ``new[e] = min over length l of
-        max(row[e - l], band[e - l, l])``, one negative-stride view over a
-        padded max matrix.  Every skipped candidate is outside a feasible
-        band and hence provably ``inf``; same floats otherwise, hence
-        bit-identical host decisions.
+        Row 0 of each signature-unique vertex (see :func:`_fold_rows`) is
+        folded child position by child position, each position one kernel
+        call over the ``(V, W, N+1)`` gather of that position's bands.  A
+        vertex whose children's tight caps sum below ``N`` (in particular
+        one with fewer than ``N`` free slots under it) cannot hold the
+        request: its ``Opt[0, N]`` is ``inf``, the DP's verdict, unscanned.
         """
-        row = np.full(n + 1, np.inf)
-        row[0] = 0.0
-        for band, cap in effs_caps:
-            width = cap + 1
-            folded = np.maximum(row[:, None], band[:, :width])
-            padded = np.full((n + width, width), np.inf)
-            padded[width - 1 :] = folded
-            row_stride, col_stride = padded.strides
-            # shifted[l, e] = folded[e - l, l]  (inf padding where e < l).
-            shifted = as_strided(
-                padded[width - 1 :],
-                shape=(width, n + 1),
-                strides=(col_stride - row_stride, row_stride),
-            )
-            row = shifted.min(axis=0)
-        return row
+        n = caches.n
+        caps = level.caps
+        scan: List[Tuple[int, ...]] = []
+        for signature in level.slots.values():
+            if signature not in level.row0:
+                level.row0[signature] = np.inf
+                if sum(caps[slot] for slot in signature) >= n:
+                    scan.append(signature)
+        caches.vertex_lookups += len(level.slots)
+        caches.vertex_builds += len(level.row0)
+        if not scan:
+            return
+        # Longest signature first, so the vertices that still have a child
+        # at a position are a prefix of the stack.
+        scan.sort(key=len, reverse=True)
+        grid = np.zeros((len(scan), len(scan[0])), dtype=np.intp)
+        for index, signature in enumerate(scan):
+            grid[index, : len(signature)] = signature
+        arena_caps = np.array(caps)
+        rows = np.full((len(scan), n + 1), np.inf)
+        rows[:, 0] = 0.0
+        for position in range(grid.shape[1]):
+            live = sum(len(signature) > position for signature in scan)
+            chosen = grid[:live, position]
+            width = int(arena_caps[chosen].max()) + 1
+            rows[:live] = _fold_rows(rows[:live], level.arena[chosen, :width])
+        for signature, value in zip(scan, rows[:, n].tolist()):
+            level.row0[signature] = value
 
-    def _balanced_values(
-        self,
-        effs_caps: List[Tuple[np.ndarray, int]],
-        n: int,
-        caches: _FastCaches,
-    ) -> _ValueTable:
-        """Full vertex value table via an order-preserving balanced combine.
+    @staticmethod
+    def _materialize(level: _LevelBands, caches: _FastCaches) -> None:
+        """Full value tables of a level via a stacked balanced combine.
 
         ``(min, max)`` over floats is exactly associative (both select an
         operand, nothing is rounded), so adjacent children can be combined
@@ -680,188 +705,57 @@ class SVCHeterogeneousAllocator(Allocator):
         enumerated, grouped differently, and the resulting values are
         bit-identical to the sequential reference.  Balancing keeps *both*
         operands' bands small (sequential growth makes the left band reach
-        ``N`` after a handful of children), and intermediates are shared by
-        operand identity — runs of identical children, e.g. the machines of
-        a pristine rack, collapse to ``O(log children)`` unique combines.
+        ``N`` after a handful of children), each round's distinct pairs —
+        across all of the level's signatures — are one
+        :func:`_combine_bands` call per operand shape (equal caps stack
+        without padding), and a pair already named is never recombined:
+        runs of identical children, e.g. the machines of a pristine rack,
+        collapse to ``O(log children)`` unique combines.
         """
-        if not effs_caps:
-            values = np.zeros((n + 1, 1))  # only empty segments, at cost 0
-            values.flags.writeable = False
-            return _ValueTable(values=values, cap=0)
-        items = list(effs_caps)
-        combined = len(items) > 1
-        while len(items) > 1:
-            merged: List[Tuple[np.ndarray, int]] = []
-            for i in range(0, len(items) - 1, 2):
-                a, cap_a = items[i]
-                b, cap_b = items[i + 1]
-                pair_key = (id(a), cap_a, id(b), cap_b)
-                entry = caches.pair.get(pair_key)
-                if entry is None:
-                    values = self._combine_band_values(a, cap_a, b, cap_b, n)
-                    values.flags.writeable = False
-                    entry = (values, min(n, cap_a + cap_b), a, b)
-                    caches.pair[pair_key] = entry
-                merged.append((entry[0], entry[1]))
-            if len(items) % 2:
-                merged.append(items[-1])
-            items = merged
-        values, cap = items[0]
-        values = values[:, : cap + 1]
-        if combined and n > _DENSE_N:
-            # One tight-cap scan per materialized vertex (the pair combines
-            # above carry the loose structural cap) keeps the next level's
-            # bands at the true finite width.
-            finite_cols = np.isfinite(values).any(axis=0)
-            cap = int(np.nonzero(finite_cols)[0].max())
-            values = values[:, : cap + 1]
-        return _ValueTable(values=values, cap=cap)
-
-    @staticmethod
-    def _combine_band_values(
-        a: np.ndarray, cap_a: int, b: np.ndarray, cap_b: int, n: int
-    ) -> np.ndarray:
-        """Values-only band combine — ``O(cap_a * cap_b * N)`` contiguous ops.
-
-        In band coordinates the segment combine reads
-        ``new[s, d] = min over j of max(a[s, j], b[s + j, d - j])`` with
-        ``j`` the length placed in the left operand.  The *smaller* cap is
-        enumerated: each iteration fixes one split length and folds a
-        rectangular slice of the other operand with an in-place min (the
-        ``cap_a > cap_b`` branch walks ``b``'s split lengths and reads
-        ``b[s + d - db, db]`` — a function of ``s + d`` — through a
-        stride-trick view of one padded column).  Every skipped ``j`` is
-        outside a feasible band and hence provably ``inf``; min/max are
-        exactly associative and commutative over floats, so any fold order
-        gives the reference's values bit for bit.  The output keeps the band
-        invariant: entries with ``s + d > n`` only ever see ``inf``
-        candidates (both operands hold the invariant) and stay ``inf``.
-        """
-        width = min(n, cap_a + cap_b) + 1
-        out = np.full((n + 1, width), np.inf)
-        if cap_a <= cap_b:
-            for da in range(min(cap_a, n) + 1):
-                hi = min(da + cap_b + 1, width)
-                # new[s, da + t] <- max(a[s, da], b[s + da, t])
-                tmp = np.maximum(
-                    a[: n + 1 - da, da][:, None], b[da:, : hi - da]
+        n = caches.n
+        caps, bands, names = level.caps, level.bands, level.names
+        bands.extend(level.arena)
+        signatures = list(dict.fromkeys(level.slots.values()))
+        items = [list(signature) for signature in signatures]
+        while any(len(seq) > 1 for seq in items):
+            pairs = [
+                pair
+                for pair in dict.fromkeys(
+                    (seq[i], seq[i + 1]) for seq in items for i in range(0, len(seq) - 1, 2)
                 )
-                np.minimum(
-                    out[: n + 1 - da, da:hi], tmp, out=out[: n + 1 - da, da:hi]
+                if pair not in names
+            ]
+            shapes: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+            for pair in pairs:
+                shapes.setdefault((caps[pair[0]], caps[pair[1]]), []).append(pair)
+            for (cap_a, cap_b), members in shapes.items():
+                combined = _combine_bands(
+                    np.stack([bands[a][: cap_a + 1] for a, _ in members]),
+                    np.stack([bands[b][: cap_b + 1] for _, b in members]),
+                    n,
                 )
-        else:
-            for db in range(min(cap_b, n) + 1):
-                hi = min(db + cap_a + 1, width)
-                column = np.concatenate([b[:, db], np.full(cap_a, np.inf)])
-                (stride,) = column.strides
-                # shifted[s, t] = b[s + t, db]
-                shifted = as_strided(
-                    column, shape=(n + 1, hi - db), strides=(stride, stride)
-                )
-                tmp = np.maximum(a[:, : hi - db], shifted)
-                np.minimum(out[:, db:hi], tmp, out=out[:, db:hi])
-        return out
-
-    @staticmethod
-    def _combine_band(
-        partial: np.ndarray,
-        prev_cap: int,
-        child_eff: np.ndarray,
-        child_cap: int,
-        n: int,
-    ) -> Tuple[np.ndarray, int, np.ndarray]:
-        """Banded (min, max)-combine with split choices (placement rebuilds).
-
-        Produces exactly what the reference per-``k`` scan produces:
-        ``new[s, e] = min over k of max(partial[s, k], child_eff[k, e])``
-        and the *first* minimizing ``k`` (``argmin`` returns the first
-        occurrence, matching the reference's strict ``<`` update; every
-        ``k`` a band excludes is provably ``inf`` and so never the
-        minimizer of a finite entry).
-
-        Finite candidates need ``s <= k <= s + prev_cap`` (everything the
-        left operand could absorb) and ``k <= e <= k + child_cap`` (what the
-        right operand can hold — both caps are tight finite bands), so with
-        ``j = k - s`` and ``d = e - s`` the whole search lives in an
-        ``(n+1) x (D+1) x (J+1)`` tensor with ``J = prev_cap`` and
-        ``D = min(n, prev_cap + child_cap)`` instead of the full
-        ``(n+1)^3``.  Only max/compare operations touch the floats, so the
-        surviving values are bit-identical to the reference's.
-
-        Returns ``(values, tight, choices)`` where ``tight`` is the longest
-        segment with a finite result — the tight band for the next combine.
-        """
-        cap_j = prev_cap
-        cap_l = child_cap
-        cap_d = min(n, prev_cap + child_cap)
-        s = np.arange(n + 1)
-        j = np.arange(cap_j + 1)
-        d = np.arange(cap_d + 1)
-
-        # Partial band pb[s, j] = partial[s, s + j] (inf where s + j > n).
-        cols = s[:, None] + j[None, :]
-        pb = partial[s[:, None], np.minimum(cols, n)]
-        pb[cols > n] = np.inf
-
-        # Child band padded: cb[k, l] = child_eff[k, k + l]; the child is
-        # already in band form (inf past ``k + l > n`` by the invariant);
-        # the extra row/column catch out-of-range k and l with a permanent
-        # inf.
-        cb = np.full((n + 2, cap_l + 2), np.inf)
-        cb[: n + 1, : cap_l + 1] = child_eff[:, : cap_l + 1]
-
-        # cand[s, d, j] = max(pb[s, j], cb[s + j, d - j])
-        row = np.minimum(s[:, None, None] + j[None, None, :], n + 1)
-        off = d[None, :, None] - j[None, None, :]
-        off = np.where((off < 0) | (off > cap_l), cap_l + 1, off)
-        cand = np.maximum(pb[:, None, :], cb[row, off])
-        jmin = np.argmin(cand, axis=2)
-        band_values = np.take_along_axis(cand, jmin[:, :, None], axis=2)[:, :, 0]
-
-        new_values = np.full((n + 1, n + 1), np.inf)
-        ecols = s[:, None] + d[None, :]
-        valid = (ecols <= n) & np.isfinite(band_values)
-        s_idx, d_idx = np.nonzero(valid)
-        e_idx = ecols[valid]
-        new_values[s_idx, e_idx] = band_values[valid]
-        tight = int(d_idx.max()) if d_idx.size else 0
-        choice = np.full((n + 1, n + 1), -1, dtype=np.int64)
-        choice[s_idx, e_idx] = s_idx + jmin[s_idx, d_idx]
-        return new_values, tight, choice
-
-    def _build_vertex_choices(
-        self,
-        state: NetworkState,
-        node_id: int,
-        n: int,
-        segments: SegmentDemandTable,
-        tables: Dict,
-        caches: _FastCaches,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> _SegmentTable:
-        """Sequential banded rebuild, with split choices, of one vertex.
-
-        Only vertices on the accepted placement path need their per-child
-        split points, so the search keeps value-only tables and this rebuild
-        runs for a handful of vertices per admit.  The sequential
-        left-to-right prefix order is exactly the reference's, so the
-        recorded first-minimizing splits are the reference's splits.
-        """
-        _key, effs_caps = self._vertex_inputs(
-            state, node_id, n, segments, tables, caches, phases
-        )
-        t_phase = perf_counter() if phases is not None else 0.0
-        partial = _empty_segments(n)
-        prev_cap = 0
-        choices: List[np.ndarray] = []
-        for eff, cap in effs_caps:
-            partial, prev_cap, choice = self._combine_band(partial, prev_cap, eff, cap, n)
-            choices.append(choice)
-        if phases is not None:
-            phases[PHASE_COMBINE] = (
-                phases.get(PHASE_COMBINE, 0.0) + perf_counter() - t_phase
-            )
-        return _SegmentTable(values=partial, choices=choices)
+                combined.flags.writeable = False
+                for pair, band in zip(members, combined):
+                    names[pair] = len(bands)
+                    bands.append(band)
+                    caps.append(min(n, cap_a + cap_b))
+            items = [
+                [names[seq[i], seq[i + 1]] for i in range(0, len(seq) - 1, 2)]
+                + seq[len(seq) - len(seq) % 2 :]
+                for seq in items
+            ]
+        for signature, seq in zip(signatures, items):
+            if seq:
+                cap = caps[seq[0]]
+                values = bands[seq[0]][: cap + 1]
+            else:
+                cap = 0
+                values = np.zeros((1, n + 1))  # only empty segments, at cost 0
+            level.tables[signature] = _ValueTable(values=values, cap=cap)
+        for node_id, signature in level.slots.items():
+            caches.tables[node_id] = level.tables[signature]
+        caches.vertex_lookups += len(level.slots)
+        caches.vertex_builds += len(level.tables)
 
     # ------------------------------------------------------------------
     # Backtracking
@@ -893,42 +787,56 @@ class SVCHeterogeneousAllocator(Allocator):
         if right != start:
             raise RuntimeError(f"backtracking left [{start}, {right}) unassigned at {node_id}")
 
+
     def _backtrack_fast(
         self,
-        state: NetworkState,
-        n: int,
-        segments: SegmentDemandTable,
-        tables: Dict,
+        tree,
         caches: _FastCaches,
-        choice_tables: Dict[int, _SegmentTable],
         node_id: int,
         start: int,
         end: int,
         node_segments: Dict[int, Tuple[int, int]],
         phases: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Reference backtrack over lazily rebuilt choice tables."""
+        """Reference backtrack, its splits recovered from row ``start``.
+
+        The reference reads ``choices[i][start, right]``: the first ``k``
+        minimizing ``max(partial_i[start, k], eff_i[k, right])``.  Row
+        ``start`` of every prefix partial is one :func:`_fold_rows` chain,
+        and every ``k`` outside ``[right - cap_i, right]`` is provably
+        ``inf`` — never the minimizer of a feasible segment — so one banded
+        first-``argmin`` per child returns exactly that split.
+        """
         node_segments[node_id] = (start, end)
         if start == end:
             return
-        tree = state.tree
         node = tree.node(node_id)
         if node.is_machine:
             return
-        table = choice_tables.get(node_id)
-        if table is None:
-            table = self._build_vertex_choices(
-                state, node_id, n, segments, tables, caches, phases
-            )
-            choice_tables[node_id] = table
+        since = perf_counter()
+        level = caches.levels[node_id]
+        slots = level.slots[node_id]
+        row = np.full((1, caches.n + 1), np.inf)
+        row[0, start] = 0.0
+        prefixes = [row]
+        for slot in slots[:-1]:
+            band = level.arena[slot, : level.caps[slot] + 1]
+            prefixes.append(_fold_rows(prefixes[-1], band[None]))
+        _add_phase(phases, PHASE_COMBINE, since)
         right = end
-        for index in range(len(node.children) - 1, -1, -1):
-            split = int(table.choices[index][start, right])
-            if split < 0:
+        for index in range(len(slots) - 1, -1, -1):
+            slot = slots[index]
+            lo = max(start, right - level.caps[slot])
+            ks = np.arange(lo, right + 1)
+            candidates = np.maximum(
+                prefixes[index][0, lo : right + 1], level.arena[slot, right - ks, ks]
+            )
+            offset = int(np.argmin(candidates))
+            if candidates[offset] == np.inf:
                 raise RuntimeError(f"backtracking hit an infeasible segment at {node_id}")
+            split = lo + offset
             self._backtrack_fast(
-                state, n, segments, tables, caches, choice_tables,
-                node.children[index], split, right, node_segments, phases,
+                tree, caches, node.children[index], split, right, node_segments, phases
             )
             right = split
         if right != start:

@@ -29,7 +29,7 @@ from repro.allocation import (
     SVCHeterogeneousAllocator,
     SVCHeterogeneousExactAllocator,
 )
-from repro.allocation.demand_model import segment_demand_table
+from repro.allocation.demand_model import SegmentDemandTable
 from repro.network import NetworkState
 from repro.network.link_state import LinkState
 from repro.topology.nodes import Link
@@ -122,7 +122,7 @@ class TestEmptySegmentSemantics:
         state, (m0, _m1, _m2) = self._saturated_sibling_state()
         request = _small_request(4)
         allocator = SVCHeterogeneousAllocator(fast=False)
-        segments = segment_demand_table(request)
+        segments = SegmentDemandTable(request)
         tables = {m0: allocator._build_vertex(state, m0, 4, segments, {})}
         effective = allocator._child_effective(state, m0, 4, segments, tables)
         assert np.all(np.diagonal(effective) == 0.0)
@@ -147,7 +147,7 @@ class TestZeroCapacityGuard:
         m0 = machines[0]
         request = _small_request(4)
         allocator = SVCHeterogeneousAllocator(fast=False)
-        segments = segment_demand_table(request)
+        segments = SegmentDemandTable(request)
         tables = {m0: allocator._build_vertex(state, m0, 4, segments, {})}
         effective = allocator._child_effective(state, m0, 4, segments, tables)
         assert not np.isnan(effective).any(), "NaN slips through every mask"
