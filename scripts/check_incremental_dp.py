@@ -15,10 +15,17 @@ production allocator, one with the seed DP.  After every op the decision
 (host, placement, ``max_occupancy``) and the serialized network state must be
 identical; the first difference fails the run.
 
+``--cold`` replays the opposite traffic: a fresh ``(n, sigma/mu)`` and request
+kind on every op, as the e2e ``paper-mixed`` workload draws them, so no kept
+table is ever reused and every call is one level walk from the machines up —
+once for each allocator that rides on it (Algorithm 1, adapted TIVC, Oktopus,
+global min-max), each against its own ``fast=False`` seed traversal.
+
 Usage (repo root)::
 
     PYTHONPATH=src python scripts/check_incremental_dp.py --scale small
     PYTHONPATH=src python scripts/check_incremental_dp.py --scale small --bursts 60
+    PYTHONPATH=src python scripts/check_incremental_dp.py --scale small --cold
 """
 
 from __future__ import annotations
@@ -26,8 +33,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.abstractions import HomogeneousSVC
-from repro.allocation.svc_homogeneous import SVCHomogeneousAllocator
+from repro.abstractions import DeterministicVC, HomogeneousSVC
+from repro.allocation.svc_homogeneous import (
+    AdaptedTIVCAllocator,
+    GlobalMinMaxAllocator,
+    OktopusAllocator,
+    SVCHomogeneousAllocator,
+    _HomogeneousTreeSearch,
+)
 from repro.experiments.common import resolve_scale, simulation_rng
 from repro.manager.network_manager import RESIZE_IN_PLACE, RESIZE_REPLACED, NetworkManager
 from repro.service.codec import network_state_to_dict
@@ -36,6 +49,19 @@ from repro.topology.builder import build_datacenter
 SIZES = (4, 8, 12, 16, 24)
 RATES = (100.0, 200.0, 300.0)
 BURST = 8
+COLD_RATES = (100.0, 200.0, 300.0, 400.0, 500.0)  # Section VI-A mean rates
+
+#: name -> (the production allocator, its seed traversal, deterministic requests only)
+ALLOCATORS = {
+    "svc-dp": (SVCHomogeneousAllocator, lambda: SVCHomogeneousAllocator(fast=False), False),
+    "tivc": (AdaptedTIVCAllocator, lambda: AdaptedTIVCAllocator(fast=False), False),
+    "oktopus": (OktopusAllocator, lambda: OktopusAllocator(fast=False), True),
+    "svc-global": (
+        GlobalMinMaxAllocator,
+        lambda: _HomogeneousTreeSearch(optimize=True, localize=False, fast=False),
+        False,
+    ),
+}
 
 
 def log(message: str) -> None:
@@ -60,6 +86,25 @@ def record_stream(rng, bursts: int, fill: float, total_slots: int):
                 if rng.random() < 0.2:
                     ops.append(("resize", int(rng.integers(1 << 16)), int(rng.integers(-3, 4))))
         ops.append(("drain", int(fill * total_slots)))
+    return ops
+
+
+def record_cold_stream(rng, count: int, fill: float, total_slots: int, scale, only_vc: bool):
+    """The same op kinds, but no two submits share a shape (seven in ten are
+    SVCs, the rest deterministic VCs; ``only_vc``: all of them VCs)."""
+    ops = []
+    for index in range(count):
+        n = int(min(scale.max_job_size, max(2, round(rng.exponential(scale.mean_job_size)))))
+        mean = float(rng.choice(COLD_RATES))
+        ratio = float(rng.random())
+        if only_vc or rng.random() < 0.3:
+            ops.append(("submit", DeterministicVC(n_vms=n, bandwidth=mean)))
+        else:
+            ops.append(("submit", HomogeneousSVC(n_vms=n, mean=mean, std=ratio * mean)))
+        if rng.random() < 0.15:
+            ops.append(("resize", int(rng.integers(1 << 16)), int(rng.integers(-3, 4))))
+        if index % BURST == BURST - 1:
+            ops.append(("drain", int(fill * total_slots)))
     return ops
 
 
@@ -95,31 +140,21 @@ def apply(manager: NetworkManager, op, live):
     return ("released", released)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default="small")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bursts", type=int, default=30)
-    parser.add_argument("--fill", type=float, default=0.5,
-                        help="share of the slots the releases drain back to")
-    args = parser.parse_args()
-
-    tree = build_datacenter(resolve_scale(args.scale).spec)
-    ops = record_stream(simulation_rng(args.seed), args.bursts, args.fill, tree.total_slots)
-    kept = NetworkManager(tree, epsilon=0.05, allocator=SVCHomogeneousAllocator())
-    seed = NetworkManager(tree, epsilon=0.05, allocator=SVCHomogeneousAllocator(fast=False))
-
+def replay(tree, ops, make_kept, make_seed, label: str):
+    """One op stream on a production and a seed manager; the tally, or None on a difference."""
+    kept = NetworkManager(tree, epsilon=0.05, allocator=make_kept())
+    seed = NetworkManager(tree, epsilon=0.05, allocator=make_seed())
     live = []
     tally = {"admitted": 0, "rejected": 0, "released": 0, RESIZE_IN_PLACE: 0,
              RESIZE_REPLACED: 0, "resize_rejected": 0}
     for index, op in enumerate(ops):
         got, want = apply(kept, op, live), apply(seed, op, live)
         if got != want:
-            log(f"FAIL at op {index} {op}: kept tables decided {got}, seed DP {want}")
-            return 1
+            log(f"FAIL ({label}) at op {index} {op}: production decided {got}, seed DP {want}")
+            return None
         if network_state_to_dict(kept.state) != network_state_to_dict(seed.state):
-            log(f"FAIL at op {index} {op}: link state diverged from the seed DP's")
-            return 1
+            log(f"FAIL ({label}) at op {index} {op}: link state diverged from the seed DP's")
+            return None
         if op[0] == "submit":
             tally["admitted" if got is not None else "rejected"] += 1
             if got is not None:
@@ -129,16 +164,44 @@ def main() -> int:
         elif op[0] == "drain":
             tally["released"] += len(got[1])
             del live[: len(got[1])]
-    performed = sum(tally.values())
-    if performed < 300 or not (
-        tally["admitted"] and tally["released"] and tally[RESIZE_IN_PLACE] and tally[RESIZE_REPLACED]
-    ):
-        log(f"FAIL: the stream did not exercise every path ({performed} ops: {tally})")
-        return 1
-    log(
-        f"OK: {performed} ops ({tally}); every decision and link state "
-        "identical to svc-dp-seed"
-    )
+    return tally
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scale", default="small")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--bursts", type=int, default=30)
+    parser.add_argument("--cold", action="store_true",
+                        help="a fresh shape and kind per op, through all four allocators")
+    parser.add_argument("--fill", type=float, default=0.5,
+                        help="share of the slots the releases drain back to")
+    args = parser.parse_args()
+
+    scale = resolve_scale(args.scale)
+    tree = build_datacenter(scale.spec)
+    for name in ALLOCATORS if args.cold else ["svc-dp"]:
+        make_kept, make_seed, only_vc = ALLOCATORS[name]
+        rng = simulation_rng(args.seed)
+        if args.cold:
+            ops = record_cold_stream(
+                rng, args.bursts * BURST, args.fill, tree.total_slots, scale, only_vc
+            )
+            paths = ("admitted", "rejected", "released", RESIZE_IN_PLACE)
+        else:
+            ops = record_stream(rng, args.bursts, args.fill, tree.total_slots)
+            paths = ("admitted", "released", RESIZE_IN_PLACE, RESIZE_REPLACED)
+        tally = replay(tree, ops, make_kept, make_seed, name)
+        if tally is None:
+            return 1
+        performed = sum(tally.values())
+        if performed < 300 or not all(tally[path] for path in paths):
+            log(f"FAIL ({name}): the stream did not exercise every path ({performed} ops: {tally})")
+            return 1
+        log(
+            f"OK ({name}): {performed} ops ({tally}); every decision and link state "
+            "identical to the seed DP"
+        )
     return 0
 
 

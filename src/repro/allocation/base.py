@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -122,6 +123,12 @@ def link_demands_from_counts(
                 float(split_mean[count]), float(split_var[count])
             )
     return demands
+
+
+def add_phase(phases: Optional[Dict[str, float]], phase: str, since: float) -> None:
+    """Add the wall time since ``since`` to one DP phase of a sampled trace."""
+    if phases is not None:
+        phases[phase] = phases.get(phase, 0.0) + perf_counter() - since
 
 
 class Allocator(abc.ABC):

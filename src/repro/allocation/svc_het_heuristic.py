@@ -30,47 +30,30 @@ Two implementations of the tree DP coexist, mirroring Algorithm 1's layout
 in ``svc_homogeneous.py``:
 
 * the **reference** path (``fast=False``, name ``svc-het-seed``) — the
-  straight-line implementation, kept as the baseline the fast path is proven
-  against decision for decision;
-* the **fast** path (``fast=True``, the default) — numerically identical,
-  but built on the observation that the segment combine
-  ``(A ⊗ B)[s, e] = min over k of max(A[s, k], B[k, e])`` is an exactly
-  associative (min, max)-matrix product over IEEE floats (``min``/``max``
-  select an operand, they never round), so vertex *values* may be computed
-  in any grouping.  Concretely it (a) reads the ``O(N^2)`` Lemma-1
-  segment-demand table once, in band form, (b) stores every fast-path table
-  in **band form** ``band[d, s] = table[s, s + d]`` — a
-  ``(cap+1) x (N+1)`` rectangle holding exactly the potentially-finite
-  entries, segment start innermost so every kernel slice is a long
-  contiguous run (the invariant ``band[d, s] = inf`` whenever
-  ``s + d > N`` keeps out-of-range reads harmless), so each kernel does
-  work proportional to the feasible band instead of the full ``(N+1)^2``
-  matrix, (c) shares one read-only machine table per free-slot count,
-  (d) builds the effective child bands of a whole tree level in one
-  stacked occupancy pass, one slot per distinct (child table, uplink
-  state), and derives from each its **tight cap** — the longest segment
-  the child can still absorb once uplink occupancy is masked — which
-  bounds every later band, (e) scans a level with **one row-0 fold** over
-  its signature-unique vertices stacked into a ``(V, W, N+1)`` tensor (all
-  a host check needs is ``Opt[0, N]``; a vertex whose children's tight
-  caps sum below ``N`` is ``inf`` without a scan), materializing full
-  tables only for levels the search ascends past, (f) materializes those
-  tables with a **balanced pair-combine**, each round one kernel call per
-  operand shape over the level's distinct pairs (runs of identical
-  children — pristine racks — collapse to ``O(log)`` unique combines), and
-  (g) recovers per-child split choices from **one DP row**: a backtrack
-  enters a vertex with a fixed ``start`` and row ``start`` of the
-  sequential DP is closed over itself, so the prefix rows plus one banded
-  first-``argmin`` per child are the reference's first-minimizing splits
-  — no choice table is ever built.
+  straight-line implementation, kept as the baseline the production path is
+  proven against decision for decision;
+* the **level walk** (``fast=True``, the default) — numerically identical,
+  on the shared kernels of :mod:`repro.allocation.kernels` (DESIGN.md §6.2).
+  The segment combine ``(A ⊗ B)[s, e] = min over k of max(A[s, k], B[k, e])``
+  is an exactly associative (min, max)-matrix product over IEEE floats
+  (``min`` / ``max`` select an operand, they never round), so vertex
+  *values* may be computed in any grouping.  Tables are kept in **band
+  form** ``band[d, s] = table[s, s + d]`` — a ``(cap+1) x (N+1)`` rectangle
+  of the potentially finite entries, ``inf`` wherever ``s + d > N`` (the
+  band invariant, which makes out-of-range reads and narrower neighbours in
+  a stack inert).  Per tree level, read off the state's level snapshot:
+  effective child bands and their tight caps in one stacked pass
+  (:meth:`_level_bands`), the host check as one row-0 fold per child
+  position (:meth:`_scan_row0`), full tables — by a balanced pair-combine —
+  only for levels the search ascends past (:meth:`_materialize`), and the
+  splits recovered from one DP row per vertex on the placement path
+  (:meth:`_backtrack_fast`): no choice table is ever built, and a machine's
+  table (a step at its free slots) never exists outside a level's stack.
 
-Where bands of unequal caps share a stack, the narrower reads as ``inf``
-past its cap, which the band invariant already makes inert.  Every value
-the fast path compares or returns is produced by the same max/min/compare
-operations on the same floats as the reference path (bands only ever
-exclude provably-``inf`` candidates), so the produced host / placement /
-``max_occupancy`` decisions are bit-for-bit the same — not merely
-statistically equivalent
+Every value the level walk compares or returns is produced by the same
+max/min/compare operations on the same floats as the reference path (bands
+only ever exclude provably-``inf`` candidates), so the produced host /
+placement / ``max_occupancy`` decisions are bit-for-bit the same
 (``tests/allocation/test_het_fast_equivalence.py``).
 """
 
@@ -78,13 +61,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.abstractions.requests import HeterogeneousSVC, VirtualClusterRequest
-from repro.allocation.base import Allocation, Allocator
+from repro.allocation.base import Allocation, Allocator, add_phase
 from repro.allocation.demand_model import SegmentDemandTable, subset_split_demand
+from repro.allocation.kernels import (
+    FREE,
+    _band_of,
+    _combine_bands,
+    _fold_level,
+    _fold_rows,
+    _LevelBlock,
+    level_snapshot,
+)
 from repro.network.link_state import LinkState, NetworkState
 from repro.obs.instruments import (
     PHASE_ALLOC,
@@ -109,115 +101,6 @@ class _SegmentTable:
 
 
 @dataclass
-class _ValueTable:
-    """Value-only DP state per vertex (fast path), in band form.
-
-    ``values[d, s]`` is the table entry for segment ``[s, s + d)`` — the
-    whole ``(cap+1) x (N+1)`` rectangle of *potentially* finite entries,
-    where ``cap`` is the band width: every segment longer than ``cap`` is
-    provably ``inf`` (no longer segment is allocable in the subtree), as is
-    every entry with ``s + d > N``.  Band form keeps the per-combine work
-    proportional to the feasible entries instead of the full ``(N+1)^2``
-    matrix.  Split choices are not stored — the backtrack recovers them from
-    one DP row per vertex on the placement path.
-    """
-
-    values: np.ndarray
-    cap: int
-
-
-def _band_of(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Band form ``band[d, s] = matrix[s, s + d]`` of a full segment matrix.
-
-    Read through a strided view of a padded flat copy.  Entries with
-    ``s + d > n`` hold padding or a neighboring row — they are never
-    *used*: every consumer masks them with a table band that is inf there
-    (the band invariant), so only in-bounds reads matter.
-    """
-    flat = np.full((n + 1) * (n + 2), np.inf)
-    flat[: (n + 1) * (n + 1)] = matrix.ravel()
-    stride = flat.itemsize
-    sheared = np.ndarray((n + 1, n + 1), flat.dtype, flat, 0, (stride, (n + 2) * stride))
-    band = sheared.copy()  # contiguous: it is broadcast against every arena slot
-    band.flags.writeable = False
-    return band
-
-
-def _fold_rows(rows: np.ndarray, bands: np.ndarray) -> np.ndarray:
-    """One child folded into a stack of DP rows.
-
-    ``rows[v, k]`` is ``partial[start, k]`` of vertex ``v`` before the child
-    and ``bands[v]`` the child's effective band; the result is the row after
-    it, ``new[v, e] = min over k of max(rows[v, k], eff[k, e])`` — a row of
-    the sequential DP is closed over the same row of its partials, so a
-    host check (``start = 0``) and a split recovery (the backtrack's
-    ``start``) cost ``O(children * N * cap)`` per vertex, not a table.  In
-    band coordinates the fold is an anti-diagonal min, ``new[e] = min over
-    length l of max(row[e - l], band[l, e - l])``: one sheared view over a
-    padded max tensor.  Every skipped candidate is outside a feasible
-    band and hence provably ``inf``; same floats otherwise.
-    """
-    count, width, height = bands.shape
-    padded = np.full((count, width, height + width - 1), np.inf)
-    np.maximum(rows[:, None, :], bands, out=padded[:, :, width - 1 :])
-    plane, row, col = padded.strides
-    # shifted[v, l, e] = folded[v, l, e - l]  (inf padding where e < l).
-    shifted = np.ndarray(
-        (count, width, height), padded.dtype, padded,
-        (width - 1) * col, (plane, row - col, col),
-    )
-    return shifted.min(axis=1)
-
-
-def _combine_bands(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
-    """Stacked values-only band combine of ``left[p] ⊗ right[p]`` per pair.
-
-    In band coordinates the segment combine reads
-    ``new[d, s] = min over j of max(a[j, s], b[d - j, s + j])`` with ``j``
-    the length placed in the left operand.  The *narrower* operand stack is
-    enumerated: each iteration fixes one split length and folds a
-    rectangular slice of the other with an in-place min, ``O(cap_a * cap_b
-    * N)`` contiguous ops per pair and one numpy dispatch per split length
-    for the whole stack (walking ``b``'s split lengths reads
-    ``b[db, s + d - db]`` — a function of ``s + d`` — through a strided view
-    of ``b`` padded with ``inf`` columns).  Every skipped ``j`` is outside a
-    feasible band and hence provably ``inf``; min/max are exactly
-    associative and commutative over floats, so any fold order gives the
-    reference's values bit for bit.  The output keeps the band invariant:
-    entries with ``s + d > n`` only ever see ``inf`` candidates (both
-    operands hold the invariant) and stay ``inf``.
-    """
-    count, width_a, height = left.shape
-    width_b = right.shape[1]
-    width = min(n, width_a + width_b - 2) + 1
-    out = np.full((count, width, height), np.inf)
-    if width_a <= width_b:
-        for da in range(width_a):
-            hi = min(da + width_b, width)
-            # new[da + t, s] <- max(a[da, s], b[t, s + da])
-            target = out[:, da:hi, : height - da]
-            np.minimum(
-                target,
-                np.maximum(left[:, da, None, : height - da], right[:, : hi - da, da:]),
-                out=target,
-            )
-    else:
-        padded = np.full((count, width_b, height + width_a - 1), np.inf)
-        padded[:, :, :height] = right
-        plane, row, col = padded.strides
-        for db in range(width_b):
-            hi = min(db + width_a, width)
-            # shifted[p, t, s] = b[db, s + t]
-            shifted = np.ndarray(
-                (count, hi - db, height), padded.dtype, padded,
-                db * row, (plane, col, col),
-            )
-            target = out[:, db:hi]
-            np.minimum(target, np.maximum(left[:, : hi - db], shifted), out=target)
-    return out
-
-
-@dataclass
 class _LevelBands:
     """One tree level's effective child bands, stacked, and what is built on them.
 
@@ -237,41 +120,34 @@ class _LevelBands:
     bands: List[np.ndarray] = field(default_factory=list)  # filled when materializing
     names: Dict[Tuple[int, int], int] = field(default_factory=dict)
     row0: Dict[Tuple[int, ...], float] = field(default_factory=dict)
-    tables: Dict[Tuple[int, ...], _ValueTable] = field(default_factory=dict)
+    tables: Dict[Tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
 class _FastCaches:
-    """Per-``allocate`` state of the fast path (no cross-request state).
+    """Per-``allocate`` state of the level walk (no cross-request state).
 
-    ``machine`` shares one read-only table per free-slot count; ``tables``
-    holds the full band table of every node the search has ascended past
-    (machines, then each materialized level); ``levels`` maps a scanned
-    vertex to its level's :class:`_LevelBands`, which is all the backtrack
-    needs to recover splits.  The lookup/build counters feed the obs
-    cache-hit counters once per request: a *lookup* is one machine, vertex
-    or child that needed a table, value or effective band, a *build* one
-    distinct result; every other lookup was served by a shared one
-    (``hits = lookups - builds``).
+    ``tables`` holds the full band table of every switch the search has
+    ascended past; ``levels`` maps a scanned vertex to its level's
+    :class:`_LevelBands`, which is all the backtrack needs to recover
+    splits.  The lookup/build counters feed the obs cache-hit counters once
+    per request: a *lookup* is one machine, vertex or child that needed a
+    table, value or effective band, a *build* one distinct result; every
+    other lookup was served by a shared one (``hits = lookups - builds``).
     """
 
     n: int
     # The request's segment demand moments in band form (see _band_of).
     mean_band: np.ndarray
     var_band: np.ndarray
-    machine: Dict[int, _ValueTable] = field(default_factory=dict)
-    tables: Dict[int, _ValueTable] = field(default_factory=dict)
+    tables: Dict[int, np.ndarray] = field(default_factory=dict)
     levels: Dict[int, _LevelBands] = field(default_factory=dict)
     machine_lookups: int = 0
+    machine_builds: int = 0
     vertex_lookups: int = 0
     vertex_builds: int = 0
     eff_lookups: int = 0
     eff_builds: int = 0
-
-
-def _add_phase(phases: Optional[Dict[str, float]], phase: str, since: float) -> None:
-    if phases is not None:
-        phases[phase] = phases.get(phase, 0.0) + perf_counter() - since
 
 
 def _empty_segments(n: int) -> np.ndarray:
@@ -366,7 +242,7 @@ class SVCHeterogeneousAllocator(Allocator):
             )
             host, host_value = self._search_fast(state, caches, phases)
             obs.cache("het_machine", caches.machine_lookups,
-                      caches.machine_lookups - len(caches.machine))
+                      caches.machine_lookups - caches.machine_builds)
             obs.cache("het_vertex", caches.vertex_lookups,
                       caches.vertex_lookups - caches.vertex_builds)
             obs.cache("het_eff", caches.eff_lookups,
@@ -495,9 +371,8 @@ class SVCHeterogeneousAllocator(Allocator):
         np.fill_diagonal(effective, 0.0)
         return effective
 
-
     # ------------------------------------------------------------------
-    # Fast DP construction (numerically identical to the reference above)
+    # The level walk (numerically identical to the reference above)
     # ------------------------------------------------------------------
 
     def _search_fast(
@@ -508,130 +383,94 @@ class SVCHeterogeneousAllocator(Allocator):
     ) -> Tuple[Optional[int], float]:
         """Level-by-level host search: the lowest level with a feasible
         vertex, and on it the first vertex of minimum ``Opt[0, N]``."""
-        n = caches.n
-        host: Optional[int] = None
-        host_value = np.inf
+        since = perf_counter()
+        snapshot = level_snapshot(state)
+        host, caches.machine_lookups, caches.machine_builds = snapshot.machine_level(caches.n)
+        host_value = np.inf if host is None else 0.0
+        add_phase(phases, PHASE_TABLE_BUILD, since)
         scanned: Optional[_LevelBands] = None  # the level below, tables not built yet
-        for level, node_ids in state.tree.bottom_up_levels():
-            since = perf_counter()
-            if level == 0:
-                # A machine's table is the shared 0/inf band of its free-slot
-                # count, and it hosts the whole request iff its free slots
-                # cover N — at Opt value 0.0, the first such machine winning.
-                free_slots = state.free_slots
-                for node_id in node_ids:
-                    free = free_slots(node_id)
-                    caches.tables[node_id] = self._machine_table(
-                        min(free, n), n, caches.machine
-                    )
-                    if host is None and free >= n:
-                        host, host_value = node_id, 0.0
-                caches.machine_lookups = len(node_ids)
-                _add_phase(phases, PHASE_TABLE_BUILD, since)
-            else:
-                if scanned is not None:
-                    # The search ascends past the level below: its vertices'
-                    # full tables are this level's children.
-                    self._materialize(scanned, caches)
-                    _add_phase(phases, PHASE_COMBINE, since)
-                    since = perf_counter()
-                scanned = self._level_bands(state, node_ids, caches)
-                _add_phase(phases, PHASE_BATCH_OCCUPANCY, since)
-                since = perf_counter()
-                self._scan_row0(scanned, caches)
-                for node_id in node_ids:
-                    value = scanned.row0[scanned.slots[node_id]]
-                    if value < host_value:
-                        host, host_value = node_id, value
-                _add_phase(phases, PHASE_TABLE_BUILD, since)
+        for block in snapshot.levels:
             if host is not None:
                 break
+            since = perf_counter()
+            if scanned is not None:
+                # The search ascends past the level below: its vertices'
+                # full tables are this level's children.
+                self._materialize(scanned, caches)
+                add_phase(phases, PHASE_COMBINE, since)
+                since = perf_counter()
+            scanned = self._level_bands(state, block, caches)
+            add_phase(phases, PHASE_BATCH_OCCUPANCY, since)
+            since = perf_counter()
+            self._scan_row0(scanned, caches)
+            for node_id in block.node_ids:
+                value = scanned.row0[scanned.slots[node_id]]
+                if value < host_value:
+                    host, host_value = node_id, value
+            add_phase(phases, PHASE_TABLE_BUILD, since)
         return host, host_value
 
-    @staticmethod
-    def _machine_table(
-        limit: int, n: int, machine_cache: Dict[int, _ValueTable]
-    ) -> _ValueTable:
-        """Shared per-free-slot-count machine table, in band form.
-
-        Machines with the same number of free slots have identical DP tables
-        (any segment no longer than ``limit`` fits at inner objective 0), so
-        one read-only ``(limit+1) x (n+1)`` band serves all of them for the
-        current request.
-        """
-        table = machine_cache.get(limit)
-        if table is None:
-            values = np.zeros((limit + 1, n + 1))
-            over = np.arange(limit + 1)[:, None] + np.arange(n + 1)[None, :] > n
-            values[over] = np.inf
-            values.flags.writeable = False
-            table = _ValueTable(values=values, cap=limit)
-            machine_cache[limit] = table
-        return table
-
-
     def _level_bands(
-        self, state: NetworkState, node_ids: Sequence[int], caches: _FastCaches
+        self, state: NetworkState, block: _LevelBlock, caches: _FastCaches
     ) -> _LevelBands:
         """Effective child bands of every vertex of one level, in one pass.
 
-        Table identity is safe inside a slot key: machine tables are shared
-        per free-slot count and vertex tables per signature, so equal ids
-        imply bit-identical tables.
+        The level's children are read off the state's level snapshot: a slot
+        is one distinct row of (child table, ``D_L``, mean, variance,
+        ``C_L``), the table named by a machine's slot cap or by a switch
+        table's place among the level's distinct ones (vertex tables are
+        shared per signature), so equal names imply bit-identical tables.
 
         Broadcasting the per-slot uplink scalars over the band views of the
-        request's segment demand moments applies the exact per-element float
-        operations of :meth:`_child_effective` in the exact same order, so
-        every in-band entry is bit-identical to the scalar full-matrix build
-        — in ``O(1)`` numpy dispatches per level.  Entries past a child's
-        ``s + d > n`` boundary read the demand bands' padding but are forced
-        to ``inf`` by the child table band (the band invariant), never by a
-        float that could differ.  A zero-capacity uplink admits only the
+        request's segment demand moments applies the per-element float
+        operations of :meth:`_child_effective` in the same order, so every
+        in-band entry is bit-identical to the scalar full-matrix build.
+        Entries past ``s + d > n`` read the demand bands' padding but are
+        forced to ``inf`` by the child table band (the band invariant), never
+        by a float that could differ.  A zero-capacity uplink admits only the
         zero-cost empty segment (a raw division would yield inf, or NaN for
         an all-zero numerator, and NaN slips through every comparison mask).
-
         The tight cap — the longest segment whose effective entry is still
-        finite — is read off the arena in the same pass; bands cut at it
-        exclude only provably-``inf`` candidates.
+        finite — is read off the arena in the same pass.
         """
         n = caches.n
-        links = state.links
-        children = state.tree.children
-        tables = caches.tables
-        slot_of: Dict[Tuple, int] = {}
-        distinct: Dict[int, _ValueTable] = {}  # id(child table) -> table, in stack order
+        present = block.children >= 0
+        names = np.minimum(block.data[:, :, FREE], n)  # a machine's table is its cap
+        switches: List[np.ndarray] = []  # the distinct switch tables: -1, -2, ...
+        name_of: Dict[int, float] = {}
+        for row, position in zip(*np.nonzero(block.inner)):
+            table = caches.tables[block.child_ids[row][position]]
+            if id(table) not in name_of:
+                switches.append(table)
+                name_of[id(table)] = -float(len(switches))
+            names[row, position] = name_of[id(table)]
+        keys = np.concatenate([names[present][:, None], block.data[present][:, :4]], axis=1)
+        keys, slot_of = np.unique(keys, axis=0, return_inverse=True)
+        slot_of = slot_of.ravel().tolist()
         slots: Dict[int, Tuple[int, ...]] = {}
-        for node_id in node_ids:
-            row = []
-            for child_id in children(node_id):
-                link_state = links[child_id]
-                table = tables[child_id]
-                key = (
-                    id(table),
-                    link_state.deterministic_total,
-                    link_state.mean_total,
-                    link_state.var_total,
-                    link_state.capacity,
-                )
-                slot = slot_of.get(key)
-                if slot is None:
-                    slot = slot_of[key] = len(slot_of)
-                    distinct.setdefault(key[0], table)
-                row.append(slot)
-            slots[node_id] = tuple(row)
-            caches.eff_lookups += len(row)
-        caches.eff_builds += len(slot_of)
+        start = 0
+        for node_id, ids in zip(block.node_ids, block.child_ids):
+            slots[node_id] = tuple(slot_of[start : start + len(ids)])
+            start += len(ids)
+        caches.eff_lookups += len(slot_of)
+        caches.eff_builds += len(keys)
         if not slot_of:  # a level of childless switches
             arena = np.empty((0, 1, n + 1))
             level = _LevelBands(arena, [], slots)
         else:
-            width = max(len(table.values) for table in distinct.values())
-            stack = np.full((len(distinct), width, n + 1), np.inf)
-            for index, table in enumerate(distinct.values()):
-                stack[index, : len(table.values)] = table.values
-            row_of = {table_id: index for index, table_id in enumerate(distinct)}
-            scalars = np.array([key[1:] for key in slot_of]).T[:, :, None, None]
-            det, mean, var, capacity = scalars
+            # One band per distinct child table.  A machine's is never kept:
+            # any segment no longer than its cap fits, at inner objective 0.
+            named, table_of = np.unique(keys[:, 0], return_inverse=True)
+            bands = [
+                switches[-1 - int(name)] if name < 0 else np.zeros((int(name) + 1, 1))
+                for name in named.tolist()
+            ]
+            width = max(len(band) for band in bands)
+            stack = np.full((len(bands), width, n + 1), np.inf)
+            for index, band in enumerate(bands):
+                stack[index, : len(band)] = band
+            stack[:, np.add.outer(np.arange(width), np.arange(n + 1)) > n] = np.inf
+            det, mean, var, capacity = keys[:, 1:].T[:, :, None, None]
             dead = capacity <= 0.0
             # The reference's expression, operation for operation (float
             # addition commutes exactly), accumulated in one buffer.
@@ -642,7 +481,7 @@ class SVCHeterogeneousAllocator(Allocator):
             occupancy += mean + caches.mean_band[:width]
             occupancy += det
             occupancy /= np.where(dead, 1.0, capacity)
-            arena = np.maximum(stack[[row_of[key[0]] for key in slot_of]], occupancy)
+            arena = np.maximum(stack[table_of], occupancy)
             arena[occupancy >= _FEASIBLE_LIMIT] = np.inf
             arena[dead[:, 0, 0]] = np.inf
             arena[:, 0] = 0.0
@@ -652,19 +491,18 @@ class SVCHeterogeneousAllocator(Allocator):
             finite = np.isfinite(arena).any(axis=2)
             caps = width - 1 - np.argmax(finite[:, ::-1], axis=1)
             level = _LevelBands(arena, caps.tolist(), slots)
-        caches.levels.update(dict.fromkeys(node_ids, level))
+        caches.levels.update(dict.fromkeys(block.node_ids, level))
         return level
 
     @staticmethod
     def _scan_row0(level: _LevelBands, caches: _FastCaches) -> None:
         """``Opt[0, N]`` of every signature of the level: one stacked fold.
 
-        Row 0 of each signature-unique vertex (see :func:`_fold_rows`) is
-        folded child position by child position, each position one kernel
-        call over the ``(V, W, N+1)`` gather of that position's bands.  A
-        vertex whose children's tight caps sum below ``N`` (in particular
-        one with fewer than ``N`` free slots under it) cannot hold the
-        request: its ``Opt[0, N]`` is ``inf``, the DP's verdict, unscanned.
+        Row 0 of each signature-unique vertex is folded child position by
+        child position, each one :func:`_fold_rows` call over the
+        ``(V, W, N+1)`` gather of that position's bands.  A vertex whose
+        children's tight caps sum below ``N`` cannot hold the request: its
+        ``Opt[0, N]`` is ``inf``, the DP's verdict, unscanned.
         """
         n = caches.n
         caps = level.caps
@@ -678,20 +516,20 @@ class SVCHeterogeneousAllocator(Allocator):
         caches.vertex_builds += len(level.row0)
         if not scan:
             return
-        # Longest signature first, so the vertices that still have a child
-        # at a position are a prefix of the stack.
-        scan.sort(key=len, reverse=True)
+        scan.sort(key=len, reverse=True)  # most children first, as _fold_level asks
         grid = np.zeros((len(scan), len(scan[0])), dtype=np.intp)
         for index, signature in enumerate(scan):
             grid[index, : len(signature)] = signature
         arena_caps = np.array(caps)
+
+        def fold(rows: np.ndarray, position: int) -> np.ndarray:
+            chosen = grid[: len(rows), position]
+            width = int(arena_caps[chosen].max()) + 1
+            return _fold_rows(rows, level.arena[chosen, :width])
+
         rows = np.full((len(scan), n + 1), np.inf)
         rows[:, 0] = 0.0
-        for position in range(grid.shape[1]):
-            live = sum(len(signature) > position for signature in scan)
-            chosen = grid[:live, position]
-            width = int(arena_caps[chosen].max()) + 1
-            rows[:live] = _fold_rows(rows[:live], level.arena[chosen, :width])
+        rows = _fold_level(rows, np.array([len(signature) for signature in scan]), fold)[-1]
         for signature, value in zip(scan, rows[:, n].tolist()):
             level.row0[signature] = value
 
@@ -699,18 +537,16 @@ class SVCHeterogeneousAllocator(Allocator):
     def _materialize(level: _LevelBands, caches: _FastCaches) -> None:
         """Full value tables of a level via a stacked balanced combine.
 
-        ``(min, max)`` over floats is exactly associative (both select an
-        operand, nothing is rounded), so adjacent children can be combined
-        pairwise in a balanced tree: the same candidate partitions are
-        enumerated, grouped differently, and the resulting values are
-        bit-identical to the sequential reference.  Balancing keeps *both*
-        operands' bands small (sequential growth makes the left band reach
-        ``N`` after a handful of children), each round's distinct pairs —
-        across all of the level's signatures — are one
+        The (min, max) product is exactly associative, so adjacent children
+        are combined pairwise in a balanced tree: the same candidates,
+        grouped differently, bit-identical to the sequential reference.
+        Balancing keeps *both* operands' bands small (sequential growth makes
+        the left band reach ``N`` after a handful of children); each round's
+        distinct pairs, across all of the level's signatures, are one
         :func:`_combine_bands` call per operand shape (equal caps stack
-        without padding), and a pair already named is never recombined:
-        runs of identical children, e.g. the machines of a pristine rack,
-        collapse to ``O(log children)`` unique combines.
+        without padding); and a pair already named is never recombined: runs
+        of identical children, e.g. the machines of a pristine rack, collapse
+        to ``O(log children)`` unique combines.
         """
         n = caches.n
         caps, bands, names = level.caps, level.bands, level.names
@@ -745,13 +581,10 @@ class SVCHeterogeneousAllocator(Allocator):
                 for seq in items
             ]
         for signature, seq in zip(signatures, items):
-            if seq:
-                cap = caps[seq[0]]
-                values = bands[seq[0]][: cap + 1]
-            else:
-                cap = 0
-                values = np.zeros((1, n + 1))  # only empty segments, at cost 0
-            level.tables[signature] = _ValueTable(values=values, cap=cap)
+            # A childless switch holds only empty segments, at cost 0.
+            level.tables[signature] = (
+                bands[seq[0]][: caps[seq[0]] + 1] if seq else np.zeros((1, n + 1))
+            )
         for node_id, signature in level.slots.items():
             caches.tables[node_id] = level.tables[signature]
         caches.vertex_lookups += len(level.slots)
@@ -787,7 +620,6 @@ class SVCHeterogeneousAllocator(Allocator):
         if right != start:
             raise RuntimeError(f"backtracking left [{start}, {right}) unassigned at {node_id}")
 
-
     def _backtrack_fast(
         self,
         tree,
@@ -822,7 +654,7 @@ class SVCHeterogeneousAllocator(Allocator):
         for slot in slots[:-1]:
             band = level.arena[slot, : level.caps[slot] + 1]
             prefixes.append(_fold_rows(prefixes[-1], band[None]))
-        _add_phase(phases, PHASE_COMBINE, since)
+        add_phase(phases, PHASE_COMBINE, since)
         right = end
         for index in range(len(slots) - 1, -1, -1):
             slot = slots[index]

@@ -17,30 +17,32 @@ used for mean-VC and percentile-VC.
 Implementation notes: allocable sets are dense ``float`` arrays of length
 ``N + 1`` indexed by VM count, holding the ``Opt`` value (``inf`` means "not
 allocable").  The per-child combine step is the (min, max) convolution of the
-partial array with the child's array — done with one vectorized pass per
-feasible child count.
+partial array with the child's array.
 
 Two implementations of the tree DP coexist:
 
 * the **seed** path (``fast=False``) — the original straight-line
-  implementation, kept verbatim as the reference the fast path is proven
+  implementation, one vertex and one child at a time with per-child choice
+  tables, kept verbatim as the reference the production path is proven
   against (placement-equivalence tests compare the two decision for
   decision);
-* the **fast** path (``fast=True``, the default) — numerically identical,
-  but (a) caps every split size at the child subtree's *free-slot total*
-  (maintained incrementally by :class:`~repro.network.link_state.NetworkState`)
-  instead of iterating to ``N``, (b) computes the uplink occupancy of all
-  children of a vertex in one broadcast batch, (c) shares one table across
-  all machines with the same free-slot count (and one table across vertices
-  whose children are in bit-identical states), (d) replaces the
-  per-``e`` Python loop of the combine step with a single index-gather
-  (min, max)-convolution, and (e) is incremental: the tables of the last
-  few request shapes are kept across calls (:class:`_ShapeTables`), and a
-  vertex under which nothing was committed or released since its table was
-  keyed (``NetworkState.changed_at``) is neither re-keyed nor rebuilt — a
-  repeated shape costs the dirty paths, not the tree.
+* the **level walk** (``fast=True``, the default) — the same recursion one
+  tree *level* at a time, on the shared kernels of
+  :mod:`repro.allocation.kernels` (DESIGN.md §6).  A level's inputs come
+  from the state's level snapshot, never link by link; its vertices are
+  keyed by the bytes of their snapshot rows, so vertices in bit-identical
+  states share one table, and the distinct ones that must be built are
+  built together — one broadcast ``O_L(N, e)`` block and one
+  :func:`~repro.allocation.kernels._fold_counts` per child *position*
+  (:meth:`_level_tables`).  A machine's table is the step function of
+  ``min(free, N)`` and is never materialized.  Tables hold values only:
+  splits are recovered at backtrack from the prefix rows of the vertices on
+  the placement path (:meth:`_place_levels`).  On top sits the incremental
+  store (:class:`_ShapeTables`): a vertex under which nothing was committed
+  or released since its table was keyed costs one dict probe — a repeated
+  shape pays for the dirty paths, not the tree.
 
-Every floating-point operation of the fast path is elementwise-identical to
+Every floating-point operation of the level walk is elementwise-identical to
 the seed path, so the produced host / placement / ``max_occupancy`` decisions
 are bit-for-bit the same — not merely statistically equivalent.
 """
@@ -61,8 +63,21 @@ from repro.abstractions.requests import (
     HomogeneousSVC,
     VirtualClusterRequest,
 )
-from repro.allocation.base import Allocation, Allocator, link_demands_from_counts
+from repro.allocation.base import Allocation, Allocator, add_phase, link_demands_from_counts
 from repro.allocation.demand_model import homogeneous_split_moments
+from repro.allocation.kernels import (
+    CAPACITY,
+    DET,
+    FREE,
+    MEAN,
+    VAR,
+    _fold_counts,
+    _fold_level,
+    _LevelBlock,
+    _LevelSnapshot,
+    _split_counts,
+    level_snapshot,
+)
 from repro.network.link_state import LinkState, NetworkState
 from repro.obs.instruments import (
     PHASE_ALLOC,
@@ -89,11 +104,18 @@ _next_serial = itertools.count().__next__
 
 @dataclass
 class _VertexTable:
-    """DP state of one vertex: values over VM counts + per-child split choices."""
+    """Seed DP state of one vertex: values over VM counts + per-child split choices."""
 
     values: np.ndarray  # Opt(T_v, h) over h = 0..N; inf = not allocable
     choices: List[np.ndarray]  # choices[i][s] = VMs given to child i when T_v[i] holds s
-    #: Never reused, unlike ``id()``: a cache key naming a table that was
+
+
+@dataclass
+class _ValueRow:
+    """A kept table of the level walk: ``Opt(T_v, h)`` over ``h = 0..N``, values only."""
+
+    values: np.ndarray
+    #: Never reused, unlike ``id()``: a vertex key naming a table that was
     #: since pruned and freed can therefore never match a later table.
     serial: int = field(default_factory=_next_serial)
 
@@ -107,21 +129,6 @@ def _request_shape(request: VirtualClusterRequest) -> Tuple:
     if isinstance(request, DeterministicVC):
         return ("deterministic", request.n_vms, request.bandwidth)
     return ("homogeneous", request.n_vms, request.mean, request.std)
-
-
-def _convolution_context(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shape scratch for ``_combine_fast``.
-
-    ``idx_full[e, s] = s - e``; gathering a partial table through its
-    first ``cap + 1`` rows yields the shifted matrix ``partial[s - e]``
-    in one C call.  Negative entries wrap into the permanent ``inf``
-    tail of ``scratch``, encoding the ``s < e`` infeasible corner.
-    """
-    s_index = np.arange(n + 1)
-    idx_full = s_index[None, :] - s_index[:, None]
-    scratch = np.empty(2 * n + 1)
-    scratch[n + 1 :] = np.inf
-    return s_index, idx_full, scratch
 
 
 class _ShapeTables:
@@ -138,9 +145,7 @@ class _ShapeTables:
     def __init__(self, state: NetworkState, request: VirtualClusterRequest) -> None:
         self.state = weakref.ref(state)
         self.split_mean, self.split_var = homogeneous_split_moments(request)
-        self.conv = _convolution_context(request.n_vms)
-        self.machine_cache: Dict[int, _VertexTable] = {}
-        self.vertex_cache: Dict[Tuple, _VertexTable] = {}
+        self.vertex_cache: Dict[Tuple, _ValueRow] = {}
         #: node_id -> (state version it was keyed at, its vertex-cache key);
         #: the key still holds iff ``state.changed_at[node_id] <=`` that version.
         self.signatures: Dict[int, Tuple[int, Tuple]] = {}
@@ -150,6 +155,20 @@ class _ShapeTables:
         if len(self.vertex_cache) > _MAX_TABLES_PER_VERTEX * len(self.signatures):
             cache = self.vertex_cache
             self.vertex_cache = {key: cache[key] for _, key in self.signatures.values()}
+
+
+@dataclass
+class _Walk:
+    """Per-``allocate`` state of the level walk; ``tables`` holds the table of
+    every switch visited so far."""
+
+    state: NetworkState
+    kept: _ShapeTables
+    snapshot: _LevelSnapshot
+    n: int
+    deterministic: bool
+    phases: Optional[Dict[str, float]]
+    tables: Dict[int, _ValueRow] = field(default_factory=dict)
 
 
 def _uplink_occupancy_vector(
@@ -230,97 +249,20 @@ class _HomogeneousTreeSearch(Allocator):
             )
             return None
 
-        deterministic = request.is_deterministic
         tree = state.tree
-
-        tables: Dict[int, _VertexTable] = {}
-        host: Optional[int] = None
-        host_value = np.inf
+        walk: Optional[_Walk] = None
         if self._fast:
             kept = self._tables_for(state, request)
             split_mean, split_var = kept.split_mean, kept.split_var
-            machine_cache = kept.machine_cache
-            machine_pre = len(machine_cache)
-            vertex_pre = len(kept.vertex_cache)
+            walk = _Walk(
+                state, kept, level_snapshot(state), n, request.is_deterministic, phases
+            )
+            add_phase(phases, PHASE_PRUNE, t_start)
+            host = self._search_levels(walk, obs)
         else:
             split_mean, split_var = homogeneous_split_moments(request)
-        machine_lookups = 0
-        vertex_lookups = 0
-        if phases is not None:
-            phases[PHASE_PRUNE] = perf_counter() - t_start
-        for _level, node_ids in tree.bottom_up_levels():
-            if self._fast and _level == 0:
-                # Machine level, unrolled: the table is the shared 0/inf step
-                # function per free-slot count, and a machine hosts the whole
-                # request iff its free slots cover N — in which case its
-                # Opt value is 0.0 and (for both the optimizing and the
-                # first-feasible variant) the first such machine in node
-                # order wins, exactly as the generic loop below decides.
-                t_phase = perf_counter() if phases is not None else 0.0
-                free_slots = state.free_slots
-                for node_id in node_ids:
-                    free = free_slots(node_id)
-                    tables[node_id] = self._machine_table(
-                        min(free, n), n, machine_cache
-                    )
-                    if host is None and free >= n:
-                        host, host_value = node_id, 0.0
-                machine_lookups = len(node_ids)
-                if phases is not None:
-                    phases[PHASE_TABLE_BUILD] = (
-                        phases.get(PHASE_TABLE_BUILD, 0.0) + perf_counter() - t_phase
-                    )
-                if host is not None and self._localize:
-                    break
-                continue
-            for node_id in node_ids:
-                if self._fast:
-                    vertex_lookups += 1
-                    table = self._build_vertex_fast(
-                        state, node_id, n, deterministic, tables, kept, phases
-                    )
-                else:
-                    t_phase = perf_counter() if phases is not None else 0.0
-                    table = self._build_vertex(
-                        state, node_id, n, split_mean, split_var, deterministic, tables
-                    )
-                    if phases is not None:
-                        phases[PHASE_TABLE_BUILD] = (
-                            phases.get(PHASE_TABLE_BUILD, 0.0)
-                            + perf_counter() - t_phase
-                        )
-                tables[node_id] = table
-                value = float(table.values[n])
-                if not np.isfinite(value):
-                    continue
-                if self._optimize:
-                    if value < host_value:
-                        host, host_value = node_id, value
-                elif host is None:
-                    host, host_value = node_id, value
-            if host is not None and self._localize:
-                break  # lowest feasible level found
-        if not self._localize and np.isfinite(float(tables[tree.root_id].values[n])):
-            # Locality ablation: ignore the lowest-subtree bias and take the
-            # global min-max placement, Opt(T_root, N).
-            host = tree.root_id
-            host_value = float(tables[tree.root_id].values[n])
-        if self._fast:
-            # Hit/miss bookkeeping is derived once per request: every probe
-            # that did not insert a new table was served by a shared one.
-            # Counting inserts relative to the pre-call size keeps the math
-            # right when tables are carried in from earlier calls.
-            obs.cache(
-                "machine",
-                machine_lookups,
-                machine_lookups - (len(machine_cache) - machine_pre),
-            )
-            obs.cache(
-                "vertex",
-                vertex_lookups,
-                vertex_lookups - (len(kept.vertex_cache) - vertex_pre),
-            )
-            kept.prune()
+            add_phase(phases, PHASE_PRUNE, t_start)
+            host, tables = self._search_seed(state, request, split_mean, split_var, phases)
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
@@ -328,9 +270,12 @@ class _HomogeneousTreeSearch(Allocator):
             )
             return None
 
-        t_alloc = perf_counter() if phases is not None else 0.0
-        machine_counts: Dict[int, int] = {}
-        self._backtrack(tree, tables, host, n, machine_counts)
+        t_alloc = perf_counter()
+        if walk is not None:
+            machine_counts = self._place_levels(walk, host)
+        else:
+            machine_counts = {}
+            self._backtrack(tree, tables, host, n, machine_counts)
         link_demands = link_demands_from_counts(
             tree, host, machine_counts, split_mean, split_var
         )
@@ -342,10 +287,42 @@ class _HomogeneousTreeSearch(Allocator):
             link_demands=link_demands,
             max_occupancy=self._subtree_max_occupancy(state, host, link_demands),
         )
-        if phases is not None:
-            phases[PHASE_ALLOC] = perf_counter() - t_alloc
+        add_phase(phases, PHASE_ALLOC, t_alloc)
         obs.done(self.name, perf_counter() - t_start, admitted=True, trace=trace, n_vms=n)
         return allocation
+
+    def _is_better_host(self, value: float, host: Optional[int], host_value: float) -> bool:
+        """Algorithm 1 takes the level's first minimum, adapted TIVC its first feasible."""
+        return value < host_value and (self._optimize or host is None)
+
+    def _search_seed(
+        self,
+        state: NetworkState,
+        request: VirtualClusterRequest,
+        split_mean: np.ndarray,
+        split_var: np.ndarray,
+        phases: Optional[Dict[str, float]],
+    ) -> Tuple[Optional[int], Dict[int, _VertexTable]]:
+        """The reference traversal: one :meth:`_build_vertex` per node, leaves up."""
+        n = request.n_vms
+        tables: Dict[int, _VertexTable] = {}
+        host: Optional[int] = None
+        host_value = np.inf
+        for _level, node_ids in state.tree.bottom_up_levels():
+            for node_id in node_ids:
+                since = perf_counter()
+                tables[node_id] = table = self._build_vertex(
+                    state, node_id, n, split_mean, split_var, request.is_deterministic, tables
+                )
+                add_phase(phases, PHASE_TABLE_BUILD, since)
+                if self._is_better_host(float(table.values[n]), host, host_value):
+                    host, host_value = node_id, float(table.values[n])
+            if host is not None and self._localize:
+                break  # lowest feasible level found
+        root = state.tree.root_id
+        if not self._localize and np.isfinite(float(tables[root].values[n])):
+            host = root  # locality ablation: the global min-max placement, Opt(T_root, N)
+        return host, tables
 
     # ------------------------------------------------------------------
     # DP construction
@@ -442,171 +419,179 @@ class _HomogeneousTreeSearch(Allocator):
         return new_values, choice
 
     # ------------------------------------------------------------------
-    # Fast DP construction (numerically identical to the seed path above)
+    # The level walk (numerically identical to the seed path above)
     # ------------------------------------------------------------------
 
+    def _search_levels(self, walk: _Walk, obs) -> Optional[int]:
+        """Host search, one level at a time: the lowest level with a feasible
+        vertex and on it the first vertex of minimum ``Opt(T_v, N)`` (the first
+        feasible one without optimization; the root when not localizing)."""
+        n, kept = walk.n, walk.kept
+        kept_before = len(kept.vertex_cache)
+        since = perf_counter()
+        host, machines, steps = walk.snapshot.machine_level(n)
+        host_value = np.inf if host is None else 0.0
+        add_phase(walk.phases, PHASE_TABLE_BUILD, since)
+        for block in walk.snapshot.levels:
+            if host is not None and self._localize:
+                break  # lowest feasible level found
+            self._level_tables(walk, block)
+            for node_id in block.node_ids:
+                value = float(walk.tables[node_id].values[n])
+                if self._is_better_host(value, host, host_value):
+                    host, host_value = node_id, value
+        root = walk.tables.get(walk.state.tree.root_id)
+        if not self._localize and root is not None and np.isfinite(float(root.values[n])):
+            host = walk.state.tree.root_id  # locality ablation, as in the seed search
+        # Once per request: a lookup is one machine or switch that needed a
+        # table, a build one distinct result; a shared one served the rest.
+        obs.cache("machine", machines, machines - steps)
+        built = len(kept.vertex_cache) - kept_before
+        obs.cache("vertex", len(walk.tables), len(walk.tables) - built)
+        kept.prune()
+        return host
+
+    def _level_tables(self, walk: _Walk, block: _LevelBlock) -> None:
+        """``walk.tables`` for every vertex of one level.
+
+        A clean vertex (see :class:`_ShapeTables`) keeps its key untouched.
+        The others are keyed by what their table is a function of — the bytes
+        of their block rows, which hold every child's uplink state and slot
+        cap, plus the serials of their switch children's tables (a machine
+        child's table *is* its slot cap) — and the keys no kept table answers
+        are built together, one representative each.
+        """
+        since = perf_counter()
+        state, tables = walk.state, walk.tables
+        signatures, cache = walk.kept.signatures, walk.kept.vertex_cache
+        keyed = None
+        pending: Dict[Tuple, int] = {}  # key -> the first block row it names
+        for row, node_id in enumerate(block.node_ids):
+            memo = signatures.get(node_id)
+            if memo is None or state.changed_at[node_id] > memo[0]:
+                if keyed is None:  # slot caps are all a DP for N VMs reads of free slots
+                    keyed = block.data.copy()
+                    np.minimum(keyed[:, :, FREE], walk.n, out=keyed[:, :, FREE])
+                key = (
+                    keyed[row, : len(block.child_ids[row])].tobytes(),
+                    tuple(tables[child].serial for child in block.inner_ids[row]),
+                )
+                signatures[node_id] = (state.version, key)
+                if key not in cache:
+                    pending.setdefault(key, row)
+        add_phase(walk.phases, PHASE_TABLE_BUILD, since)
+        if pending:
+            # Most children first: what _fold_level asks of its stack.
+            keys = sorted(pending, key=lambda key: -len(block.child_ids[pending[key]]))
+            rows = [pending[key] for key in keys]
+            since = perf_counter()
+            effective = self._effective(walk, block, rows)
+            add_phase(walk.phases, PHASE_BATCH_OCCUPANCY, since)
+            since = perf_counter()
+            values = self._fold_children(effective, block.counts[rows], walk.n + 1)[-1]
+            for key, row_values in zip(keys, values):
+                cache[key] = _ValueRow(row_values.copy())  # not a view: a pruned row frees
+            add_phase(walk.phases, PHASE_COMBINE, since)
+        for node_id in block.node_ids:
+            tables[node_id] = cache[signatures[node_id][1]]
+
+    def _fold_children(
+        self, effective: np.ndarray, counts: np.ndarray, height: int
+    ) -> List[np.ndarray]:
+        """Eq. (11) for a stack of vertices: their rows over ``0..height-1``
+        VMs before each child position and after the last."""
+        start = np.full((len(counts), height), np.inf)
+        start[:, 0] = 0.0  # T_v[0] = {v}: no links, nothing placed
+        return _fold_level(
+            start,
+            counts,
+            lambda rows, position: _fold_counts(
+                rows, effective[: len(rows), position, :height], self._optimize
+            ),
+        )
+
     @staticmethod
-    def _machine_table(limit: int, n: int, machine_cache: Dict[int, _VertexTable]) -> _VertexTable:
-        """Shared per-free-slot-count machine table (lines 4-7 of Algorithm 1).
+    def _effective(walk: _Walk, block: _LevelBlock, rows: List[int]) -> np.ndarray:
+        """``eff[v, i, e] = max(Opt(T_child, e), O_uplink(N, e))`` for every child
+        ``i`` of the block rows ``rows``, ``inf`` where the uplink rejects ``e``.
 
-        Machines with the same number of free slots have identical DP tables,
-        so one read-only array serves all of them for the current request.
+        The allocable-set definition (Definition 1) for a whole stack of
+        vertices in one broadcast: split sizes run to the largest slot cap of
+        the stack (past a child's own cap its table is ``inf`` anyway), a
+        machine child's table is the 0/``inf`` step at its cap, and the
+        occupancy block applies the seed's :func:`_uplink_occupancy_vector`
+        operation for operation, so every entry is bit-identical to
+        :meth:`_child_effective`'s.
         """
-        table = machine_cache.get(limit)
-        if table is None:
-            values = np.full(n + 1, np.inf)
-            values[: limit + 1] = 0.0
-            values.flags.writeable = False
-            table = _VertexTable(values=values, choices=[])
-            machine_cache[limit] = table
-        return table
-
-    def _build_vertex_fast(
-        self,
-        state: NetworkState,
-        node_id: int,
-        n: int,
-        deterministic: bool,
-        tables: Dict[int, _VertexTable],
-        kept: _ShapeTables,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> _VertexTable:
-        """Pruned, batched equivalent of :meth:`_build_vertex`.
-
-        Split sizes are capped at ``min(N, free_slots_under(child))`` — every
-        entry beyond that cap is ``inf`` in the child's table anyway (a
-        subtree cannot absorb more VMs than its free slots), so skipping them
-        changes nothing.  The uplink occupancy of *all* children is computed
-        in one broadcast batch; the elementwise operations match the seed
-        path's exactly, so the resulting floats are bit-identical.
-
-        The vertex DP is a pure function of the children's tables and uplink
-        states, so vertices whose children are in bit-identical states (the
-        common case: most racks of a datacenter look alike) share one table
-        via ``kept.vertex_cache``, keyed by the per-child (table serial, link
-        state, slot cap) signature.
-        """
-        vertex_cache = kept.vertex_cache
-        memo = kept.signatures.get(node_id)
-        if memo is not None and state.changed_at[node_id] <= memo[0]:
-            # Nothing under this vertex moved since it was keyed: its
-            # children's tables, uplink moments and slot caps are what they
-            # were, so the per-child re-keying can be skipped outright.
-            return vertex_cache[memo[1]]
-
-        children = state.tree.node(node_id).children
-        if not children:
-            partial = np.full(n + 1, np.inf)
-            partial[0] = 0.0
-            return _VertexTable(values=partial, choices=[])
-
-        # ``phases`` (sampled traces only) splits the work into disjoint
-        # wall-time sections: table_build = per-child metadata + signature +
-        # cache probe, batch_occupancy = the broadcast O_L(N, e) block,
-        # combine = the (min, max)-convolutions.
-        t_phase = perf_counter() if phases is not None else 0.0
-        num = len(children)
-        caps = np.empty(num, dtype=np.int64)
-        det = np.empty(num)
-        mean = np.empty(num)
-        var = np.empty(num)
-        capacity = np.empty(num)
-        links = state.links
-        signature: List[Tuple] = []
-        for i, child_id in enumerate(children):
-            link_state = links[child_id]
-            det[i] = link_state.deterministic_total
-            mean[i] = link_state.mean_total
-            var[i] = link_state.var_total
-            capacity[i] = link_state.capacity
-            caps[i] = cap = min(n, state.free_slots_under(child_id))
-            # Table identity is safe as a key: machine tables are shared per
-            # free-slot count and cached vertex tables are shared per
-            # signature, so equal serials imply bit-identical child tables.
-            signature.append(
-                (tables[child_id].serial, det[i], mean[i], var[i], capacity[i], cap)
-            )
-        key = tuple(signature)
-        cached = vertex_cache.get(key)
-        if phases is not None:
-            phases[PHASE_TABLE_BUILD] = (
-                phases.get(PHASE_TABLE_BUILD, 0.0) + perf_counter() - t_phase
-            )
-        if cached is not None:
-            kept.signatures[node_id] = (state.version, key)
-            return cached
-
-        partial = np.full(n + 1, np.inf)
-        partial[0] = 0.0  # T_v[0] = {v}: no links, nothing placed
-        choices: List[np.ndarray] = []
-        t_phase = perf_counter() if phases is not None else 0.0
-        width = int(caps.max())
-        split_mean, split_var, conv = kept.split_mean, kept.split_var, kept.conv
-        sm = split_mean[: width + 1][None, :]
-        if deterministic:
-            reserved = det[:, None] + sm
-            effective = mean[:, None] + state.risk_c * np.sqrt(np.maximum(var[:, None], 0.0))
-            occ = (reserved + effective) / capacity[:, None]
+        data = block.data[rows]
+        caps = np.minimum(data[:, :, FREE, None], walk.n)  # a subtree's slot cap
+        width = int(caps.max()) + 1
+        child = np.where(np.arange(width) <= caps, 0.0, np.inf)
+        inner = [
+            walk.tables[child_id].values[:width]
+            for row in rows
+            for child_id in block.inner_ids[row]
+        ]
+        if inner:
+            child[block.inner[rows]] = inner
+        det, mean, var, capacity = (
+            data[:, :, column, None] for column in (DET, MEAN, VAR, CAPACITY)
+        )
+        risk_c = walk.state.risk_c
+        split_mean = walk.kept.split_mean[:width]
+        if walk.deterministic:
+            reserved = det + split_mean
+            effective = mean + risk_c * np.sqrt(np.maximum(var, 0.0))
         else:
-            sv = split_var[: width + 1][None, :]
-            stoch_mean = mean[:, None] + sm
-            variance = var[:, None] + sv
-            effective = stoch_mean + state.risk_c * np.sqrt(np.maximum(variance, 0.0))
-            occ = (det[:, None] + effective) / capacity[:, None]
-        if phases is not None:
-            phases[PHASE_BATCH_OCCUPANCY] = (
-                phases.get(PHASE_BATCH_OCCUPANCY, 0.0) + perf_counter() - t_phase
-            )
-            t_phase = perf_counter()
+            reserved = det
+            variance = var + walk.kept.split_var[:width]
+            effective = (mean + split_mean) + risk_c * np.sqrt(np.maximum(variance, 0.0))
+        occupancy = (reserved + effective) / capacity
+        child = np.maximum(child, occupancy)
+        child[occupancy >= _FEASIBLE_LIMIT] = np.inf
+        return child
 
-        for i, child_id in enumerate(children):
-            cap = int(caps[i])
-            row = occ[i, : cap + 1]
-            child_values = tables[child_id].values
-            child_eff = np.maximum(child_values[: cap + 1], row)
-            child_eff[row >= _FEASIBLE_LIMIT] = np.inf
-            partial, choice = self._combine_fast(partial, child_eff, n, conv)
-            choices.append(choice)
-        if phases is not None:
-            phases[PHASE_COMBINE] = (
-                phases.get(PHASE_COMBINE, 0.0) + perf_counter() - t_phase
-            )
-        table = _VertexTable(values=partial, choices=choices)
-        vertex_cache[key] = table
-        kept.signatures[node_id] = (state.version, key)
-        return table
+    def _place_levels(self, walk: _Walk, host: int) -> Dict[int, int]:
+        """The ``Alloc()`` backtrack, level by level, without choice tables.
 
-    def _combine_fast(
-        self,
-        partial: np.ndarray,
-        child_eff: np.ndarray,
-        n: int,
-        conv: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched (min, max)-convolution — no per-``e`` Python loop.
-
-        Produces exactly what :meth:`_combine` produces.  ``cand[e, s]`` is
-        the candidate value of giving the child ``e`` VMs out of sum ``s``;
-        the seed's ascending-``e`` scalar loop keeps, per ``s``, the *first*
-        ``e`` attaining the minimum (optimize) or the first feasible ``e``
-        (TIVC) — which is precisely ``argmin`` / ``argmax(isfinite)`` along
-        the ``e`` axis, both of which return the first occurrence.  Only
-        ``max``/``min``/compare operations touch the floats, so the values
-        are bit-identical to the seed's.  ``child_eff`` may be shorter than
-        ``n + 1``; missing entries are infeasible.
+        The seed reads ``choices[i][remaining]``: the first ``e`` minimizing
+        ``max(eff_i[e], partial_i[remaining - e])`` (the first feasible one
+        without optimization).  The prefix rows ``partial_i`` of every vertex
+        on the placement path are refolded, stacked as in the build but only
+        as far as the largest count placed, and :func:`_split_counts` takes
+        exactly that split.
         """
-        s_index, idx_full, scratch = conv
-        cap = child_eff.size - 1
-        scratch[: n + 1] = partial
-        cand = scratch[idx_full[: cap + 1]]
-        np.maximum(child_eff[:, None], cand, out=cand)
-        if self._optimize:
-            choice = np.argmin(cand, axis=0)
-        else:
-            choice = np.argmax(np.isfinite(cand), axis=0)
-        new_values = cand[choice, s_index]
-        choice[np.isinf(new_values)] = -1
-        return new_values, choice
+        if host not in walk.tables:
+            return {host: walk.n}  # a machine hosts the request whole
+        machine_counts: Dict[int, int] = {}
+        todo = {host: walk.n}
+        for block in reversed(walk.snapshot.levels):
+            rows = sorted(
+                (block.row_of[node_id] for node_id in todo if node_id in block.row_of),
+                key=lambda row: -len(block.child_ids[row]),
+            )
+            if not rows:
+                continue
+            remaining = np.array([todo.pop(block.node_ids[row]) for row in rows])
+            height = int(remaining.max()) + 1
+            effective = self._effective(walk, block, rows)[:, :, :height]
+            counts = block.counts[rows]
+            prefixes = self._fold_children(effective, counts, height)
+            for position in range(len(prefixes) - 2, -1, -1):
+                live = int(np.count_nonzero(counts > position))
+                split = _split_counts(
+                    prefixes[position][:live], effective[:live, position],
+                    remaining[:live], self._optimize,
+                )
+                for index in np.flatnonzero(split).tolist():
+                    child_id = block.child_ids[rows[index]][position]
+                    target = machine_counts if block.machines[rows[index], position] else todo
+                    target[child_id] = int(split[index])
+                remaining[:live] -= split
+            if remaining.any():
+                stuck = block.node_ids[rows[int(np.argmax(remaining != 0))]]
+                raise RuntimeError(f"backtracking hit an infeasible entry at node {stuck}")
+        return machine_counts
 
     # ------------------------------------------------------------------
     # Backtracking (the Alloc() procedure of Algorithm 1)

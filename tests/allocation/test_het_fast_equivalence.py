@@ -18,11 +18,8 @@ from hypothesis import strategies as st
 
 from repro.abstractions import HeterogeneousSVC
 from repro.allocation.demand_model import SegmentDemandTable
-from repro.allocation.svc_het_heuristic import (
-    SVCHeterogeneousAllocator,
-    _band_of,
-    _FastCaches,
-)
+from repro.allocation.kernels import _band_of
+from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator, _FastCaches
 from repro.network import NetworkState
 from repro.stochastic import Normal
 from repro.topology import DatacenterSpec, build_datacenter

@@ -27,9 +27,10 @@ from repro.allocation.base import Allocator
 from repro.allocation.svc_homogeneous import (
     _MAX_TABLES_PER_VERTEX,
     _STORE_CAPACITY,
+    GlobalMinMaxAllocator,
     SVCHomogeneousAllocator,
     _request_shape,
-    _VertexTable,
+    _ValueRow,
 )
 from repro.manager.network_manager import NetworkManager
 from repro.network import NetworkState
@@ -368,28 +369,53 @@ class TestTableIdentity:
         kept = allocator._store[_request_shape(CHURN_SHAPE)]
 
         def serials():
-            tables = list(kept.vertex_cache.values()) + list(kept.machine_cache.values())
-            return {table.serial for table in tables}
+            return {table.serial for table in kept.vertex_cache.values()}
 
         watched = [weakref.ref(table) for table in kept.vertex_cache.values()]
-        named = set()
+        seen = serials()
         for _ in range(400):  # until a prune drops, and so frees, a table
             churn(manager, CHURN_SHAPE, rng, live, 1)
-            named |= {child[0] for key in kept.vertex_cache for child in key}
+            seen |= serials()
             if any(ref() is None for ref in watched):
                 break
         gc.collect()
         alive = serials()
-        stale = named - alive
-        assert stale, "the churn must leave keys that name freed tables"
+        stale = seen - alive
+        assert stale, "the churn must prune tables that keys once named"
         churn(manager, CHURN_SHAPE, rng, live, 60)  # new tables, some at freed addresses
         fresh = serials() - alive
         assert fresh and not fresh & stale
-        # And it is the serial the keys hold: a rack is re-keyed on every
-        # traversal, so its key names tables that are in the machine cache.
-        machine_serials = {table.serial for table in kept.machine_cache.values()}
-        for node in tiny_tree.nodes:
-            if node.children and all(tiny_tree.node(c).is_machine for c in node.children):
-                _version, key = kept.signatures[node.node_id]
-                assert {child[0] for child in key} <= machine_serials
-        assert _VertexTable(values=np.zeros(1), choices=[]).serial > max(named | fresh)
+        # Serials only grow, so no later table can take a pruned one's name.
+        assert min(fresh) > max(seen)
+        assert _ValueRow(values=np.zeros(1)).serial > max(fresh)
+
+    def test_clean_vertices_are_not_rekeyed(self, tiny_tree):
+        """A vertex is keyed again only if something under it moved."""
+        manager = NetworkManager(tiny_tree, allocator=SVCHomogeneousAllocator())
+        state = manager.state
+        rng = random.Random(4)
+        live = []
+        churn(manager, CHURN_SHAPE, rng, live, 10)
+        # Probed without committing, by the allocator that walks every level.
+        walker = GlobalMinMaxAllocator()
+        probe = HomogeneousSVC(n_vms=5, mean=30.0, std=10.0)
+        assert walker.allocate(state, probe, 10_000) is not None
+        kept = walker._store[_request_shape(probe)]
+        assert tiny_tree.root_id in kept.signatures
+        rekeyed = clean = 0
+        walked_at = state.version
+        for _ in range(60):
+            before = dict(kept.signatures)
+            churn(manager, CHURN_SHAPE, rng, live, 1)
+            if state.total_free_slots < probe.n_vms:
+                continue  # turned away before any level is walked
+            walker.allocate(state, probe, 10_000)  # every level, admitted or not
+            for node_id, memo in kept.signatures.items():
+                if state.changed_at[node_id] > walked_at:
+                    assert memo[0] == state.version  # keyed again, at this version
+                    rekeyed += 1
+                else:
+                    assert memo is before[node_id]  # the very memo: not even re-keyed
+                    clean += 1
+            walked_at = state.version
+        assert rekeyed > 40 and clean > 40
