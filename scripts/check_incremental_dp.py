@@ -19,7 +19,10 @@ identical; the first difference fails the run.
 kind on every op, as the e2e ``paper-mixed`` workload draws them, so no kept
 table is ever reused and every call is one level walk from the machines up —
 once for each allocator that rides on it (Algorithm 1, adapted TIVC, Oktopus,
-global min-max), each against its own ``fast=False`` seed traversal.
+global min-max), each against its own ``fast=False`` seed traversal — and
+once for the substring heuristic (``svc-het`` against ``svc-het-seed``) on
+fresh per-VM demand vectors, where a reject is either proved at the machine
+links before any table is built or decided by the tables: both must occur.
 
 Usage (repo root)::
 
@@ -33,7 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.abstractions import DeterministicVC, HomogeneousSVC
+from repro.abstractions import DeterministicVC, HeterogeneousSVC, HomogeneousSVC
+from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator
 from repro.allocation.svc_homogeneous import (
     AdaptedTIVCAllocator,
     GlobalMinMaxAllocator,
@@ -43,7 +47,13 @@ from repro.allocation.svc_homogeneous import (
 )
 from repro.experiments.common import resolve_scale, simulation_rng
 from repro.manager.network_manager import RESIZE_IN_PLACE, RESIZE_REPLACED, NetworkManager
+from repro.obs.instruments import (
+    REASON_NO_FEASIBLE_MACHINE_LINK,
+    REASON_NO_FEASIBLE_SUBTREE,
+    global_registry,
+)
 from repro.service.codec import network_state_to_dict
+from repro.stochastic import Normal
 from repro.topology.builder import build_datacenter
 
 SIZES = (4, 8, 12, 16, 24)
@@ -51,15 +61,19 @@ RATES = (100.0, 200.0, 300.0)
 BURST = 8
 COLD_RATES = (100.0, 200.0, 300.0, 400.0, 500.0)  # Section VI-A mean rates
 
-#: name -> (the production allocator, its seed traversal, deterministic requests only)
+#: name -> (the production allocator, its seed traversal, the requests it is sent:
+#: SVCs and VCs seven to three, VCs only, or heterogeneous SVCs only)
 ALLOCATORS = {
-    "svc-dp": (SVCHomogeneousAllocator, lambda: SVCHomogeneousAllocator(fast=False), False),
-    "tivc": (AdaptedTIVCAllocator, lambda: AdaptedTIVCAllocator(fast=False), False),
-    "oktopus": (OktopusAllocator, lambda: OktopusAllocator(fast=False), True),
+    "svc-dp": (SVCHomogeneousAllocator, lambda: SVCHomogeneousAllocator(fast=False), "mixed"),
+    "tivc": (AdaptedTIVCAllocator, lambda: AdaptedTIVCAllocator(fast=False), "mixed"),
+    "oktopus": (OktopusAllocator, lambda: OktopusAllocator(fast=False), "vc"),
     "svc-global": (
         GlobalMinMaxAllocator,
         lambda: _HomogeneousTreeSearch(optimize=True, localize=False, fast=False),
-        False,
+        "mixed",
+    ),
+    "svc-het": (
+        SVCHeterogeneousAllocator, lambda: SVCHeterogeneousAllocator(fast=False), "het"
     ),
 }
 
@@ -89,15 +103,20 @@ def record_stream(rng, bursts: int, fill: float, total_slots: int):
     return ops
 
 
-def record_cold_stream(rng, count: int, fill: float, total_slots: int, scale, only_vc: bool):
-    """The same op kinds, but no two submits share a shape (seven in ten are
-    SVCs, the rest deterministic VCs; ``only_vc``: all of them VCs)."""
+def record_cold_stream(rng, count: int, fill: float, total_slots: int, scale, traffic: str):
+    """The same op kinds, but no two submits share a shape (``traffic``
+    "mixed": seven in ten are SVCs, the rest deterministic VCs; "vc": all VCs;
+    "het": all heterogeneous, a Section VI-A rate per VM and one ``sigma/mu``
+    per request, as the e2e generator draws them)."""
     ops = []
     for index in range(count):
         n = int(min(scale.max_job_size, max(2, round(rng.exponential(scale.mean_job_size)))))
         mean = float(rng.choice(COLD_RATES))
         ratio = float(rng.random())
-        if only_vc or rng.random() < 0.3:
+        if traffic == "het":
+            demands = tuple(Normal(rate, ratio * rate) for rate in rng.choice(COLD_RATES, size=n))
+            ops.append(("submit", HeterogeneousSVC(n_vms=n, demands=demands)))
+        elif traffic == "vc" or rng.random() < 0.3:
             ops.append(("submit", DeterministicVC(n_vms=n, bandwidth=mean)))
         else:
             ops.append(("submit", HomogeneousSVC(n_vms=n, mean=mean, std=ratio * mean)))
@@ -114,6 +133,7 @@ def describe(tenancy):
         allocation.request_id,
         allocation.host_node,
         sorted(allocation.machine_counts.items()),
+        sorted((allocation.machine_vms or {}).items()),  # which VM where, if told apart
         allocation.max_occupancy,
     )
 
@@ -181,11 +201,11 @@ def main() -> int:
     scale = resolve_scale(args.scale)
     tree = build_datacenter(scale.spec)
     for name in ALLOCATORS if args.cold else ["svc-dp"]:
-        make_kept, make_seed, only_vc = ALLOCATORS[name]
+        make_kept, make_seed, traffic = ALLOCATORS[name]
         rng = simulation_rng(args.seed)
         if args.cold:
             ops = record_cold_stream(
-                rng, args.bursts * BURST, args.fill, tree.total_slots, scale, only_vc
+                rng, args.bursts * BURST, args.fill, tree.total_slots, scale, traffic
             )
             paths = ("admitted", "rejected", "released", RESIZE_IN_PLACE)
         else:
@@ -198,6 +218,18 @@ def main() -> int:
         if performed < 300 or not all(tally[path] for path in paths):
             log(f"FAIL ({name}): the stream did not exercise every path ({performed} ops: {tally})")
             return 1
+        if name == "svc-het":
+            rejects = {}
+            for reason in (REASON_NO_FEASIBLE_MACHINE_LINK, REASON_NO_FEASIBLE_SUBTREE):
+                child = global_registry().get(
+                    "repro_admission_rejected_total", allocator=name, reason=reason
+                )
+                rejects[reason] = int(child.value) if child is not None else 0
+            if not all(rejects.values()):
+                log(f"FAIL ({name}): rejects were not both proved at the machine links "
+                    f"and decided by the tables ({rejects})")
+                return 1
+            tally.update(rejects)
         log(
             f"OK ({name}): {performed} ops ({tally}); every decision and link state "
             "identical to the seed DP"

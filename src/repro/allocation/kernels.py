@@ -12,7 +12,9 @@ vertex and child:
   VM counts and a fold is the 1-D (min, max)-convolution with the child's
   effective row; :func:`_split_counts` recovers the split a fold chose.
 * :func:`_fold_rows`, :func:`_combine_bands`, :func:`_band_of` — sorted
-  heterogeneous VMs: tables are segment matrices in band form.
+  heterogeneous VMs: tables are segment matrices in band form;
+  :func:`_chain_pieces` bounds every vertex's ``Opt[0, N]`` from the machine
+  links alone, before any table exists.
 
 :func:`level_snapshot` is the other shared half: per tree level, what every
 vertex's DP reads of the network — its children's uplink aggregates and free
@@ -140,6 +142,39 @@ def _fold_rows(rows: np.ndarray, bands: np.ndarray) -> np.ndarray:
     return shifted.min(axis=1)
 
 
+def _chain_pieces(best: np.ndarray) -> np.ndarray:
+    """The cheapest cut of every prefix ``[0, e)`` into consecutive pieces.
+
+    ``best[d, s]`` is what the piece ``[s, s + d)`` costs at least wherever
+    it is placed whole (``inf``: nowhere); returns ``g[0] = 0``, ``g[e] = min
+    over d >= 1 of max(g[e - d], best[d, e - d])``.  Every placement under a
+    switch cuts ``[0, N)`` into such pieces, one per machine used, so with
+    ``best`` the elementwise min over the machines' effective bands,
+    ``g[N] <= Opt(T_v, [0, N))`` of every switch ``v`` — exactly, in floats:
+    both sides are min/max selections over the same effective entries, and
+    the DP's value only adds operands to its maxima (the links above the
+    machines) and drops candidates from its minima (a machine is used once).
+    ``g[N] = inf`` *is* the DP's reject, at every level, with no table built.
+
+    ``g[e]`` needs ``g[e - 1]``, so the chain is sequential in ``e``; pieces
+    are no longer than a machine's slots, a handful, so each step is one
+    ``min`` over a short list rather than a numpy dispatch.
+    """
+    width, height = best.shape
+    padded = np.full((width, height + width - 1), np.inf)
+    padded[:, width - 1 :] = best
+    row, col = padded.strides
+    # ending[e][j] = best[d, e - d] at d = width - 1 - j: the pieces ending
+    # at e, longest first — by ascending start, as the chain's tail holds them.
+    ending = np.ndarray(
+        (height, width - 1), padded.dtype, padded, (width - 1) * row, (col, col - row)
+    ).tolist()
+    chain = [np.inf] * (width - 1) + [0.0]  # g[s] at chain[s + width - 1]
+    for e in range(1, height):
+        chain.append(min(map(max, chain[e:], ending[e]), default=np.inf))
+    return np.array(chain[width - 1 :])
+
+
 def _combine_bands(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     """Stacked values-only band combine of ``left[p] ⊗ right[p]`` per pair.
 
@@ -188,6 +223,24 @@ def _combine_bands(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` by one ``lexsort``.
+
+    The same rows in the same (lexicographic) order; numpy's own compares a
+    structured view of the rows field by field — 0.9 ms for the paper tree's
+    thousand machine rows, against 0.1 ms.
+    """
+    if not len(rows):
+        return rows, np.empty(0, dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 #: Columns of a level block, per child: ``D_L``, mean and variance of the
 #: stochastic aggregate, ``C_L`` (all of the child's uplink), free slots under it.
 DET, MEAN, VAR, CAPACITY, FREE = range(5)
@@ -232,9 +285,20 @@ class _LevelSnapshot:
             for level, node_ids in tree.bottom_up_levels()
             if level > 0 and node_ids
         ]
-        if not self.levels:
-            raise ValueError("the level walk needs a tree with at least one switch")
-        self.machine_ids = np.concatenate([b.children[b.machines] for b in self.levels])
+        #: Where the machines sit: (block, flat child positions) of every
+        #: block that holds any, so a gather is one ``take`` per such block.
+        self._machine_slots = [
+            (block, np.flatnonzero(block.machines))
+            for block in self.levels
+            if block.machines.any()
+        ]
+        # A tree with no switch is one bare machine, which no block holds.
+        self.machine_ids = np.concatenate(
+            [block.children.ravel()[at] for block, at in self._machine_slots]
+            or [[tree.root_id]]
+        )
+        #: Per machine, in ``machine_ids`` order: the five columns of its row.
+        self.machine_rows = np.empty((len(self.machine_ids), 5))
         self.version = -1  # before any state version: the first refresh gathers all
 
     def refresh(self, state: NetworkState) -> None:
@@ -260,6 +324,12 @@ class _LevelSnapshot:
                         )
                         for child in block.child_ids[row]
                     ]
+        if self._machine_slots:
+            self.machine_rows = np.concatenate(
+                [block.data.reshape(-1, 5).take(at, axis=0) for block, at in self._machine_slots]
+            )
+        elif not self.levels:  # the bare machine hangs under no link: an idle unit one
+            self.machine_rows[0] = (0.0, 0.0, 0.0, 1.0, state.free_slots(state.tree.root_id))
         self.version = state.version
 
     def machine_level(self, n: int) -> Tuple[Optional[int], int, int]:
@@ -270,12 +340,21 @@ class _LevelSnapshot:
         slots cover ``n`` (it hosts the request whole at ``Opt`` 0.0; else
         None), the number of machines and the number of distinct steps.
         """
-        free = np.concatenate(
-            [block.data[:, :, FREE][block.machines] for block in self.levels]
-        )
+        free = self.machine_rows[:, FREE]
         fits = self.machine_ids[free >= n]
         host = int(fits.min()) if fits.size else None
         return host, free.size, np.unique(np.minimum(free, n)).size
+
+    def machine_links(self, n: int) -> np.ndarray:
+        """The distinct ``(min(free, n), D_L, mean, variance, C_L)`` rows of the
+        machines that can take a VM at all: a free slot under a live uplink.
+
+        All machines of the tree, whatever level their parent is on.
+        """
+        rows = self.machine_rows
+        rows = rows[(rows[:, FREE] >= 1.0) & (rows[:, CAPACITY] > 0.0)]
+        keys = np.column_stack([np.minimum(rows[:, FREE], n), rows[:, :FREE]])
+        return _distinct_rows(keys)[0]
 
 
 _SNAPSHOTS: "weakref.WeakKeyDictionary[NetworkState, _LevelSnapshot]" = (

@@ -41,7 +41,11 @@ in ``svc_homogeneous.py``:
   form** ``band[d, s] = table[s, s + d]`` — a ``(cap+1) x (N+1)`` rectangle
   of the potentially finite entries, ``inf`` wherever ``s + d > N`` (the
   band invariant, which makes out-of-range reads and narrower neighbours in
-  a stack inert).  Per tree level, read off the state's level snapshot:
+  a stack inert).  Before any level, once no single machine hosts the
+  request: a lower bound on every switch's value from the machine links
+  alone, whose ``inf`` is the reject with nothing built
+  (:meth:`_machine_link_bound`).  Then per tree level, read off the state's
+  level snapshot:
   effective child bands and their tight caps in one stacked pass
   (:meth:`_level_bands`), the host check as one row-0 fold per child
   position (:meth:`_scan_row0`), full tables — by a balanced pair-combine —
@@ -71,10 +75,13 @@ from repro.allocation.demand_model import SegmentDemandTable, subset_split_deman
 from repro.allocation.kernels import (
     FREE,
     _band_of,
+    _chain_pieces,
     _combine_bands,
+    _distinct_rows,
     _fold_level,
     _fold_rows,
     _LevelBlock,
+    _LevelSnapshot,
     level_snapshot,
 )
 from repro.network.link_state import LinkState, NetworkState
@@ -82,7 +89,9 @@ from repro.obs.instruments import (
     PHASE_ALLOC,
     PHASE_BATCH_OCCUPANCY,
     PHASE_COMBINE,
+    PHASE_PRUNE,
     PHASE_TABLE_BUILD,
+    REASON_NO_FEASIBLE_MACHINE_LINK,
     REASON_NO_FEASIBLE_SUBTREE,
     REASON_NO_FREE_SLOTS,
     admission_instruments,
@@ -133,7 +142,8 @@ class _FastCaches:
     splits.  The lookup/build counters feed the obs cache-hit counters once
     per request: a *lookup* is one machine, vertex or child that needed a
     table, value or effective band, a *build* one distinct result; every
-    other lookup was served by a shared one (``hits = lookups - builds``).
+    other lookup was served by a shared one (``hits = lookups - builds``);
+    the machine-link bound's effective bands count like a level's.
     """
 
     n: int
@@ -148,6 +158,8 @@ class _FastCaches:
     vertex_builds: int = 0
     eff_lookups: int = 0
     eff_builds: int = 0
+    #: Why the search found no host, when it found none.
+    reason: str = REASON_NO_FEASIBLE_SUBTREE
 
 
 def _empty_segments(n: int) -> np.ndarray:
@@ -260,7 +272,8 @@ class SVCHeterogeneousAllocator(Allocator):
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
-                reason=REASON_NO_FEASIBLE_SUBTREE, trace=trace, n_vms=n,
+                reason=caches.reason if caches is not None else REASON_NO_FEASIBLE_SUBTREE,
+                trace=trace, n_vms=n,
             )
             return None
 
@@ -382,12 +395,23 @@ class SVCHeterogeneousAllocator(Allocator):
         phases: Optional[Dict[str, float]],
     ) -> Tuple[Optional[int], float]:
         """Level-by-level host search: the lowest level with a feasible
-        vertex, and on it the first vertex of minimum ``Opt[0, N]``."""
+        vertex, and on it the first vertex of minimum ``Opt[0, N]`` — or no
+        host, proved at the machine links where it can be (``caches.reason``)."""
         since = perf_counter()
         snapshot = level_snapshot(state)
         host, caches.machine_lookups, caches.machine_builds = snapshot.machine_level(caches.n)
         host_value = np.inf if host is None else 0.0
         add_phase(phases, PHASE_TABLE_BUILD, since)
+        if host is None and snapshot.levels:
+            since = perf_counter()
+            bound = self._machine_link_bound(state, snapshot, caches)
+            add_phase(phases, PHASE_PRUNE, since)
+            if bound == np.inf:
+                # Every switch's Opt[0, N] is answered, by the one chain.
+                caches.vertex_lookups += sum(len(block.node_ids) for block in snapshot.levels)
+                caches.vertex_builds += 1
+                caches.reason = REASON_NO_FEASIBLE_MACHINE_LINK
+                return None, np.inf
         scanned: Optional[_LevelBands] = None  # the level below, tables not built yet
         for block in snapshot.levels:
             if host is not None:
@@ -410,6 +434,33 @@ class SVCHeterogeneousAllocator(Allocator):
             add_phase(phases, PHASE_TABLE_BUILD, since)
         return host, host_value
 
+    def _machine_link_bound(
+        self, state: NetworkState, snapshot: _LevelSnapshot, caches: _FastCaches
+    ) -> float:
+        """A lower bound on ``Opt[0, N]`` of every switch, from the machines alone.
+
+        Any placement under a switch gives each machine it uses one
+        consecutive piece ``[s, s + d)``, at an effective entry no smaller
+        than the elementwise min over all machines: :func:`_chain_pieces`
+        over that band bounds every vertex's value from below, and is
+        ``inf`` exactly when the DP would find no host on any level.
+        Machines in bit-identical states share one effective band, as one
+        arena slot serves them in :meth:`_level_bands`.
+        """
+        n = caches.n
+        keys = snapshot.machine_links(n)
+        caches.eff_lookups += len(snapshot.machine_ids)
+        caches.eff_builds += len(keys)
+        if not len(keys):
+            return np.inf  # no machine with a free slot on a live link
+        caps = keys[:, 0]
+        width = int(caps.max()) + 1
+        tables = np.full((len(keys), width, n + 1), np.inf)
+        tables[np.arange(width) <= caps[:, None]] = 0.0
+        tables[:, np.add.outer(np.arange(width), np.arange(n + 1)) > n] = np.inf
+        best = self._effective_bands(tables, keys[:, 1:], caches, state.risk_c).min(axis=0)
+        return float(_chain_pieces(best)[n])
+
     def _level_bands(
         self, state: NetworkState, block: _LevelBlock, caches: _FastCaches
     ) -> _LevelBands:
@@ -421,15 +472,6 @@ class SVCHeterogeneousAllocator(Allocator):
         table's place among the level's distinct ones (vertex tables are
         shared per signature), so equal names imply bit-identical tables.
 
-        Broadcasting the per-slot uplink scalars over the band views of the
-        request's segment demand moments applies the per-element float
-        operations of :meth:`_child_effective` in the same order, so every
-        in-band entry is bit-identical to the scalar full-matrix build.
-        Entries past ``s + d > n`` read the demand bands' padding but are
-        forced to ``inf`` by the child table band (the band invariant), never
-        by a float that could differ.  A zero-capacity uplink admits only the
-        zero-cost empty segment (a raw division would yield inf, or NaN for
-        an all-zero numerator, and NaN slips through every comparison mask).
         The tight cap — the longest segment whose effective entry is still
         finite — is read off the arena in the same pass.
         """
@@ -445,8 +487,8 @@ class SVCHeterogeneousAllocator(Allocator):
                 name_of[id(table)] = -float(len(switches))
             names[row, position] = name_of[id(table)]
         keys = np.concatenate([names[present][:, None], block.data[present][:, :4]], axis=1)
-        keys, slot_of = np.unique(keys, axis=0, return_inverse=True)
-        slot_of = slot_of.ravel().tolist()
+        keys, slot_of = _distinct_rows(keys)
+        slot_of = slot_of.tolist()
         slots: Dict[int, Tuple[int, ...]] = {}
         start = 0
         for node_id, ids in zip(block.node_ids, block.child_ids):
@@ -470,21 +512,7 @@ class SVCHeterogeneousAllocator(Allocator):
             for index, band in enumerate(bands):
                 stack[index, : len(band)] = band
             stack[:, np.add.outer(np.arange(width), np.arange(n + 1)) > n] = np.inf
-            det, mean, var, capacity = keys[:, 1:].T[:, :, None, None]
-            dead = capacity <= 0.0
-            # The reference's expression, operation for operation (float
-            # addition commutes exactly), accumulated in one buffer.
-            occupancy = var + caches.var_band[:width]
-            np.maximum(occupancy, 0.0, out=occupancy)
-            np.sqrt(occupancy, out=occupancy)
-            occupancy *= state.risk_c
-            occupancy += mean + caches.mean_band[:width]
-            occupancy += det
-            occupancy /= np.where(dead, 1.0, capacity)
-            arena = np.maximum(stack[table_of], occupancy)
-            arena[occupancy >= _FEASIBLE_LIMIT] = np.inf
-            arena[dead[:, 0, 0]] = np.inf
-            arena[:, 0] = 0.0
+            arena = self._effective_bands(stack[table_of], keys[:, 1:], caches, state.risk_c)
             arena.flags.writeable = False
             # Length 0 (empty segments) is always finite (0.0), so the
             # finite-length set is never empty and the tight cap well defined.
@@ -493,6 +521,42 @@ class SVCHeterogeneousAllocator(Allocator):
             level = _LevelBands(arena, caps.tolist(), slots)
         caches.levels.update(dict.fromkeys(block.node_ids, level))
         return level
+
+    @staticmethod
+    def _effective_bands(
+        tables: np.ndarray, uplinks: np.ndarray, caches: _FastCaches, risk_c: float
+    ) -> np.ndarray:
+        """``max(child table, O_uplink)`` per child, ``inf`` where its uplink rejects.
+
+        ``tables[k]`` is child ``k``'s table band (holding the band
+        invariant) and ``uplinks[k]`` its ``D_L``, mean, variance and ``C_L``.
+        Broadcasting the per-child uplink scalars over the band views of the
+        request's segment demand moments applies the per-element float
+        operations of :meth:`_child_effective` in the same order, so every
+        in-band entry is bit-identical to the scalar full-matrix build.
+        Entries past ``s + d > n`` read the demand bands' padding but are
+        forced to ``inf`` by the child table band (the band invariant), never
+        by a float that could differ.  A zero-capacity uplink admits only the
+        zero-cost empty segment (a raw division would yield inf, or NaN for
+        an all-zero numerator, and NaN slips through every comparison mask).
+        """
+        width = tables.shape[1]
+        det, mean, var, capacity = uplinks.T[:, :, None, None]
+        dead = capacity <= 0.0
+        # The reference's expression, operation for operation (float
+        # addition commutes exactly), accumulated in one buffer.
+        occupancy = var + caches.var_band[:width]
+        np.maximum(occupancy, 0.0, out=occupancy)
+        np.sqrt(occupancy, out=occupancy)
+        occupancy *= risk_c
+        occupancy += mean + caches.mean_band[:width]
+        occupancy += det
+        occupancy /= np.where(dead, 1.0, capacity)
+        arena = np.maximum(tables, occupancy)
+        arena[occupancy >= _FEASIBLE_LIMIT] = np.inf
+        arena[dead[:, 0, 0]] = np.inf
+        arena[:, 0] = 0.0
+        return arena
 
     @staticmethod
     def _scan_row0(level: _LevelBands, caches: _FastCaches) -> None:

@@ -59,6 +59,7 @@ __all__ = [
     "PHASE_ALLOC",
     "REASON_NO_FREE_SLOTS",
     "REASON_NO_FEASIBLE_SUBTREE",
+    "REASON_NO_FEASIBLE_MACHINE_LINK",
 ]
 
 #: Buckets for allocate/phase timings: 20us .. 10s.
@@ -86,6 +87,10 @@ PHASE_ALLOC = "alloc"
 # Allocator-level rejection reasons.
 REASON_NO_FREE_SLOTS = "no_free_slots"
 REASON_NO_FEASIBLE_SUBTREE = "no_feasible_subtree"
+#: However the request is cut into per-machine pieces, one of them passes no
+#: machine's own uplink as loaded now: the tenant's VMs outgrow a NIC, and the
+#: datacenter need not be full.
+REASON_NO_FEASIBLE_MACHINE_LINK = "no_feasible_machine_link"
 
 
 # ----------------------------------------------------------------------

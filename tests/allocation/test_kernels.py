@@ -14,17 +14,20 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.abstractions import DeterministicVC, HomogeneousSVC
+from repro.abstractions import DeterministicVC, HeterogeneousSVC, HomogeneousSVC
 from repro.allocation.kernels import (
+    _distinct_rows,
     _fold_counts,
     _fold_level,
     _LevelSnapshot,
     _split_counts,
     level_snapshot,
 )
+from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator
 from repro.allocation.svc_homogeneous import (
     AdaptedTIVCAllocator,
     GlobalMinMaxAllocator,
@@ -127,6 +130,24 @@ class TestStackedFold:
         assert _split_counts(rows, eff, totals, optimize=False)[0] == 0
 
 
+class TestDistinctRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf]), min_size=3, max_size=3),
+            min_size=0,
+            max_size=12,
+        )
+    )
+    def test_equals_numpys_unique_over_rows(self, rows):
+        rows = np.array(rows).reshape(-1, 3)
+        distinct, inverse = _distinct_rows(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(distinct[inverse], rows)
+
+
 def ragged_tree(rack_sizes, slots, loose_machines):
     """Racks of unequal size under one pod, plus machines hung off the pod itself."""
     tree = Tree()
@@ -203,6 +224,43 @@ class TestLevelWalk:
                 state.commit(allocation)
                 if release:
                     state.release(allocation)
+
+
+    @pytest.mark.parametrize("name", sorted(PAIRS) + ["svc-het"])
+    def test_a_tree_with_no_switch_is_answered_by_the_machine_level_alone(self, name):
+        # One bare machine: the walk has no level to visit (it raised here).
+        tree = Tree()
+        tree.add_machine("only", 4)
+        tree.freeze()
+        if name == "svc-het":
+            fast, seed = SVCHeterogeneousAllocator(), SVCHeterogeneousAllocator(fast=False)
+        else:
+            fast, seed = (make() for make in PAIRS[name])
+        states = [NetworkState(tree), NetworkState(tree)]
+        held = None
+        for request_id, n in enumerate([5, 3, 2, 1, 4], start=1):  # 4 slots, 3 of them held
+            if name == "svc-het":
+                request = HeterogeneousSVC.uniform(n, 100.0, 30.0)
+            elif name == "oktopus":
+                request = DeterministicVC(n_vms=n, bandwidth=100.0)
+            else:
+                request = HomogeneousSVC(n_vms=n, mean=100.0, std=30.0)
+            got = fast.allocate(states[0], request, request_id)
+            want = seed.allocate(states[1], request, request_id)
+            assert (got is None) == (want is None) == (n not in (3, 1))
+            if got is None:
+                continue
+            assert got.host_node == want.host_node == tree.root_id
+            assert got.machine_counts == want.machine_counts == {tree.root_id: n}
+            assert got.max_occupancy == want.max_occupancy == 0.0
+            assert got.link_demands == want.link_demands == {}
+            if held is None:
+                held = (got, want)
+                for state, allocation in zip(states, held):
+                    state.commit(allocation)
+        for state, allocation in zip(states, held):
+            state.release(allocation)
+        assert fast.allocate(states[0], request, 9).machine_counts == {tree.root_id: 4}
 
 
 class TestLevelSnapshot:

@@ -9,7 +9,9 @@ from repro.network import NetworkState
 from repro.obs import instruments
 from repro.obs.instruments import (
     PHASE_COMBINE,
+    PHASE_PRUNE,
     PHASE_TABLE_BUILD,
+    REASON_NO_FEASIBLE_MACHINE_LINK,
     REASON_NO_FEASIBLE_SUBTREE,
     REASON_NO_FREE_SLOTS,
     admission_instruments,
@@ -128,6 +130,34 @@ class TestAdmissionInstruments:
             "repro_admission_allocate_seconds", allocator="svc-het"
         )
         assert latency.count == 1
+
+    def test_het_reject_proved_at_the_machine_links_has_its_own_reason(self, fresh_registry):
+        def rejected(reason):
+            return fresh_registry.get(
+                "repro_admission_rejected_total", allocator="svc-het", reason=reason
+            )
+
+        # Every VM outgrows the 1 Gbps NIC: not "the datacenter is full".
+        tree = build_datacenter(TINY_SPEC)
+        allocator = SVCHeterogeneousAllocator()
+        state = NetworkState(tree, epsilon=0.05)
+        assert allocator.allocate(state, HeterogeneousSVC.uniform(6, 900.0, 300.0), 1) is None
+        assert rejected(REASON_NO_FEASIBLE_MACHINE_LINK).value == 1
+        assert rejected(REASON_NO_FEASIBLE_SUBTREE) is None
+        # The proved path feeds every cache counter and times its phase.
+        for cache in ("het_machine", "het_vertex", "het_eff"):
+            lookups = fresh_registry.get("repro_admission_cache_lookups_total", cache=cache)
+            assert lookups is not None and lookups.value > 0, cache
+        prune = fresh_registry.get("repro_admission_phase_seconds", phase=PHASE_PRUNE)
+        assert prune.count == 1
+        # Twenty small VMs pass every NIC but overflow a 16-slot rack, and the
+        # rack uplinks are reserved to the brim: a reject the tables decide.
+        state = NetworkState(tree, epsilon=0.05)
+        for rack in tree.nodes_at_level(1):
+            state.links[rack].add_deterministic(999, state.links[rack].capacity)
+        assert allocator.allocate(state, HeterogeneousSVC.uniform(20, 90.0, 30.0), 2) is None
+        assert rejected(REASON_NO_FEASIBLE_MACHINE_LINK).value == 1
+        assert rejected(REASON_NO_FEASIBLE_SUBTREE).value == 1
 
     def test_disabled_swaps_in_noop_facade(self, fresh_registry):
         instruments.configure(enabled=False)
