@@ -20,7 +20,9 @@ Five checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
    fine), so a runbook row cannot outlive its metric.
 5. **Retired names stay retired**: a doc that still speaks of the second
    copy of committed core-link load the ledger used to keep
-   (``commit_direct``, ``committed_totals``, ``event="mirror"``) fails.
+   (``commit_direct``, ``committed_totals``, ``event="mirror"``), or of the
+   front door's bridge pool (``--pool-size``, ``pool_size``, ``aio-bridge``),
+   fails.
 
 Opt out per block by placing ``<!-- check-docs: skip -->`` on the line above
 the opening fence (used for illustrative/pseudo-code fragments).
@@ -57,6 +59,9 @@ RETIRED = {
     "commit_direct": "tenancies enter the replica through the coordinator's _install",
     "committed_totals": "committed core-link load is the replica's LinkState",
     'event="mirror"': "nothing emits it: the ledger holds no committed copy",
+    "--pool-size": "the front door runs every command on the event-loop thread",
+    "pool_size": "AsyncFrontDoor takes no pool: commands run on the loop thread",
+    "aio-bridge": "no bridge threads exist; workers are admission-worker-N",
 }
 
 sys.path.insert(0, str(SRC))

@@ -1,20 +1,21 @@
 """Asyncio front door for the admission service.
 
-One event loop owns every connection: accept, read, and JSON decode happen
-on the loop, and the synchronous admission core is reached through a
-**bounded** thread pool (``--pool-size``), so ten thousand idle connections
-cost file descriptors, not threads — the thread-per-connection scaling wall
-ROADMAP item 3 names.
+One thread does a request's whole life: accept, read, JSON decode, the
+command itself and the reply all run on the event loop, so ten thousand idle
+connections cost file descriptors, not threads, and a request costs no thread
+hand-off.  (The admission core holds the GIL for nearly all it does; a second
+thread bought no parallelism, only a wake-up each way.)  Two rules follow:
 
-Two rules keep the sync core honest:
-
-* **Never block the loop.**  Every call that can take the service lock (or
-  sleep in a failpoint) runs in the pool via ``run_in_executor``.
-* **Never park a pool thread on a wait.**  ``submit`` is two-phase: the
-  enqueue runs in the pool with ``wait=False`` and the decision is awaited
-  on the loop through an :class:`asyncio.Future` bridged from
-  ``Ticket.add_done_callback`` — a thousand in-flight submits hold zero
-  pool threads while the admission batcher works.
+* **A command holds the loop for its own duration, and nothing longer.**  A
+  slow one (a large heterogeneous DP, an ``obs`` dump) delays the other
+  connections by that much and neither drops nor reorders them; a delay-mode
+  failpoint is slept with ``asyncio.sleep``, which pins its connection only.
+* **Never wait on the loop for another thread's decision.**  A ``wait:true``
+  submit enqueues without waking a worker and runs one decision step itself
+  (``submit(inline=True)``).  The fair queue still picks who that step
+  serves; when it was another tenant's turn, the ticket is awaited through
+  an :class:`asyncio.Future` bridged from ``Ticket.add_done_callback``.
+  ``wait:false`` wakes a worker and answers ``queued`` at once.
 
 The wire protocol is the line-JSON contract of :mod:`repro.service.server`;
 the op table and error envelope are imported from there.
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import concurrent.futures
 import json
 import logging
 import signal
@@ -44,16 +44,12 @@ from repro.service.server import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_POOL_SIZE = 8
-
 
 class AsyncFrontDoor:
     """Asyncio accept/read/decode loop over one :class:`AdmissionService`.
 
-    Construct, then ``await start()`` (binds and spins up the pool), then
-    ``await serve_until_shutdown()``.  ``request_shutdown`` is thread-safe:
-    protocol handlers call it from pool threads and signal handlers call it
-    from the loop.
+    Construct, then ``await start()`` (binds), then
+    ``await serve_until_shutdown()``.  ``request_shutdown`` is thread-safe.
     """
 
     def __init__(
@@ -61,18 +57,13 @@ class AsyncFrontDoor:
         service: AdmissionService,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool_size: int = DEFAULT_POOL_SIZE,
         client_timeout: Optional[float] = None,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.service = service
         self.host = host
         self.port = port
-        self.pool_size = pool_size
         self.client_timeout = client_timeout
         self._server: Optional[asyncio.base_events.Server] = None
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop = asyncio.Event()
         self._shutdown_pending = False
@@ -83,20 +74,14 @@ class AsyncFrontDoor:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the bridge pool; updates ``port``."""
+        """Bind the listener; updates ``port``."""
         self._loop = asyncio.get_running_loop()
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.pool_size, thread_name_prefix="aio-bridge"
-        )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        logger.info(
-            "async front door listening on %s:%d (pool=%d)",
-            self.host, self.port, self.pool_size,
-        )
+        logger.info("async front door listening on %s:%d", self.host, self.port)
 
     async def serve_until_shutdown(self) -> None:
         """Serve connections until :meth:`request_shutdown` fires."""
@@ -104,13 +89,11 @@ class AsyncFrontDoor:
         async with self._server:
             await self._server.start_serving()
             await self._stop.wait()
-        # Listener closed; reap connections still parked on readline before
-        # tearing down the pool they would otherwise try to schedule on.
+        # Listener closed; reap connections still parked on readline.
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._pool.shutdown(wait=False)
 
     def request_shutdown(self) -> None:
         """Stop serving immediately (callable from any thread).
@@ -125,7 +108,7 @@ class AsyncFrontDoor:
         loop.call_soon_threadsafe(self._stop.set)
 
     def _defer_shutdown(self) -> None:
-        """Pool-side shutdown request: stop once the response is on the wire."""
+        """The ``shutdown`` op's request: stop once the response is on the wire."""
         self._shutdown_pending = True
 
     # ------------------------------------------------------------------
@@ -161,9 +144,12 @@ class AsyncFrontDoor:
                 if not line:
                     continue
                 response = await self._process(line)
-                # Failpoint runs in the pool: a delay-mode stall must pin
-                # this connection, not the shared event loop.
-                await self._run_sync(FAILPOINTS.hit, FP_SERVER_RESPONSE)
+                # A delay-mode stall must pin this connection, not the
+                # shared event loop: collect its length, sleep it here.
+                stalls: list = []
+                FAILPOINTS.hit(FP_SERVER_RESPONSE, sleep=stalls.append)
+                for stall_s in stalls:
+                    await asyncio.sleep(stall_s)
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 try:
                     await writer.drain()
@@ -199,9 +185,7 @@ class AsyncFrontDoor:
         try:
             if op == "submit":
                 return await self._submit(command)
-            return await self._run_sync(
-                dispatch_command, self.service, command, self._defer_shutdown
-            )
+            return dispatch_command(self.service, command, self._defer_shutdown)
         except (ServiceError, CodecError) as exc:
             return error_response(exc)
         except Exception as exc:  # never kill the connection on one bad op
@@ -209,28 +193,26 @@ class AsyncFrontDoor:
             return error_response(exc)
 
     async def _submit(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Two-phase submit: pool-side enqueue, loop-side decision wait."""
-        ticket: Ticket = await self._run_sync(self._enqueue, command)
-        if bool(command.get("wait", True)) and not ticket.done:
-            await self._await_ticket(ticket, command.get("wait_timeout"))
-        return {"ok": True, **ticket.describe()}
-
-    def _enqueue(self, command: Dict[str, Any]) -> Ticket:
-        """Pool-side half of submit: enqueue without blocking on the decision."""
+        """Submit on the loop thread: ``wait:true`` decides here, in queue order."""
+        wait = bool(command.get("wait", True))
         self.service.gate("submit")  # same degradation gate as dispatch_command
-        return self.service.submit(
+        ticket: Ticket = self.service.submit(
             command["request"],
             priority=int(command.get("priority", 0)),
             timeout_s=command.get("timeout_s"),
             wait=False,
             idempotency_key=command.get("idem"),
             tenant=command.get("tenant"),
+            inline=wait,
         )
+        if wait and not ticket.done:
+            await self._await_ticket(ticket, command.get("wait_timeout"))
+        return {"ok": True, **ticket.describe()}
 
     async def _await_ticket(
         self, ticket: Ticket, wait_timeout: Optional[float]
     ) -> None:
-        """Await the worker's decision without holding a pool thread.
+        """Await a decision another thread makes, without blocking the loop.
 
         On timeout the request simply stays queued and the caller reports
         the ticket as queued.
@@ -252,12 +234,6 @@ class AsyncFrontDoor:
         except asyncio.TimeoutError:
             pass
 
-    async def _run_sync(self, fn, *args):
-        """Run a blocking call on the bounded bridge pool."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn, *args
-        )
-
 
 # ----------------------------------------------------------------------
 # ``svc-repro serve``
@@ -277,7 +253,6 @@ def run_async_server(service: AdmissionService, args: argparse.Namespace) -> int
             service,
             host=args.host,
             port=args.port,
-            pool_size=args.pool_size,
             client_timeout=args.client_timeout_s,
         )
         await door.start()

@@ -4,10 +4,12 @@
 :class:`~repro.manager.network_manager.NetworkManager`.  One condition
 variable guards the manager, the queue and the journal together, so the
 journal's record order is exactly the order state mutations were applied —
-the invariant crash recovery relies on.  Worker threads drain the queue,
-run the allocator under the lock (admission control is inherently serial:
-each decision depends on the link state the previous one produced), and
-resolve the submitting client's :class:`Ticket`.
+the invariant crash recovery relies on.  One method decides,
+:meth:`AdmissionService._step`: it takes what the fair queue serves next, runs
+the allocator under the lock (admission control is inherently serial: each
+decision depends on the link state the previous one produced), and resolves
+the submitter's :class:`Ticket`.  Worker threads call it in a loop; the async
+front door (``submit(inline=True)``) calls it once on its own thread instead.
 
 Durability ordering: state is mutated first, then the event is journaled,
 both under the lock, and the ticket is resolved only after the journal
@@ -230,7 +232,7 @@ class Ticket:
         """Run ``callback(self)`` once resolved (immediately if already done).
 
         The async front door bridges tickets to ``asyncio`` futures through
-        this instead of burning a pool thread per in-flight :meth:`wait`.
+        this, so a submit a worker decides never blocks the event loop.
         The lock makes registration race-free against a concurrent resolve:
         the callback fires exactly once, on whichever side wins.
         """
@@ -689,6 +691,7 @@ class AdmissionService:
         idempotency_key: Optional[str] = None,
         trace_context: Optional[TraceContext] = None,
         tenant: Optional[str] = None,
+        inline: bool = False,
     ) -> Ticket:
         """Enqueue a tenant request; optionally block for the decision.
 
@@ -698,6 +701,10 @@ class AdmissionService:
         it.  Without an explicit value the service's ``default_timeout_s``
         applies.  ``wait_timeout`` bounds how long *this call* blocks — the
         request itself stays queued when the wait times out.
+
+        ``inline`` (the event loop's path) wakes no worker: the calling thread
+        runs one :meth:`_step` itself.  The fair queue still picks who that
+        step serves; a ticket it left undecided gets a worker woken for it.
 
         ``idempotency_key`` makes retries safe: a key already decided (in
         this process or recovered from the journal) returns the original
@@ -778,9 +785,11 @@ class AdmissionService:
                     trace_context=trace_context,
                     tenant=tenant,
                     shape=request_shape_key(request),
+                    ticket=ticket,
                 )
                 self._queue.push(entry)
-                self._cond.notify()
+                if not inline:
+                    self._cond.notify()
         if dedup is not None:
             if wait:
                 dedup.wait(wait_timeout)
@@ -790,6 +799,11 @@ class AdmissionService:
             ticket.ticket_id, type(request).__name__, priority, timeout_s,
             idempotency_key,
         )
+        if inline:
+            self._step(wait=False)
+            if not ticket.done:
+                with self._cond:
+                    self._cond.notify()
         if wait:
             ticket.wait(wait_timeout)
         return ticket
@@ -1131,6 +1145,8 @@ class AdmissionService:
                 }
                 for row in utilization_by_level(manager.state)
             ]
+            # ``max_L O_L`` is the max of the level maxima: one walk, not two.
+            max_occupancy = max((row["max_occupancy"] for row in levels), default=0.0)
             return {
                 "mode": self.mode,
                 "workers": self.workers,
@@ -1170,7 +1186,7 @@ class AdmissionService:
                 "idempotency": {"keys": len(self._idem)},
                 "admission_latency": self.latencies.summary(),
                 "occupancy": {
-                    "max": manager.max_occupancy(),
+                    "max": max_occupancy,
                     "by_level": levels,
                 },
                 "slots": {
@@ -1218,72 +1234,82 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            batch: List[QueuedRequest] = []
-            expired: List[QueuedRequest] = []
-            decisions: List[Optional[Tuple]] = []
-            try:
-                with self._cond:
-                    entry = None
-                    while self._running:
-                        now = self.clock()
-                        if self._degradation is not None and self._degradation.should_probe(now):
-                            self._probe_journal()
-                        entry, drained = self._queue.pop_ready(now)
-                        expired = drained + self._queue.expire(now)
-                        if expired:
-                            self._count("expired", len(expired))
-                        if entry is not None or expired:
-                            break
-                        self._cond.wait(timeout=_IDLE_SWEEP_INTERVAL)
-                    if not self._running and entry is None and not expired:
-                        return
-                    if entry is not None:
-                        batch.append(entry)
-                        self._coalesce(batch, expired)
-                        decisions = self._attempt_batch(batch)
-            except InjectedCrash as crash:
-                # Simulated process death (chaos harness): freeze the whole
-                # service — no ticket resolution, no drain, no snapshot.
-                # The in-flight entries stay unacknowledged, exactly like
-                # requests caught mid-flight by a real crash.
-                with self._cond:
-                    self._running = False
-                    self.crashed = True
-                    self._cond.notify_all()
-                recorder = flight_recorder()
-                recorder.record("crash", error=str(crash))
-                recorder.maybe_dump("crash")
-                logger.warning("worker crashed by injected fault: %s", crash)
-                return
-            # Tickets are resolved outside the lock: Event.set wakes the
-            # submitting thread, which may immediately call back into the
-            # service (status/release) and would contend on the lock.
-            for dead in expired:
-                self._resolve(dead, OUTCOME_EXPIRED, detail="deadline passed")
-            for member, decision in zip(batch, decisions):
-                if decision is not None:
-                    outcome, request_id, detail = decision
-                    self._resolve(
-                        member, outcome, request_id=request_id, detail=detail
-                    )
+        while self._step(wait=True):
+            pass
 
-    def _coalesce(self, batch: List[QueuedRequest], expired: List[QueuedRequest]) -> None:
+    def _step(self, wait: bool) -> bool:
+        """Decide what the fair queue serves next: the one decision path.
+
+        ``wait`` is a worker's idle wait (and the batcher's linger); an inline
+        submitter passes ``False`` and returns at once when nothing is due.
+        Returns False once the service has stopped or crashed.
+        """
+        batch: List[QueuedRequest] = []
+        expired: List[QueuedRequest] = []
+        decisions: List[Optional[Tuple]] = []
+        try:
+            with self._cond:
+                entry = None
+                while self._running:
+                    now = self.clock()
+                    if self._degradation is not None and self._degradation.should_probe(now):
+                        self._probe_journal()
+                    entry, drained = self._queue.pop_ready(now)
+                    expired = drained + self._queue.expire(now)
+                    if expired:
+                        self._count("expired", len(expired))
+                    if entry is not None or expired or not wait:
+                        break
+                    self._cond.wait(timeout=_IDLE_SWEEP_INTERVAL)
+                if not self._running and entry is None and not expired:
+                    return False
+                if entry is not None:
+                    batch.append(entry)
+                    self._coalesce(batch, expired, self.batch_linger_s if wait else 0.0)
+                    decisions = self._attempt_batch(batch)
+        except InjectedCrash as crash:
+            # Simulated process death (chaos harness): freeze the whole
+            # service — no ticket resolution, no drain, no snapshot.
+            # The in-flight entries stay unacknowledged, exactly like
+            # requests caught mid-flight by a real crash.
+            with self._cond:
+                self._running = False
+                self.crashed = True
+                self._cond.notify_all()
+            recorder = flight_recorder()
+            recorder.record("crash", error=str(crash))
+            recorder.maybe_dump("crash")
+            logger.warning("worker crashed by injected fault: %s", crash)
+            return False
+        # Tickets are resolved outside the lock: Event.set wakes the
+        # submitting thread, which may immediately call back into the
+        # service (status/release) and would contend on the lock.
+        for dead in expired:
+            self._resolve(dead, OUTCOME_EXPIRED, detail="deadline passed")
+        for member, decision in zip(batch, decisions):
+            if decision is not None:
+                outcome, request_id, detail = decision
+                self._resolve(member, outcome, request_id=request_id, detail=detail)
+        return True
+
+    def _coalesce(
+        self, batch: List[QueuedRequest], expired: List[QueuedRequest], linger_s: float
+    ) -> None:
         """Grow ``batch`` with consecutive same-shape entries (under lock).
 
         Only entries the fair queue would serve *next anyway* are taken
         (:meth:`FairRequestQueue.pop_compatible`), so the batch is exactly a
         prefix of the sequential serving order — the keystone of the
         batched-equals-unbatched decision guarantee.  When the queue runs
-        empty below ``batch_max``, the worker lingers up to
-        ``batch_linger_s`` for more same-shape arrivals; a different-shape
+        empty below ``batch_max``, the step waits up to ``linger_s`` (a worker's
+        ``batch_linger_s``) for more same-shape arrivals; a different-shape
         head always dispatches immediately (waiting could not legally skip
         past it).
         """
         if self.batch_max <= 1:
             return
         leader_shape = batch[0].shape
-        linger_deadline = self.clock() + self.batch_linger_s
+        linger_deadline = self.clock() + linger_s
         while len(batch) < self.batch_max and self._running:
             now = self.clock()
             more, drained = self._queue.pop_compatible(leader_shape, now)
@@ -1462,8 +1488,7 @@ class AdmissionService:
             )
 
     def _resolve(self, entry: QueuedRequest, outcome: str, request_id=None, detail=None):
-        with self._cond:
-            ticket = self._tickets.get(entry.ticket_id)
+        ticket = entry.ticket
         if ticket is not None:
             latency = self.clock() - entry.enqueued_at
             ticket.resolve(outcome, request_id=request_id, detail=detail, latency=latency)

@@ -56,6 +56,9 @@ class QueuedRequest:
     #: Coalescing key (``repro.service.codec.request_shape_key``); the
     #: batcher only merges consecutive entries with equal shapes.
     shape: Optional[Tuple] = field(default=None, repr=False)
+    #: The submitter's ``repro.service.concurrency.Ticket``, resolved with
+    #: the decision without a lookup under the service lock.
+    ticket: Optional[object] = field(default=None, repr=False)
     #: FIFO tiebreak, assigned by the queue on first push and kept across
     #: park/retry cycles so retried requests keep their arrival position.
     seq: int = field(default=0, repr=False)

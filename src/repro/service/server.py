@@ -21,9 +21,9 @@ Operations::
 Request payloads are the :mod:`repro.service.codec` request encoding, e.g.
 ``{"kind": "homogeneous", "n_vms": 8, "mean": 200.0, "std": 80.0}``.
 
-One front end serves this protocol: the ``asyncio`` accept/decode loop over
-a bounded worker pool (:mod:`repro.service.aio`).  This module owns the op
-table (:func:`dispatch_command`), the error envelope
+One front end serves this protocol: the ``asyncio`` loop of
+:mod:`repro.service.aio`, which runs each command on its own thread.  This
+module owns the op table (:func:`dispatch_command`), the error envelope
 (:func:`error_response`) and the ``svc-repro serve`` wiring, which prints a
 single machine-readable ready line so scripts and tests can discover the
 bound port::
@@ -92,9 +92,8 @@ def dispatch_command(
     """Execute one decoded protocol command against the service.
 
     This is the single source of truth for the op table: the async front
-    door calls it from its worker pool (``submit`` excepted — that path
-    enqueues without blocking and awaits the ticket instead, see
-    ``repro.service.aio``).
+    door calls it on the event-loop thread (``submit`` excepted — that path
+    never blocks on a worker's decision, see ``repro.service.aio``).
     Raises the typed service/codec errors; callers map them through
     :func:`error_response`.
     """
@@ -216,13 +215,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=4, help="admission worker threads (default: 4)"
-    )
-    parser.add_argument(
-        "--pool-size",
-        type=int,
-        default=8,
-        help="bounded worker pool bridging the async front end to the sync "
-        "core (default: 8)",
     )
     parser.add_argument(
         "--batch-max",

@@ -1,12 +1,9 @@
 """Service-layer telemetry: metrics endpoint, latency summary, top view."""
 
-import asyncio
 import json
-import threading
 
 from repro.abstractions import HomogeneousSVC
 from repro.manager.network_manager import NetworkManager
-from repro.service.aio import AsyncFrontDoor
 from repro.service.client import ServiceClient
 from repro.service.concurrency import (
     OUTCOME_ADMITTED,
@@ -16,6 +13,7 @@ from repro.service.concurrency import (
 )
 from repro.service.top import render_top
 from repro.topology import TINY_SPEC, build_datacenter
+from tests.service.conftest import served_front_door
 
 
 def tiny_service():
@@ -93,29 +91,10 @@ class TestServiceMetricsEndpoint:
 
     def test_tcp_roundtrip_serves_metrics(self, fresh_registry):
         with tiny_service() as service:
-            doors = []
-            bound = threading.Event()
-
-            async def serve():
-                door = AsyncFrontDoor(service, port=0, pool_size=2)
-                await door.start()
-                doors.append(door)
-                bound.set()
-                await door.serve_until_shutdown()
-
-            thread = threading.Thread(
-                target=lambda: asyncio.run(serve()), daemon=True
-            )
-            thread.start()
-            assert bound.wait(10.0), "front door never bound"
-            try:
-                with ServiceClient(host="127.0.0.1", port=doors[0].port) as client:
+            with served_front_door(service) as port:
+                with ServiceClient(host="127.0.0.1", port=port) as client:
                     client.submit(HomogeneousSVC(n_vms=2, mean=50.0, std=20.0))
                     payload = client.metrics()
-            finally:
-                doors[0].request_shutdown()
-                thread.join(timeout=5.0)
-            assert not thread.is_alive()
         assert "repro_service_events_total" in payload["metrics"]
         assert payload["prometheus"].startswith("# ")
 

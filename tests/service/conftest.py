@@ -2,9 +2,38 @@
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import threading
+
 import pytest
 
+from repro.service.aio import AsyncFrontDoor
 from repro.service.journal import DurabilityStore
+
+
+@contextlib.contextmanager
+def served_front_door(service):
+    """Serve ``service`` behind an ``AsyncFrontDoor`` thread; yields the port."""
+    doors = []
+    bound = threading.Event()
+
+    async def serve():
+        door = AsyncFrontDoor(service, port=0)
+        await door.start()
+        doors.append(door)
+        bound.set()
+        await door.serve_until_shutdown()
+
+    thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
+    thread.start()
+    assert bound.wait(10.0), "front door never bound"
+    try:
+        yield doors[0].port
+    finally:
+        doors[0].request_shutdown()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 @pytest.fixture()

@@ -136,7 +136,7 @@ class TestAsyncProtocol:
 class TestAsyncFailpoints:
     def test_stalled_connection_does_not_block_the_loop(self):
         # One response stalls for 2s; a second connection's ping must still
-        # answer immediately, proving the stall pins a pool thread only.
+        # answer immediately, proving the stall pins that connection only.
         proc = spawn_async_server(
             ["--failpoints", "server.response_stall=delay:delay_s=2.0:max_hits=1"]
         )

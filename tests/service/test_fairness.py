@@ -1,7 +1,5 @@
 """Per-tenant fair queueing: DRR scheduling, quotas, starvation-freedom."""
 
-import asyncio
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from repro.abstractions import HomogeneousSVC
 from repro.manager.network_manager import NetworkManager
 from repro.obs import instruments
-from repro.service.aio import AsyncFrontDoor
 from repro.service.client import ServiceClient
 from repro.service.codec import CodecError, request_shape_key
 from repro.service.concurrency import (
@@ -23,6 +20,7 @@ from repro.service.concurrency import (
 from repro.service.errors import CODE_OVER_QUOTA, OverQuotaError, ServiceError
 from repro.service.queue import DEFAULT_TENANT, FairRequestQueue, QueuedRequest
 from repro.service.server import dispatch_command
+from tests.service.conftest import served_front_door
 
 
 def entry(ticket_id, tenant=DEFAULT_TENANT, priority=0, shape=None, deadline=None):
@@ -313,31 +311,14 @@ class TestTenantFromTheWire:
 
     def test_live_front_door_refuses_and_stats_still_answers(self, tiny_tree):
         with AdmissionService(NetworkManager(tiny_tree), workers=1) as service:
-            doors = []
-            bound = threading.Event()
-
-            async def serve():
-                door = AsyncFrontDoor(service, port=0, pool_size=2)
-                await door.start()
-                doors.append(door)
-                bound.set()
-                await door.serve_until_shutdown()
-
-            thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
-            thread.start()
-            assert bound.wait(10.0), "front door never bound"
-            try:
-                with ServiceClient(host="127.0.0.1", port=doors[0].port) as client:
+            with served_front_door(service) as port:
+                with ServiceClient(host="127.0.0.1", port=port) as client:
                     for tenant in MALFORMED_TENANTS:
                         with pytest.raises(ServiceError, match="tenant must be a string"):
                             client.call("submit", request=WIRE_REQUEST, tenant=tenant)
                     reply = client.call("submit", request=WIRE_REQUEST, tenant="gold")
                     assert reply["outcome"] == OUTCOME_ADMITTED
                     stats = client.stats()
-            finally:
-                doors[0].request_shutdown()
-                thread.join(timeout=5.0)
-            assert not thread.is_alive()
         assert stats["counters"]["submitted"] == 1
         assert stats["tenants"]["weights"] == {"gold": 1}
 

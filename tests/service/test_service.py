@@ -235,6 +235,16 @@ class TestStats:
         assert stats["slots"]["total"] == tiny_tree.total_slots
         assert stats["durability"] == {"enabled": False}
 
+    def test_max_occupancy_is_the_manager_statistic(self, service):
+        # ``stats`` takes it from the per-level maxima; the values are the same.
+        assert service.stats()["occupancy"]["max"] == 0.0
+        for n_vms in (6, 5, 9, 3):
+            service.submit(HomogeneousSVC(n_vms=n_vms, mean=150.0, std=60.0))
+            service.submit(DeterministicVC(n_vms=n_vms, bandwidth=90.0))
+            worst = service.manager.max_occupancy()
+            assert worst > 0.0
+            assert service.stats()["occupancy"]["max"] == worst
+
     def test_queued_outcome_via_describe(self, tiny_tree):
         svc = AdmissionService(NetworkManager(tiny_tree))
         # Not started: submission is refused, so build a ticket by hand.
