@@ -20,9 +20,11 @@ Five checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
    fine), so a runbook row cannot outlive its metric.
 5. **Retired names stay retired**: a doc that still speaks of the second
    copy of committed core-link load the ledger used to keep
-   (``commit_direct``, ``committed_totals``, ``event="mirror"``), or of the
+   (``commit_direct``, ``committed_totals``, ``event="mirror"``), of the
    front door's bridge pool (``--pool-size``, ``pool_size``, ``aio-bridge``),
-   fails.
+   or of the allocators' second implementation and its benchmark
+   (``fast=False``, ``svc-dp-seed``, ``svc-het-seed``,
+   ``bench_admission_path``), fails.
 
 Opt out per block by placing ``<!-- check-docs: skip -->`` on the line above
 the opening fence (used for illustrative/pseudo-code fragments).
@@ -62,6 +64,11 @@ RETIRED = {
     "--pool-size": "the front door runs every command on the event-loop thread",
     "pool_size": "AsyncFrontDoor takes no pool: commands run on the loop thread",
     "aio-bridge": "no bridge threads exist; workers are admission-worker-N",
+    "fast=False": "each allocator has one DP; the seed recursions are tests/reference",
+    "svc-dp-seed": "the oracle is tests.reference.SeedTreeSearch, not an allocator name",
+    "svc-het-seed": "the oracle is tests.reference.SeedSubstringHeuristic",
+    "bench_admission_path": "the DP's cost is benchmarks/e2e paper-mixed; its decisions "
+    "are gated by scripts/check_incremental_dp.py",
 }
 
 sys.path.insert(0, str(SRC))

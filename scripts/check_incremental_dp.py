@@ -5,7 +5,9 @@ request shape, and rebuilds only what ``NetworkState.changed_at`` says moved
 (``repro.allocation.svc_homogeneous``).  Every service path now goes through
 those kept tables, batched or not, so comparing two service runs no longer
 proves anything about them.  This drill compares against a reference that
-keeps nothing: the seed DP (``svc-dp-seed``).
+keeps nothing and shares no DP code with production: the seed recursion of
+``tests/reference`` (imported through the repo root, which this script puts
+on ``sys.path``).
 
 The drill: two tenants walk a small menu of shapes in interleaved bursts —
 the repeated-shape traffic the kept tables exist for — with resizes (both the
@@ -19,10 +21,11 @@ identical; the first difference fails the run.
 kind on every op, as the e2e ``paper-mixed`` workload draws them, so no kept
 table is ever reused and every call is one level walk from the machines up —
 once for each allocator that rides on it (Algorithm 1, adapted TIVC, Oktopus,
-global min-max), each against its own ``fast=False`` seed traversal — and
-once for the substring heuristic (``svc-het`` against ``svc-het-seed``) on
-fresh per-VM demand vectors, where a reject is either proved at the machine
-links before any table is built or decided by the tables: both must occur.
+global min-max), each against the seed traversal with its options — and
+once for the substring heuristic (``svc-het`` against the seed substring
+heuristic) on fresh per-VM demand vectors, where a reject is either proved
+at the machine links before any table is built or decided by the tables:
+both must occur.
 
 Usage (repo root)::
 
@@ -35,6 +38,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # for tests.reference
 
 from repro.abstractions import DeterministicVC, HeterogeneousSVC, HomogeneousSVC
 from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator
@@ -43,7 +49,6 @@ from repro.allocation.svc_homogeneous import (
     GlobalMinMaxAllocator,
     OktopusAllocator,
     SVCHomogeneousAllocator,
-    _HomogeneousTreeSearch,
 )
 from repro.experiments.common import resolve_scale, simulation_rng
 from repro.manager.network_manager import RESIZE_IN_PLACE, RESIZE_REPLACED, NetworkManager
@@ -55,6 +60,7 @@ from repro.obs.instruments import (
 from repro.service.codec import network_state_to_dict
 from repro.stochastic import Normal
 from repro.topology.builder import build_datacenter
+from tests.reference import SeedSubstringHeuristic, SeedTreeSearch
 
 SIZES = (4, 8, 12, 16, 24)
 RATES = (100.0, 200.0, 300.0)
@@ -64,17 +70,13 @@ COLD_RATES = (100.0, 200.0, 300.0, 400.0, 500.0)  # Section VI-A mean rates
 #: name -> (the production allocator, its seed traversal, the requests it is sent:
 #: SVCs and VCs seven to three, VCs only, or heterogeneous SVCs only)
 ALLOCATORS = {
-    "svc-dp": (SVCHomogeneousAllocator, lambda: SVCHomogeneousAllocator(fast=False), "mixed"),
-    "tivc": (AdaptedTIVCAllocator, lambda: AdaptedTIVCAllocator(fast=False), "mixed"),
-    "oktopus": (OktopusAllocator, lambda: OktopusAllocator(fast=False), "vc"),
+    "svc-dp": (SVCHomogeneousAllocator, lambda: SeedTreeSearch(optimize=True), "mixed"),
+    "tivc": (AdaptedTIVCAllocator, lambda: SeedTreeSearch(optimize=False), "mixed"),
+    "oktopus": (OktopusAllocator, lambda: SeedTreeSearch(optimize=False), "vc"),
     "svc-global": (
-        GlobalMinMaxAllocator,
-        lambda: _HomogeneousTreeSearch(optimize=True, localize=False, fast=False),
-        "mixed",
+        GlobalMinMaxAllocator, lambda: SeedTreeSearch(optimize=True, localize=False), "mixed"
     ),
-    "svc-het": (
-        SVCHeterogeneousAllocator, lambda: SVCHeterogeneousAllocator(fast=False), "het"
-    ),
+    "svc-het": (SVCHeterogeneousAllocator, SeedSubstringHeuristic, "het"),
 }
 
 

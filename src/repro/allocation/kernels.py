@@ -61,8 +61,8 @@ def _fold_counts(rows: np.ndarray, eff: np.ndarray, optimize: bool = True) -> np
     padded with ``inf`` where ``s < e`` — no index gather.  With
     ``optimize=False`` the value kept is that of the first *feasible* ``e``
     (adapted TIVC makes no distinction between valid splits).  Only
-    max/min/compare touch the floats, so each row equals the seed
-    ``_combine``'s bit for bit.
+    max/min/compare touch the floats, so each row equals the one-child-at-a-
+    time ``_combine`` of the tests' oracle (``tests/reference``) bit for bit.
     """
     count, height = rows.shape
     width = eff.shape[1]
@@ -85,8 +85,8 @@ def _split_counts(
 ) -> np.ndarray:
     """The ``e`` that :func:`_fold_counts` chose at ``s = totals[v]``, per vertex.
 
-    The first ``e`` attaining the minimum (the seed's ascending strict-``<``
-    scan), or the first feasible one with ``optimize=False`` — the seed's
+    The first ``e`` attaining the minimum (the oracle's ascending strict-``<``
+    scan), or the first feasible one with ``optimize=False`` — the oracle's
     ``choices[i][s]`` without the table (``0`` where it holds ``-1``: callers
     split only totals whose value is finite).  ``eff`` must be no wider than
     ``rows``, so that ``s - e`` never leaves a row.

@@ -11,12 +11,13 @@ over all split points ``k`` with ``<a,k-1>`` allocable in ``T_v[i-1]`` and
 ``<k,b>`` allocable in the i-th child.
 
 Segments are half-open ``[s, e)`` with ``0 <= s <= e <= N`` over the sorted
-order; ``[s, s)`` is the empty segment.  Tables are dense ``(N+1) x (N+1)``
-float arrays with ``inf`` marking "not allocable"; entries below the
-diagonal are invalid and stay ``inf`` throughout.
+order; ``[s, s)`` is the empty segment.  A table ``Opt(T_v, [s, e))`` is an
+``(N+1) x (N+1)`` float matrix with ``inf`` marking "not allocable" and
+everything below the diagonal; only its band of potentially finite entries
+is ever stored (below).
 
-Two semantic rules of ``_child_effective`` (both the paper's objective and
-regression-tested):
+Two semantic rules of the effective child tables (:meth:`_effective_bands`;
+both the paper's objective and regression-tested):
 
 * an **empty segment costs exactly zero** — placing nothing in a child puts
   no demand on the child's uplink, so the uplink's *existing* occupancy must
@@ -26,39 +27,36 @@ regression-tested):
   false everywhere and would silently survive both the feasibility mask and
   the min-update of the combine step).
 
-Two implementations of the tree DP coexist, mirroring Algorithm 1's layout
-in ``svc_homogeneous.py``:
+The recursion runs one tree level at a time, as Algorithm 1's does in
+``svc_homogeneous.py``, on the shared kernels of
+:mod:`repro.allocation.kernels` (DESIGN.md §6.2).
+The segment combine ``(A ⊗ B)[s, e] = min over k of max(A[s, k], B[k, e])``
+is an exactly associative (min, max)-matrix product over IEEE floats
+(``min`` / ``max`` select an operand, they never round), so vertex
+*values* may be computed in any grouping.  Tables are kept in **band
+form** ``band[d, s] = table[s, s + d]`` — a ``(cap+1) x (N+1)`` rectangle
+of the potentially finite entries, ``inf`` wherever ``s + d > N`` (the
+band invariant, which makes out-of-range reads and narrower neighbours in
+a stack inert).  Before any level, once no single machine hosts the
+request: a lower bound on every switch's value from the machine links
+alone, whose ``inf`` is the reject with nothing built
+(:meth:`_machine_link_bound`).  Then per tree level, read off the state's
+level snapshot:
+effective child bands and their tight caps in one stacked pass
+(:meth:`_level_bands`), the host check as one row-0 fold per child
+position (:meth:`_scan_row0`), full tables — by a balanced pair-combine —
+only for levels the search ascends past (:meth:`_materialize`), and the
+splits recovered from one DP row per vertex on the placement path
+(:meth:`_backtrack_fast`): no choice table is ever built, and a machine's
+table (a step at its free slots) never exists outside a level's stack.
 
-* the **reference** path (``fast=False``, name ``svc-het-seed``) — the
-  straight-line implementation, kept as the baseline the production path is
-  proven against decision for decision;
-* the **level walk** (``fast=True``, the default) — numerically identical,
-  on the shared kernels of :mod:`repro.allocation.kernels` (DESIGN.md §6.2).
-  The segment combine ``(A ⊗ B)[s, e] = min over k of max(A[s, k], B[k, e])``
-  is an exactly associative (min, max)-matrix product over IEEE floats
-  (``min`` / ``max`` select an operand, they never round), so vertex
-  *values* may be computed in any grouping.  Tables are kept in **band
-  form** ``band[d, s] = table[s, s + d]`` — a ``(cap+1) x (N+1)`` rectangle
-  of the potentially finite entries, ``inf`` wherever ``s + d > N`` (the
-  band invariant, which makes out-of-range reads and narrower neighbours in
-  a stack inert).  Before any level, once no single machine hosts the
-  request: a lower bound on every switch's value from the machine links
-  alone, whose ``inf`` is the reject with nothing built
-  (:meth:`_machine_link_bound`).  Then per tree level, read off the state's
-  level snapshot:
-  effective child bands and their tight caps in one stacked pass
-  (:meth:`_level_bands`), the host check as one row-0 fold per child
-  position (:meth:`_scan_row0`), full tables — by a balanced pair-combine —
-  only for levels the search ascends past (:meth:`_materialize`), and the
-  splits recovered from one DP row per vertex on the placement path
-  (:meth:`_backtrack_fast`): no choice table is ever built, and a machine's
-  table (a step at its free slots) never exists outside a level's stack.
-
-Every value the level walk compares or returns is produced by the same
-max/min/compare operations on the same floats as the reference path (bands
-only ever exclude provably-``inf`` candidates), so the produced host /
-placement / ``max_occupancy`` decisions are bit-for-bit the same
-(``tests/allocation/test_het_fast_equivalence.py``).
+This is the only implementation in ``src/``.  The recursion as first written
+— a dense ``(N+1) x (N+1)`` table and choice table per vertex and child — is
+the tests' oracle (``tests/reference/seed_het_heuristic.py``): every value
+the level walk compares or returns is produced by the same max/min/compare
+operations on the same floats (bands only ever exclude provably-``inf``
+candidates), so the produced host / placement / ``max_occupancy`` decisions
+are bit-for-bit the same (``tests/allocation/test_het_fast_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ from repro.allocation.kernels import (
     _LevelSnapshot,
     level_snapshot,
 )
-from repro.network.link_state import LinkState, NetworkState
+from repro.network.link_state import NetworkState
 from repro.obs.instruments import (
     PHASE_ALLOC,
     PHASE_BATCH_OCCUPANCY,
@@ -99,14 +97,6 @@ from repro.obs.instruments import (
 from repro.stochastic.normal import Normal
 
 _FEASIBLE_LIMIT = 1.0
-
-
-@dataclass
-class _SegmentTable:
-    """DP state per vertex: Opt per segment + per-child split points."""
-
-    values: np.ndarray  # (N+1, N+1); values[s, e] = Opt(T_v, [s, e))
-    choices: List[np.ndarray]  # choices[i][s, e] = split point k for child i
 
 
 @dataclass
@@ -162,27 +152,13 @@ class _FastCaches:
     reason: str = REASON_NO_FEASIBLE_SUBTREE
 
 
-def _empty_segments(n: int) -> np.ndarray:
-    values = np.full((n + 1, n + 1), np.inf)
-    np.fill_diagonal(values, 0.0)
-    return values
-
-
 class SVCHeterogeneousAllocator(Allocator):
-    """The paper's polynomial heterogeneous allocator (substring heuristic).
-
-    ``fast=False`` runs the straight-line reference implementation (identical
-    decisions, no sharing/banding) — used by the equivalence tests and as the
-    ``svc-het-seed`` baseline of ``benchmarks/bench_admission_path.py``.
-    """
+    """The paper's polynomial heterogeneous allocator (substring heuristic)."""
 
     name = "svc-het"
 
-    def __init__(self, percentile: float = 95.0, fast: bool = True) -> None:
+    def __init__(self, percentile: float = 95.0) -> None:
         self._percentile = percentile
-        self._fast = fast
-        if not fast:
-            self.name = "svc-het-seed"
 
     def supports(self, request: VirtualClusterRequest) -> bool:
         return isinstance(request, HeterogeneousSVC)
@@ -244,45 +220,28 @@ class SVCHeterogeneousAllocator(Allocator):
         segments = SegmentDemandTable(request, percentile=self._percentile)
 
         tree = state.tree
-        tables: Dict[int, _SegmentTable] = {}
-        host: Optional[int] = None
-        host_value = np.inf
-        caches: Optional[_FastCaches] = None
-        if self._fast:
-            caches = _FastCaches(
-                n, _band_of(segments.demand_mean, n), _band_of(segments.demand_var, n)
-            )
-            host, host_value = self._search_fast(state, caches, phases)
-            obs.cache("het_machine", caches.machine_lookups,
-                      caches.machine_lookups - caches.machine_builds)
-            obs.cache("het_vertex", caches.vertex_lookups,
-                      caches.vertex_lookups - caches.vertex_builds)
-            obs.cache("het_eff", caches.eff_lookups,
-                      caches.eff_lookups - caches.eff_builds)
-        else:
-            for _level, node_ids in tree.bottom_up_levels():
-                for node_id in node_ids:
-                    table = self._build_vertex(state, node_id, n, segments, tables)
-                    tables[node_id] = table
-                    value = float(table.values[0, n])
-                    if np.isfinite(value) and value < host_value:
-                        host, host_value = node_id, value
-                if host is not None:
-                    break
+        caches = _FastCaches(
+            n, _band_of(segments.demand_mean, n), _band_of(segments.demand_var, n)
+        )
+        host, host_value = self._search_fast(state, caches, phases)
+        obs.cache("het_machine", caches.machine_lookups,
+                  caches.machine_lookups - caches.machine_builds)
+        obs.cache("het_vertex", caches.vertex_lookups,
+                  caches.vertex_lookups - caches.vertex_builds)
+        obs.cache("het_eff", caches.eff_lookups,
+                  caches.eff_lookups - caches.eff_builds)
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
-                reason=caches.reason if caches is not None else REASON_NO_FEASIBLE_SUBTREE,
-                trace=trace, n_vms=n,
+                reason=caches.reason, trace=trace, n_vms=n,
             )
             return None
 
-        t_alloc = perf_counter() if phases is not None else 0.0
+        # One phase for the whole backtrack, prefix folds included: the
+        # phases of a trace are disjoint, so they sum to at most its duration.
+        t_alloc = perf_counter()
         node_segments: Dict[int, Tuple[int, int]] = {}
-        if caches is not None:
-            self._backtrack_fast(tree, caches, host, 0, n, node_segments, phases)
-        else:
-            self._backtrack(tree, tables, host, 0, n, node_segments)
+        self._backtrack_fast(tree, caches, host, 0, n, node_segments)
 
         machine_vms: Dict[int, Tuple[int, ...]] = {}
         link_demands: Dict[int, Normal] = {}
@@ -303,89 +262,12 @@ class SVCHeterogeneousAllocator(Allocator):
             link_demands=link_demands,
             max_occupancy=host_value,
         )
-        if phases is not None:
-            phases[PHASE_ALLOC] = perf_counter() - t_alloc
+        add_phase(phases, PHASE_ALLOC, t_alloc)
         obs.done(self.name, perf_counter() - t_start, admitted=True, trace=trace, n_vms=n)
         return allocation
 
     # ------------------------------------------------------------------
-    # DP construction (reference path)
-    # ------------------------------------------------------------------
-
-    def _build_vertex(
-        self,
-        state: NetworkState,
-        node_id: int,
-        n: int,
-        segments: SegmentDemandTable,
-        tables: Dict[int, _SegmentTable],
-    ) -> _SegmentTable:
-        tree = state.tree
-        node = tree.node(node_id)
-        if node.is_machine:
-            # Any substring short enough for the machine's free slots fits;
-            # co-located VMs use no links, so the inner objective is 0.
-            values = np.full((n + 1, n + 1), np.inf)
-            limit = state.free_slots(node_id)
-            starts, ends = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-            length = ends - starts
-            values[(length >= 0) & (length <= limit)] = 0.0
-            return _SegmentTable(values=values, choices=[])
-
-        partial = _empty_segments(n)
-        choices: List[np.ndarray] = []
-        for child_id in node.children:
-            child_eff = self._child_effective(state, child_id, n, segments, tables)
-            new_values = np.full((n + 1, n + 1), np.inf)
-            choice = np.full((n + 1, n + 1), -1, dtype=np.int64)
-            for k in range(n + 1):
-                # Segment [s, e) = [s, k) placed so far + [k, e) in this child.
-                candidate = np.maximum(partial[:, k : k + 1], child_eff[k : k + 1, :])
-                better = candidate < new_values
-                new_values[better] = candidate[better]
-                choice[better] = k
-            partial = new_values
-            choices.append(choice)
-        return _SegmentTable(values=partial, choices=choices)
-
-    def _child_effective(
-        self,
-        state: NetworkState,
-        child_id: int,
-        n: int,
-        segments: SegmentDemandTable,
-        tables: Dict,
-    ) -> np.ndarray:
-        """max(Opt(child, seg), O_uplink(seg)), inf where the uplink rejects.
-
-        Shared verbatim by the reference and fast paths (the fast path only
-        adds caching around it), so the effective matrices are bit-identical
-        by construction.  A zero-capacity uplink admits nothing into the
-        subtree; empty segments place nothing in it, cost exactly 0, and are
-        always feasible regardless of the uplink's existing occupancy.
-        """
-        link_state: LinkState = state.links[child_id]
-        if link_state.capacity > 0.0:
-            variance = link_state.var_total + segments.demand_var
-            effective_demand = (
-                link_state.mean_total
-                + segments.demand_mean
-                + state.risk_c * np.sqrt(np.maximum(variance, 0.0))
-            )
-            occupancy = (
-                link_state.deterministic_total + effective_demand
-            ) / link_state.capacity
-            effective = np.maximum(tables[child_id].values, occupancy)
-            effective[occupancy >= _FEASIBLE_LIMIT] = np.inf
-        else:
-            # Guarded: a raw division would yield inf (or NaN for an all-zero
-            # numerator), and NaN slips through every comparison mask.
-            effective = np.full((n + 1, n + 1), np.inf)
-        np.fill_diagonal(effective, 0.0)
-        return effective
-
-    # ------------------------------------------------------------------
-    # The level walk (numerically identical to the reference above)
+    # The level walk
     # ------------------------------------------------------------------
 
     def _search_fast(
@@ -532,8 +414,8 @@ class SVCHeterogeneousAllocator(Allocator):
         invariant) and ``uplinks[k]`` its ``D_L``, mean, variance and ``C_L``.
         Broadcasting the per-child uplink scalars over the band views of the
         request's segment demand moments applies the per-element float
-        operations of :meth:`_child_effective` in the same order, so every
-        in-band entry is bit-identical to the scalar full-matrix build.
+        operations of the oracle's ``_child_effective`` in the same order, so
+        every in-band entry is bit-identical to its full-matrix build.
         Entries past ``s + d > n`` read the demand bands' padding but are
         forced to ``inf`` by the child table band (the band invariant), never
         by a float that could differ.  A zero-capacity uplink admits only the
@@ -543,7 +425,7 @@ class SVCHeterogeneousAllocator(Allocator):
         width = tables.shape[1]
         det, mean, var, capacity = uplinks.T[:, :, None, None]
         dead = capacity <= 0.0
-        # The reference's expression, operation for operation (float
+        # The oracle's expression, operation for operation (float
         # addition commutes exactly), accumulated in one buffer.
         occupancy = var + caches.var_band[:width]
         np.maximum(occupancy, 0.0, out=occupancy)
@@ -603,7 +485,7 @@ class SVCHeterogeneousAllocator(Allocator):
 
         The (min, max) product is exactly associative, so adjacent children
         are combined pairwise in a balanced tree: the same candidates,
-        grouped differently, bit-identical to the sequential reference.
+        grouped differently, bit-identical to the sequential fold.
         Balancing keeps *both* operands' bands small (sequential growth makes
         the left band reach ``N`` after a handful of children); each round's
         distinct pairs, across all of the level's signatures, are one
@@ -658,32 +540,6 @@ class SVCHeterogeneousAllocator(Allocator):
     # Backtracking
     # ------------------------------------------------------------------
 
-    def _backtrack(
-        self,
-        tree,
-        tables: Dict[int, _SegmentTable],
-        node_id: int,
-        start: int,
-        end: int,
-        node_segments: Dict[int, Tuple[int, int]],
-    ) -> None:
-        node_segments[node_id] = (start, end)
-        if start == end:
-            return
-        node = tree.node(node_id)
-        if node.is_machine:
-            return
-        table = tables[node_id]
-        right = end
-        for index in range(len(node.children) - 1, -1, -1):
-            split = int(table.choices[index][start, right])
-            if split < 0:
-                raise RuntimeError(f"backtracking hit an infeasible segment at {node_id}")
-            self._backtrack(tree, tables, node.children[index], split, right, node_segments)
-            right = split
-        if right != start:
-            raise RuntimeError(f"backtracking left [{start}, {right}) unassigned at {node_id}")
-
     def _backtrack_fast(
         self,
         tree,
@@ -692,12 +548,12 @@ class SVCHeterogeneousAllocator(Allocator):
         start: int,
         end: int,
         node_segments: Dict[int, Tuple[int, int]],
-        phases: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Reference backtrack, its splits recovered from row ``start``.
+        """The backtrack, its splits recovered from row ``start``.
 
-        The reference reads ``choices[i][start, right]``: the first ``k``
-        minimizing ``max(partial_i[start, k], eff_i[k, right])``.  Row
+        The split point of child ``i`` for ``[start, right)`` is the first
+        ``k`` minimizing ``max(partial_i[start, k], eff_i[k, right])`` (what
+        the oracle reads off a dense ``choices[i][start, right]``).  Row
         ``start`` of every prefix partial is one :func:`_fold_rows` chain,
         and every ``k`` outside ``[right - cap_i, right]`` is provably
         ``inf`` — never the minimizer of a feasible segment — so one banded
@@ -709,7 +565,6 @@ class SVCHeterogeneousAllocator(Allocator):
         node = tree.node(node_id)
         if node.is_machine:
             return
-        since = perf_counter()
         level = caches.levels[node_id]
         slots = level.slots[node_id]
         row = np.full((1, caches.n + 1), np.inf)
@@ -718,7 +573,6 @@ class SVCHeterogeneousAllocator(Allocator):
         for slot in slots[:-1]:
             band = level.arena[slot, : level.caps[slot] + 1]
             prefixes.append(_fold_rows(prefixes[-1], band[None]))
-        add_phase(phases, PHASE_COMBINE, since)
         right = end
         for index in range(len(slots) - 1, -1, -1):
             slot = slots[index]
@@ -731,9 +585,7 @@ class SVCHeterogeneousAllocator(Allocator):
             if candidates[offset] == np.inf:
                 raise RuntimeError(f"backtracking hit an infeasible segment at {node_id}")
             split = lo + offset
-            self._backtrack_fast(
-                tree, caches, node.children[index], split, right, node_segments, phases
-            )
+            self._backtrack_fast(tree, caches, node.children[index], split, right, node_segments)
             right = split
         if right != start:
             raise RuntimeError(f"backtracking left [{start}, {right}) unassigned at {node_id}")

@@ -19,32 +19,28 @@ Implementation notes: allocable sets are dense ``float`` arrays of length
 allocable").  The per-child combine step is the (min, max) convolution of the
 partial array with the child's array.
 
-Two implementations of the tree DP coexist:
+The recursion runs one tree *level* at a time, on the shared kernels of
+:mod:`repro.allocation.kernels` (DESIGN.md §6).  A level's inputs come from
+the state's level snapshot, never link by link; its vertices are keyed by
+the bytes of their snapshot rows, so vertices in bit-identical states share
+one table, and the distinct ones that must be built are built together — one
+broadcast ``O_L(N, e)`` block and one
+:func:`~repro.allocation.kernels._fold_counts` per child *position*
+(:meth:`_level_tables`).  A machine's table is the step function of
+``min(free, N)`` and is never materialized.  Tables hold values only: splits
+are recovered at backtrack from the prefix rows of the vertices on the
+placement path (:meth:`_place_levels`).  On top sits the incremental store
+(:class:`_ShapeTables`): a vertex under which nothing was committed or
+released since its table was keyed costs one dict probe — a repeated shape
+pays for the dirty paths, not the tree.
 
-* the **seed** path (``fast=False``) — the original straight-line
-  implementation, one vertex and one child at a time with per-child choice
-  tables, kept verbatim as the reference the production path is proven
-  against (placement-equivalence tests compare the two decision for
-  decision);
-* the **level walk** (``fast=True``, the default) — the same recursion one
-  tree *level* at a time, on the shared kernels of
-  :mod:`repro.allocation.kernels` (DESIGN.md §6).  A level's inputs come
-  from the state's level snapshot, never link by link; its vertices are
-  keyed by the bytes of their snapshot rows, so vertices in bit-identical
-  states share one table, and the distinct ones that must be built are
-  built together — one broadcast ``O_L(N, e)`` block and one
-  :func:`~repro.allocation.kernels._fold_counts` per child *position*
-  (:meth:`_level_tables`).  A machine's table is the step function of
-  ``min(free, N)`` and is never materialized.  Tables hold values only:
-  splits are recovered at backtrack from the prefix rows of the vertices on
-  the placement path (:meth:`_place_levels`).  On top sits the incremental
-  store (:class:`_ShapeTables`): a vertex under which nothing was committed
-  or released since its table was keyed costs one dict probe — a repeated
-  shape pays for the dirty paths, not the tree.
-
-Every floating-point operation of the level walk is elementwise-identical to
-the seed path, so the produced host / placement / ``max_occupancy`` decisions
-are bit-for-bit the same — not merely statistically equivalent.
+This is the only implementation in ``src/``.  The recursion as first written
+— one vertex and one child at a time, with per-child choice tables — is the
+tests' oracle (``tests/reference/seed_homogeneous.py``): every floating-point
+operation of the level walk is elementwise-identical to it, so the produced
+host / placement / ``max_occupancy`` decisions are bit-for-bit the same, not
+merely statistically equivalent, and the equivalence tests and
+``scripts/check_incremental_dp.py`` compare the two decision for decision.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ from repro.allocation.kernels import (
     _split_counts,
     level_snapshot,
 )
-from repro.network.link_state import LinkState, NetworkState
+from repro.network.link_state import NetworkState
 from repro.obs.instruments import (
     PHASE_ALLOC,
     PHASE_BATCH_OCCUPANCY,
@@ -100,14 +96,6 @@ _STORE_CAPACITY = 8
 _MAX_TABLES_PER_VERTEX = 4
 
 _next_serial = itertools.count().__next__
-
-
-@dataclass
-class _VertexTable:
-    """Seed DP state of one vertex: values over VM counts + per-child split choices."""
-
-    values: np.ndarray  # Opt(T_v, h) over h = 0..N; inf = not allocable
-    choices: List[np.ndarray]  # choices[i][s] = VMs given to child i when T_v[i] holds s
 
 
 @dataclass
@@ -171,31 +159,6 @@ class _Walk:
     tables: Dict[int, _ValueRow] = field(default_factory=dict)
 
 
-def _uplink_occupancy_vector(
-    link_state: LinkState,
-    risk_c: float,
-    split_mean: np.ndarray,
-    split_var: np.ndarray,
-    deterministic: bool,
-) -> np.ndarray:
-    """``O_L(N, e)`` for every split size ``e`` of the candidate request.
-
-    For a stochastic request the candidate moments join the CLT aggregate;
-    for a deterministic request the candidate mean joins ``D_L`` and only the
-    existing stochastic aggregate contributes variance (Section IV-B).
-    """
-    if deterministic:
-        stoch_mean = link_state.mean_total
-        variance = np.full_like(split_mean, max(link_state.var_total, 0.0))
-        reserved = link_state.deterministic_total + split_mean
-    else:
-        stoch_mean = link_state.mean_total + split_mean
-        variance = link_state.var_total + split_var
-        reserved = np.full_like(split_mean, link_state.deterministic_total)
-    effective = stoch_mean + risk_c * np.sqrt(np.maximum(variance, 0.0))
-    return (reserved + effective) / link_state.capacity
-
-
 class _HomogeneousTreeSearch(Allocator):
     """Shared machinery for Algorithm 1 and the adapted-TIVC baseline.
 
@@ -204,10 +167,9 @@ class _HomogeneousTreeSearch(Allocator):
     keeps only feasibility and the first-found split (adapted TIVC).
     """
 
-    def __init__(self, optimize: bool, localize: bool = True, fast: bool = True) -> None:
+    def __init__(self, optimize: bool, localize: bool = True) -> None:
         self._optimize = optimize
         self._localize = localize
-        self._fast = fast
         #: shape -> tables kept across calls.  Like the rest of an allocator
         #: this is single-threaded: callers serialize ``allocate``.
         self._store: "OrderedDict[Tuple, _ShapeTables]" = OrderedDict()
@@ -249,20 +211,10 @@ class _HomogeneousTreeSearch(Allocator):
             )
             return None
 
-        tree = state.tree
-        walk: Optional[_Walk] = None
-        if self._fast:
-            kept = self._tables_for(state, request)
-            split_mean, split_var = kept.split_mean, kept.split_var
-            walk = _Walk(
-                state, kept, level_snapshot(state), n, request.is_deterministic, phases
-            )
-            add_phase(phases, PHASE_PRUNE, t_start)
-            host = self._search_levels(walk, obs)
-        else:
-            split_mean, split_var = homogeneous_split_moments(request)
-            add_phase(phases, PHASE_PRUNE, t_start)
-            host, tables = self._search_seed(state, request, split_mean, split_var, phases)
+        kept = self._tables_for(state, request)
+        walk = _Walk(state, kept, level_snapshot(state), n, request.is_deterministic, phases)
+        add_phase(phases, PHASE_PRUNE, t_start)
+        host = self._search_levels(walk, obs)
         if host is None:
             obs.done(
                 self.name, perf_counter() - t_start, admitted=False,
@@ -271,13 +223,9 @@ class _HomogeneousTreeSearch(Allocator):
             return None
 
         t_alloc = perf_counter()
-        if walk is not None:
-            machine_counts = self._place_levels(walk, host)
-        else:
-            machine_counts = {}
-            self._backtrack(tree, tables, host, n, machine_counts)
+        machine_counts = self._place_levels(walk, host)
         link_demands = link_demands_from_counts(
-            tree, host, machine_counts, split_mean, split_var
+            state.tree, host, machine_counts, kept.split_mean, kept.split_var
         )
         allocation = Allocation(
             request=request,
@@ -295,131 +243,8 @@ class _HomogeneousTreeSearch(Allocator):
         """Algorithm 1 takes the level's first minimum, adapted TIVC its first feasible."""
         return value < host_value and (self._optimize or host is None)
 
-    def _search_seed(
-        self,
-        state: NetworkState,
-        request: VirtualClusterRequest,
-        split_mean: np.ndarray,
-        split_var: np.ndarray,
-        phases: Optional[Dict[str, float]],
-    ) -> Tuple[Optional[int], Dict[int, _VertexTable]]:
-        """The reference traversal: one :meth:`_build_vertex` per node, leaves up."""
-        n = request.n_vms
-        tables: Dict[int, _VertexTable] = {}
-        host: Optional[int] = None
-        host_value = np.inf
-        for _level, node_ids in state.tree.bottom_up_levels():
-            for node_id in node_ids:
-                since = perf_counter()
-                tables[node_id] = table = self._build_vertex(
-                    state, node_id, n, split_mean, split_var, request.is_deterministic, tables
-                )
-                add_phase(phases, PHASE_TABLE_BUILD, since)
-                if self._is_better_host(float(table.values[n]), host, host_value):
-                    host, host_value = node_id, float(table.values[n])
-            if host is not None and self._localize:
-                break  # lowest feasible level found
-        root = state.tree.root_id
-        if not self._localize and np.isfinite(float(tables[root].values[n])):
-            host = root  # locality ablation: the global min-max placement, Opt(T_root, N)
-        return host, tables
-
     # ------------------------------------------------------------------
-    # DP construction
-    # ------------------------------------------------------------------
-
-    def _build_vertex(
-        self,
-        state: NetworkState,
-        node_id: int,
-        n: int,
-        split_mean: np.ndarray,
-        split_var: np.ndarray,
-        deterministic: bool,
-        tables: Dict[int, _VertexTable],
-    ) -> _VertexTable:
-        tree = state.tree
-        node = tree.node(node_id)
-        if node.is_machine:
-            # Lines 4-7 of Algorithm 1: a machine can absorb up to its free
-            # slots, and VMs co-located on one machine use no links.
-            values = np.full(n + 1, np.inf)
-            limit = min(state.free_slots(node_id), n)
-            values[: limit + 1] = 0.0
-            return _VertexTable(values=values, choices=[])
-
-        partial = np.full(n + 1, np.inf)
-        partial[0] = 0.0  # T_v[0] = {v}: no links, nothing placed
-        choices: List[np.ndarray] = []
-        for child_id in node.children:
-            child_eff = self._child_effective(
-                state, child_id, n, split_mean, split_var, deterministic, tables
-            )
-            partial, choice = self._combine(partial, child_eff, n)
-            choices.append(choice)
-        return _VertexTable(values=partial, choices=choices)
-
-    def _child_effective(
-        self,
-        state: NetworkState,
-        child_id: int,
-        n: int,
-        split_mean: np.ndarray,
-        split_var: np.ndarray,
-        deterministic: bool,
-        tables: Dict[int, _VertexTable],
-    ) -> np.ndarray:
-        """max(Opt(T_child, e), O_uplink(N, e)) with infeasible e set to inf.
-
-        The uplink filter implements the allocable-set definition
-        (Definition 1): the bandwidth constraint of every link inside the
-        child subtree *and* of its uplink.
-        """
-        child_values = tables[child_id].values
-        occ = _uplink_occupancy_vector(
-            state.links[child_id], state.risk_c, split_mean, split_var, deterministic
-        )
-        effective = np.maximum(child_values, occ)
-        effective[occ >= _FEASIBLE_LIMIT] = np.inf
-        return effective
-
-    def _combine(
-        self, partial: np.ndarray, child_eff: np.ndarray, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(min, max)-convolve the running table with one child's table.
-
-        Implements Eq. (11): ``Opt(T_v[i], s) = min over e+h=s of
-        max(Opt(T_v[i-1], h), effective_child(e))``, recording the minimizing
-        ``e`` (the ``D_v[i, s]`` table of Algorithm 1).  In the
-        feasibility-only variant the first feasible ``e`` is recorded
-        instead — TIVC "makes no distinction" between valid splits.
-        """
-        new_values = np.full(n + 1, np.inf)
-        choice = np.full(n + 1, -1, dtype=np.int64)
-        feasible_h = np.isfinite(partial)
-        if not feasible_h.any():
-            return new_values, choice
-        max_h = int(np.flatnonzero(feasible_h)[-1])
-        for e in np.flatnonzero(np.isfinite(child_eff)):
-            e = int(e)
-            upper = min(max_h, n - e)
-            if upper < 0:
-                continue
-            segment = partial[: upper + 1]
-            # Infeasible h (inf) propagates through the max, so no extra mask.
-            candidate = np.maximum(child_eff[e], segment)
-            target = new_values[e : e + upper + 1]
-            chosen = choice[e : e + upper + 1]
-            if self._optimize:
-                better = candidate < target
-            else:
-                better = np.isfinite(candidate) & ~np.isfinite(target)
-            target[better] = candidate[better]
-            chosen[better] = e
-        return new_values, choice
-
-    # ------------------------------------------------------------------
-    # The level walk (numerically identical to the seed path above)
+    # The level walk
     # ------------------------------------------------------------------
 
     def _search_levels(self, walk: _Walk, obs) -> Optional[int]:
@@ -442,7 +267,7 @@ class _HomogeneousTreeSearch(Allocator):
                     host, host_value = node_id, value
         root = walk.tables.get(walk.state.tree.root_id)
         if not self._localize and root is not None and np.isfinite(float(root.values[n])):
-            host = walk.state.tree.root_id  # locality ablation, as in the seed search
+            host = walk.state.tree.root_id  # locality ablation: Opt(T_root, N), the global min-max
         # Once per request: a lookup is one machine or switch that needed a
         # table, a build one distinct result; a shared one served the rest.
         obs.cache("machine", machines, machines - steps)
@@ -518,10 +343,14 @@ class _HomogeneousTreeSearch(Allocator):
         The allocable-set definition (Definition 1) for a whole stack of
         vertices in one broadcast: split sizes run to the largest slot cap of
         the stack (past a child's own cap its table is ``inf`` anyway), a
-        machine child's table is the 0/``inf`` step at its cap, and the
-        occupancy block applies the seed's :func:`_uplink_occupancy_vector`
-        operation for operation, so every entry is bit-identical to
-        :meth:`_child_effective`'s.
+        machine child's table is the 0/``inf`` step at its cap (lines 4-7 of
+        Algorithm 1: co-located VMs use no links), and the occupancy block is
+        ``O_L(N, e)`` of Eq. (6): for a stochastic request the candidate
+        moments join the CLT aggregate; for a deterministic one the candidate
+        mean joins ``D_L`` and only the existing stochastic aggregate
+        contributes variance (Section IV-B).  It applies the oracle's per-link
+        ``_uplink_occupancy_vector`` operation for operation, so every entry
+        is bit-identical to its ``_child_effective``'s.
         """
         data = block.data[rows]
         caps = np.minimum(data[:, :, FREE, None], walk.n)  # a subtree's slot cap
@@ -554,7 +383,7 @@ class _HomogeneousTreeSearch(Allocator):
     def _place_levels(self, walk: _Walk, host: int) -> Dict[int, int]:
         """The ``Alloc()`` backtrack, level by level, without choice tables.
 
-        The seed reads ``choices[i][remaining]``: the first ``e`` minimizing
+        Algorithm 1's ``D_v[i, remaining]`` is the first ``e`` minimizing
         ``max(eff_i[e], partial_i[remaining - e])`` (the first feasible one
         without optimization).  The prefix rows ``partial_i`` of every vertex
         on the placement path are refolded, stacked as in the build but only
@@ -592,37 +421,6 @@ class _HomogeneousTreeSearch(Allocator):
                 stuck = block.node_ids[rows[int(np.argmax(remaining != 0))]]
                 raise RuntimeError(f"backtracking hit an infeasible entry at node {stuck}")
         return machine_counts
-
-    # ------------------------------------------------------------------
-    # Backtracking (the Alloc() procedure of Algorithm 1)
-    # ------------------------------------------------------------------
-
-    def _backtrack(
-        self,
-        tree,
-        tables: Dict[int, _VertexTable],
-        node_id: int,
-        count: int,
-        machine_counts: Dict[int, int],
-    ) -> None:
-        if count == 0:
-            return
-        node = tree.node(node_id)
-        if node.is_machine:
-            machine_counts[node_id] = count
-            return
-        table = tables[node_id]
-        remaining = count
-        for index in range(len(node.children) - 1, -1, -1):
-            child_count = int(table.choices[index][remaining])
-            if child_count < 0:
-                raise RuntimeError(
-                    f"backtracking hit an infeasible entry at node {node_id}"
-                )
-            self._backtrack(tree, tables, node.children[index], child_count, machine_counts)
-            remaining -= child_count
-        if remaining != 0:
-            raise RuntimeError(f"backtracking left {remaining} VMs unassigned at {node_id}")
 
     # ------------------------------------------------------------------
     # Elastic resize support
@@ -676,19 +474,12 @@ class _HomogeneousTreeSearch(Allocator):
 
 
 class SVCHomogeneousAllocator(_HomogeneousTreeSearch):
-    """Algorithm 1: lowest-level subtree + min-max occupancy placement.
-
-    ``fast=False`` runs the seed reference implementation (identical
-    decisions, no pruning/batching) — used by the equivalence tests and as
-    the baseline of ``benchmarks/bench_admission_path.py``.
-    """
+    """Algorithm 1: lowest-level subtree + min-max occupancy placement."""
 
     name = "svc-dp"
 
-    def __init__(self, fast: bool = True) -> None:
-        super().__init__(optimize=True, fast=fast)
-        if not fast:
-            self.name = "svc-dp-seed"
+    def __init__(self) -> None:
+        super().__init__(optimize=True)
 
 
 class GlobalMinMaxAllocator(_HomogeneousTreeSearch):
@@ -712,8 +503,8 @@ class AdaptedTIVCAllocator(_HomogeneousTreeSearch):
 
     name = "tivc"
 
-    def __init__(self, fast: bool = True) -> None:
-        super().__init__(optimize=False, fast=fast)
+    def __init__(self) -> None:
+        super().__init__(optimize=False)
 
 
 class OktopusAllocator(AdaptedTIVCAllocator):

@@ -188,9 +188,9 @@ class NetworkState:
         }
         self._total_free = sum(self._free_slots.values())
         # Per-internal-node free-slot totals, maintained incrementally by
-        # _occupy/_vacate along the machine's ancestor chain.  The allocators'
-        # fast path uses them to cap DP split sizes at what a subtree can
-        # actually hold and to skip subtrees that cannot host a request.
+        # _occupy/_vacate along the machine's ancestor chain.  The allocators
+        # use them to cap DP split sizes at what a subtree can actually hold
+        # and to skip subtrees that cannot host a request.
         self._free_under: Dict[int, int] = {
             node.node_id: tree.slots_under(node.node_id)
             for node in tree.nodes

@@ -148,12 +148,17 @@ class LatencyWindow:
         self._count += 1
         self._total += seconds
 
+    def mean_ms(self) -> float:
+        """Lifetime mean in milliseconds, 0.0 before the first sample: two
+        reads, where :meth:`summary` sorts the whole window."""
+        return 1000.0 * self._total / self._count if self._count else 0.0
+
     def summary(self, percentiles=(50, 90, 99)) -> Dict[str, float]:
         """Percentiles (over the window) and lifetime mean, in milliseconds."""
         result: Dict[str, float] = {"count": self._count}
         result["window"] = len(self._samples)
         result["window_limit"] = self._maxlen
-        result["mean_ms"] = 1000.0 * self._total / self._count if self._count else 0.0
+        result["mean_ms"] = self.mean_ms()
         ordered = sorted(self._samples)
         for pct in percentiles:
             if not ordered:
@@ -858,8 +863,8 @@ class AdmissionService:
 
     def _overload_retry_after(self, depth: int) -> float:
         """Backoff hint: expected drain time of the current backlog."""
-        summary_mean = self.latencies.summary().get("mean_ms", 0.0) / 1000.0
-        per_request = summary_mean if summary_mean > 0.0 else 0.005
+        mean = self.latencies.mean_ms() / 1000.0
+        per_request = mean if mean > 0.0 else 0.005
         return min(5.0, max(0.05, depth * per_request / max(1, self.workers)))
 
     def release(self, request_id: int) -> bool:

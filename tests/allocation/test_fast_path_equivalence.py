@@ -1,11 +1,12 @@
-"""The admission fast path must be *decision-identical* to the seed DP.
+"""Production Algorithm 1 must be *decision-identical* to the seed DP.
 
-The optimized Algorithm 1 (subtree free-slot pruning, batched uplink
-occupancy, shared machine/vertex tables, broadcast (min, max)-convolution)
-claims bit-for-bit equality with the seed implementation, not statistical
-equivalence.  These tests drive both implementations over the same recorded
-request traces — admissions *and* releases — and compare every decision:
-host node, per-machine placement, and the reported ``max_occupancy``.
+The level walk (subtree free-slot pruning, batched uplink occupancy, shared
+machine/vertex tables, broadcast (min, max)-convolution) claims bit-for-bit
+equality with the recursion as first written — the oracle of
+``tests/reference`` — not statistical equivalence.  These tests drive both
+over the same recorded request traces — admissions *and* releases — and
+compare every decision: host node, per-machine placement, and the reported
+``max_occupancy``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.allocation.svc_homogeneous import (
 from repro.network import NetworkState
 from repro.stochastic.aggregate import risk_quantile
 from repro.topology import DatacenterSpec, build_datacenter
+from tests.reference import SeedTreeSearch
 
 
 def _record_trace(seed: int, steps: int, max_n: int):
@@ -87,7 +89,7 @@ class TestRecordedTraceEquivalence:
             trace,
             tiny_tree,
             lambda: SVCHomogeneousAllocator(),
-            lambda: SVCHomogeneousAllocator(fast=False),
+            lambda: SeedTreeSearch(optimize=True),
         )
         assert placed > 10  # the trace must actually exercise placements
 
@@ -97,7 +99,7 @@ class TestRecordedTraceEquivalence:
             trace,
             tiny_tree,
             lambda: AdaptedTIVCAllocator(),
-            lambda: AdaptedTIVCAllocator(fast=False),
+            lambda: SeedTreeSearch(optimize=False),
         )
         assert placed > 10
 
@@ -108,13 +110,12 @@ class TestRecordedTraceEquivalence:
             trace,
             tree,
             lambda: SVCHomogeneousAllocator(),
-            lambda: SVCHomogeneousAllocator(fast=False),
+            lambda: SeedTreeSearch(optimize=True),
         )
         assert placed > 10
 
     def test_seed_allocator_reports_its_name(self):
         assert SVCHomogeneousAllocator().name == "svc-dp"
-        assert SVCHomogeneousAllocator(fast=False).name == "svc-dp-seed"
 
 
 class TestRandomTreeAgreement:
@@ -142,7 +143,7 @@ class TestRandomTreeAgreement:
         tree = build_datacenter(spec)
         request = HomogeneousSVC(n_vms=n_vms, mean=mean, std=rho * mean)
         fast = SVCHomogeneousAllocator().allocate(NetworkState(tree), request, 1)
-        seed = SVCHomogeneousAllocator(fast=False).allocate(NetworkState(tree), request, 1)
+        seed = SeedTreeSearch(optimize=True).allocate(NetworkState(tree), request, 1)
         assert (fast is None) == (seed is None)
         if fast is not None:
             assert fast.host_node == seed.host_node

@@ -1,10 +1,10 @@
-"""The heterogeneous fast path must be *decision-identical* to its reference.
+"""The production substring heuristic must be *decision-identical* to its oracle.
 
 Same contract the homogeneous DP is pinned by in
-``test_fast_path_equivalence.py``: the optimized substring heuristic
-(memoized segment tables, shared machine/vertex/effective tables, banded
-(min, max)-matrix combine) claims bit-for-bit equality with the
-straight-line reference — host node, per-machine VM placement, reported
+``test_fast_path_equivalence.py``: the level walk (shared
+machine/vertex/effective tables, banded (min, max)-matrix combine) claims
+bit-for-bit equality with the straight-line recursion of
+``tests/reference`` — host node, per-machine VM placement, reported
 ``max_occupancy``, and the link-state moments left behind after a full
 admit/release trace.
 """
@@ -23,6 +23,7 @@ from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator, _FastC
 from repro.network import NetworkState
 from repro.stochastic import Normal
 from repro.topology import DatacenterSpec, build_datacenter
+from tests.reference import SeedSubstringHeuristic
 
 
 def _record_het_trace(seed: int, steps: int, max_n: int, mean_n: float = 0.0):
@@ -50,7 +51,7 @@ def _replay(trace, tree, epsilon=0.05):
     fast_state = NetworkState(tree, epsilon=epsilon)
     seed_state = NetworkState(tree, epsilon=epsilon)
     fast = SVCHeterogeneousAllocator()
-    seed = SVCHeterogeneousAllocator(fast=False)
+    seed = SeedSubstringHeuristic()
     active = []
     decisions = 0
     for request_id, (request, release_draw) in enumerate(trace, start=1):
@@ -112,7 +113,6 @@ class TestRecordedTraceEquivalence:
 
     def test_seed_allocator_reports_its_name(self):
         assert SVCHeterogeneousAllocator().name == "svc-het"
-        assert SVCHeterogeneousAllocator(fast=False).name == "svc-het-seed"
 
 
 class TestRandomTreeAgreement:
@@ -145,7 +145,7 @@ class TestRandomTreeAgreement:
             ),
         )
         fast = SVCHeterogeneousAllocator().allocate(NetworkState(tree), request, 1)
-        seed = SVCHeterogeneousAllocator(fast=False).allocate(NetworkState(tree), request, 1)
+        seed = SeedSubstringHeuristic().allocate(NetworkState(tree), request, 1)
         assert (fast is None) == (seed is None)
         if fast is not None:
             assert fast.host_node == seed.host_node
@@ -157,7 +157,7 @@ def _search_both(state, request):
     """The fast search's caches and host beside the reference's full tables."""
     n = request.n_vms
     segments = SegmentDemandTable(request)
-    seed = SVCHeterogeneousAllocator(fast=False)
+    seed = SeedSubstringHeuristic()
     tables = {}
     for _level, node_ids in state.tree.bottom_up_levels():
         for node_id in node_ids:
@@ -236,6 +236,4 @@ class TestSplitRecovery:
         with pytest.raises(RuntimeError, match="backtracking hit an infeasible segment"):
             SVCHeterogeneousAllocator()._backtrack_fast(tiny_tree, caches, rack, 0, 20, {})
         with pytest.raises(RuntimeError, match="backtracking hit an infeasible segment"):
-            SVCHeterogeneousAllocator(fast=False)._backtrack(
-                tiny_tree, tables, rack, 0, 20, {}
-            )
+            SeedSubstringHeuristic()._backtrack(tiny_tree, tables, rack, 0, 20, {})

@@ -12,6 +12,7 @@ from repro.allocation import (
 from repro.network import NetworkState
 from repro.stochastic import Normal
 from tests.conftest import build_star_tree
+from tests.reference import SeedSubstringHeuristic
 
 
 def assert_contiguous_segments(request, allocation):
@@ -174,8 +175,8 @@ class TestTinyTreeOptimality:
             exact = SVCHeterogeneousExactAllocator().allocate(
                 NetworkState(tree, epsilon=0.05), request, 1
             )
-            for fast in (True, False):
-                heuristic = SVCHeterogeneousAllocator(fast=fast).allocate(
+            for make_heuristic in (SVCHeterogeneousAllocator, SeedSubstringHeuristic):
+                heuristic = make_heuristic().allocate(
                     NetworkState(tree, epsilon=0.05), request, 1
                 )
                 if heuristic is not None:

@@ -35,6 +35,7 @@ from repro.network.link_state import LinkState
 from repro.topology.nodes import Link
 from repro.stochastic import Normal
 from tests.conftest import build_star_tree
+from tests.reference import SeedSubstringHeuristic
 
 
 def _machine_ids(tree):
@@ -80,7 +81,7 @@ class TestEmptySegmentSemantics:
         "make_allocator",
         [
             lambda: SVCHeterogeneousAllocator(),
-            lambda: SVCHeterogeneousAllocator(fast=False),
+            lambda: SeedSubstringHeuristic(),
             lambda: SVCHeterogeneousExactAllocator(),
         ],
         ids=["heuristic-fast", "heuristic-reference", "exact"],
@@ -102,7 +103,7 @@ class TestEmptySegmentSemantics:
         "make_allocator",
         [
             lambda: SVCHeterogeneousAllocator(),
-            lambda: SVCHeterogeneousAllocator(fast=False),
+            lambda: SeedSubstringHeuristic(),
             lambda: SVCHeterogeneousExactAllocator(),
         ],
         ids=["heuristic-fast", "heuristic-reference", "exact"],
@@ -121,7 +122,7 @@ class TestEmptySegmentSemantics:
         # of the effective child matrix is 0 regardless of existing load.
         state, (m0, _m1, _m2) = self._saturated_sibling_state()
         request = _small_request(4)
-        allocator = SVCHeterogeneousAllocator(fast=False)
+        allocator = SeedSubstringHeuristic()
         segments = SegmentDemandTable(request)
         tables = {m0: allocator._build_vertex(state, m0, 4, segments, {})}
         effective = allocator._child_effective(state, m0, 4, segments, tables)
@@ -146,7 +147,7 @@ class TestZeroCapacityGuard:
         state, machines = self._state_with_dead_uplink()
         m0 = machines[0]
         request = _small_request(4)
-        allocator = SVCHeterogeneousAllocator(fast=False)
+        allocator = SeedSubstringHeuristic()
         segments = SegmentDemandTable(request)
         tables = {m0: allocator._build_vertex(state, m0, 4, segments, {})}
         effective = allocator._child_effective(state, m0, 4, segments, tables)
@@ -159,7 +160,7 @@ class TestZeroCapacityGuard:
         "make_allocator",
         [
             lambda: SVCHeterogeneousAllocator(),
-            lambda: SVCHeterogeneousAllocator(fast=False),
+            lambda: SeedSubstringHeuristic(),
             lambda: SVCHeterogeneousExactAllocator(),
         ],
         ids=["heuristic-fast", "heuristic-reference", "exact"],
@@ -179,7 +180,7 @@ class TestZeroCapacityGuard:
         "make_allocator",
         [
             lambda: SVCHeterogeneousAllocator(),
-            lambda: SVCHeterogeneousAllocator(fast=False),
+            lambda: SeedSubstringHeuristic(),
             lambda: SVCHeterogeneousExactAllocator(),
         ],
         ids=["heuristic-fast", "heuristic-reference", "exact"],
@@ -195,9 +196,9 @@ class TestZeroCapacityGuard:
         n_vms=st.integers(min_value=3, max_value=4),
         mean=st.floats(min_value=0.0, max_value=500.0),
         rho=st.floats(min_value=0.0, max_value=1.0),
-        fast=st.booleans(),
+        make_allocator=st.sampled_from([SVCHeterogeneousAllocator, SeedSubstringHeuristic]),
     )
-    def test_hypothesis_never_nan_never_crash(self, n_vms, mean, rho, fast):
+    def test_hypothesis_never_nan_never_crash(self, n_vms, mean, rho, make_allocator):
         # Mirrors the zero-capacity hypothesis cases tests/simulation has
         # for maxmin.py: arbitrary demands (including exactly-zero ones,
         # the 0/0 path) over a dead uplink.
@@ -206,7 +207,7 @@ class TestZeroCapacityGuard:
             n_vms=n_vms,
             demands=tuple(Normal(mean + i, rho * (mean + i)) for i in range(n_vms)),
         )
-        allocation = SVCHeterogeneousAllocator(fast=fast).allocate(state, request, 1)
+        allocation = make_allocator().allocate(state, request, 1)
         if allocation is not None:
             assert machines[0] not in allocation.machine_vms
             assert np.isfinite(allocation.max_occupancy)

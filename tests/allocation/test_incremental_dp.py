@@ -35,6 +35,7 @@ from repro.allocation.svc_homogeneous import (
 from repro.manager.network_manager import NetworkManager
 from repro.network import NetworkState
 from repro.topology import DatacenterSpec, build_datacenter
+from tests.reference import SeedTreeSearch
 
 
 class FreshPerCall(Allocator):
@@ -116,7 +117,7 @@ def referee(tree, ops):
     managers = [
         NetworkManager(tree, allocator=SVCHomogeneousAllocator()),
         NetworkManager(tree, allocator=FreshPerCall()),
-        NetworkManager(tree, allocator=SVCHomogeneousAllocator(fast=False)),
+        NetworkManager(tree, allocator=SeedTreeSearch(optimize=True)),
     ]
     production = managers[0].state
     live = []

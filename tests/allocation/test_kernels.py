@@ -33,13 +33,13 @@ from repro.allocation.svc_homogeneous import (
     GlobalMinMaxAllocator,
     OktopusAllocator,
     SVCHomogeneousAllocator,
-    _HomogeneousTreeSearch,
     _request_shape,
 )
 from repro.manager.network_manager import NetworkManager
 from repro.network import NetworkState
 from repro.topology import PAPER_SPEC, SMALL_SPEC, build_datacenter
 from repro.topology.tree import Tree
+from tests.reference import SeedSubstringHeuristic, SeedTreeSearch
 
 #: Few distinct values, so whole runs of splits tie and the tie-break shows.
 LEVELS = (0.0, 0.25, 0.25, 0.5, 0.75, np.inf)
@@ -65,7 +65,7 @@ def vertex_stacks(draw):
 
 def seed_chain(optimize, n, children):
     """The seed's per-child ``_combine`` chain: prefix rows and choice tables."""
-    seed = _HomogeneousTreeSearch(optimize=optimize, fast=False)
+    seed = SeedTreeSearch(optimize=optimize)
     partial = np.full(n + 1, np.inf)
     partial[0] = 0.0
     prefixes, choices = [partial], []
@@ -164,13 +164,10 @@ def ragged_tree(rack_sizes, slots, loose_machines):
 
 
 PAIRS = {
-    "svc-dp": (SVCHomogeneousAllocator, lambda: SVCHomogeneousAllocator(fast=False)),
-    "tivc": (AdaptedTIVCAllocator, lambda: AdaptedTIVCAllocator(fast=False)),
-    "oktopus": (OktopusAllocator, lambda: OktopusAllocator(fast=False)),
-    "svc-global": (
-        GlobalMinMaxAllocator,
-        lambda: _HomogeneousTreeSearch(optimize=True, localize=False, fast=False),
-    ),
+    "svc-dp": (SVCHomogeneousAllocator, lambda: SeedTreeSearch(optimize=True)),
+    "tivc": (AdaptedTIVCAllocator, lambda: SeedTreeSearch(optimize=False)),
+    "oktopus": (OktopusAllocator, lambda: SeedTreeSearch(optimize=False)),  # sent VCs only
+    "svc-global": (GlobalMinMaxAllocator, lambda: SeedTreeSearch(optimize=True, localize=False)),
 }
 
 
@@ -233,7 +230,7 @@ class TestLevelWalk:
         tree.add_machine("only", 4)
         tree.freeze()
         if name == "svc-het":
-            fast, seed = SVCHeterogeneousAllocator(), SVCHeterogeneousAllocator(fast=False)
+            fast, seed = SVCHeterogeneousAllocator(), SeedSubstringHeuristic()
         else:
             fast, seed = (make() for make in PAIRS[name])
         states = [NetworkState(tree), NetworkState(tree)]

@@ -20,13 +20,13 @@ from repro.abstractions import HeterogeneousSVC, HomogeneousSVC
 from repro.allocation import svc_het_heuristic
 from repro.allocation.kernels import _chain_pieces, level_snapshot
 from repro.allocation.svc_het_heuristic import SVCHeterogeneousAllocator
-from repro.allocation.svc_homogeneous import SVCHomogeneousAllocator
 from repro.network import NetworkState
 from repro.stochastic import Normal
 from repro.topology import PAPER_SPEC, build_datacenter
 from repro.topology.tree import Tree
 from tests.allocation.test_het_fast_equivalence import _search_both
 from tests.allocation.test_het_occupancy_fixes import _zero_capacity_link_state
+from tests.reference import SeedSubstringHeuristic, SeedTreeSearch
 
 #: Few distinct costs, so minima tie and ``inf`` pieces are common.
 COSTS = (0.0, 0.25, 0.5, 0.5, 0.75, np.inf, np.inf)
@@ -102,7 +102,7 @@ def loaded_state(tree, preload, saturated, dead):
     links = sorted(state.links)
     for link_id in {links[pick % len(links)] for pick in saturated}:
         state.links[link_id].add_deterministic(10_000, state.links[link_id].capacity)
-    allocator = SVCHomogeneousAllocator(fast=False)
+    allocator = SeedTreeSearch(optimize=True)
     for request_id, (n, mean, ratio) in enumerate(preload, start=1):
         allocation = allocator.allocate(
             state, HomogeneousSVC(n_vms=n, mean=mean, std=ratio * mean), request_id
@@ -163,7 +163,7 @@ class TestBoundOnRandomTrees:
         for node in tree.nodes:
             if not node.is_machine:
                 assert bound <= float(tables[node.node_id].values[0, n])  # bit-wise: no tolerance
-        seed = SVCHeterogeneousAllocator(fast=False).allocate(state, request, 99)
+        seed = SeedSubstringHeuristic().allocate(state, request, 99)
         # The walk asks for the bound only once no single machine hosts the request.
         if bound == np.inf and level_snapshot(state).machine_level(n)[0] is None:
             assert seed is None
@@ -204,7 +204,7 @@ class TestPaperTreeRegression:
         request = HeterogeneousSVC(n_vms=12, demands=tuple(demands))
         assert SVCHeterogeneousAllocator().allocate(state, request, 1) is None
         assert not combines
-        assert SVCHeterogeneousAllocator(fast=False).allocate(state, request, 1) is None
+        assert SeedSubstringHeuristic().allocate(state, request, 1) is None
         # The same request without the outsized VM is placed, above the racks' machines.
         fits = HeterogeneousSVC(n_vms=11, demands=tuple(demands[:11]))
         placed = SVCHeterogeneousAllocator().allocate(state, fits, 2)

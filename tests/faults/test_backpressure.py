@@ -9,8 +9,9 @@ from repro.service.concurrency import (
     OUTCOME_ADMITTED,
     OUTCOME_EXPIRED,
     AdmissionService,
+    LatencyWindow,
 )
-from repro.service.errors import CODE_OVERLOADED, OverloadedError
+from repro.service.errors import CODE_OVERLOADED, OverloadedError, OverQuotaError
 
 
 def small_request():
@@ -34,6 +35,35 @@ class TestQueueBound:
         assert service.counters.shed == 1
         assert service.counters.submitted == 2  # the shed one never counted
         assert service.stats()["queue"]["limit"] == 2
+
+    def test_a_shed_at_a_full_queue_reads_the_mean_without_sorting_the_window(
+        self, tiny_tree, monkeypatch
+    ):
+        service = AdmissionService(
+            NetworkManager(tiny_tree), workers=3, max_queue_depth=2, tenant_quota=1
+        )
+        service._running = True
+        for sample in (0.4, float("nan"), 1.3, -1.0, 0.71):  # two are clamped to 0
+            service.latencies.observe(sample)
+        # What the hint was computed from before: summary()'s mean, back in seconds.
+        mean = service.latencies.summary()["mean_ms"] / 1000.0
+        assert mean == service.latencies.mean_ms() / 1000.0 > 0.0
+        monkeypatch.setattr(
+            service.latencies, "summary",
+            lambda *args: pytest.fail("summary() sorts the window under the service lock"),
+        )
+        service.submit(small_request(), wait=False, tenant="a")
+        with pytest.raises(OverQuotaError) as over_quota:
+            service.submit(small_request(), wait=False, tenant="a")
+        assert over_quota.value.retry_after == 1 * mean / 3 > 0.05
+        service.submit(small_request(), wait=False, tenant="b")
+        with pytest.raises(OverloadedError) as overloaded:
+            service.submit(small_request(), wait=False, tenant="c")
+        assert overloaded.value.retry_after == 2 * mean / 3 < 5.0
+        # No sample yet: the 5 ms default per request, as summary()'s 0.0 gave.
+        assert LatencyWindow().mean_ms() == 0.0
+        service.latencies = LatencyWindow()
+        assert service._overload_retry_after(40) == 40 * 0.005 / 3
 
     def test_bound_counts_parked_requests_too(self, tiny_tree):
         service = AdmissionService(

@@ -1,13 +1,25 @@
 """Instrument facades: admission counters/traces, outage monitor, gauges."""
 
+import itertools
 import json
 
+import pytest
+
 from repro.abstractions.requests import HeterogeneousSVC, HomogeneousSVC
-from repro.allocation import SVCHeterogeneousAllocator, SVCHeterogeneousExactAllocator
+from repro.allocation import (
+    SVCHeterogeneousAllocator,
+    SVCHeterogeneousExactAllocator,
+    SVCHomogeneousAllocator,
+    svc_het_heuristic,
+    svc_homogeneous,
+)
+from repro.allocation import base as allocation_base
 from repro.manager.network_manager import NetworkManager
 from repro.network import NetworkState
 from repro.obs import instruments
 from repro.obs.instruments import (
+    PHASE_ALLOC,
+    PHASE_BATCH_OCCUPANCY,
     PHASE_COMBINE,
     PHASE_PRUNE,
     PHASE_TABLE_BUILD,
@@ -18,7 +30,7 @@ from repro.obs.instruments import (
     bind_network_gauges,
     outage_monitor,
 )
-from repro.topology.builder import TINY_SPEC, build_datacenter
+from repro.topology.builder import TINY_SPEC, DatacenterSpec, build_datacenter
 from tests.conftest import build_star_tree
 
 
@@ -112,11 +124,14 @@ class TestAdmissionInstruments:
         assert latency.count == 3
 
     def test_het_fast_path_records_caches_and_phases(self, fresh_registry):
-        # The heterogeneous fast path shares machine/vertex/effective tables;
+        # The heterogeneous level walk shares machine/vertex/effective tables;
         # its cache counters and DP-phase timings must land in the registry.
+        # Twenty VMs overflow a 16-slot rack, so the search ascends past the
+        # racks and combines their tables (the backtrack's own folds are
+        # PHASE_ALLOC, not a second PHASE_COMBINE entry).
         state = NetworkState(build_datacenter(TINY_SPEC), epsilon=0.05)
         allocator = SVCHeterogeneousAllocator()
-        assert allocator.allocate(state, HeterogeneousSVC.uniform(6, 100.0, 30.0), 1)
+        assert allocator.allocate(state, HeterogeneousSVC.uniform(20, 100.0, 30.0), 1)
         for cache in ("het_machine", "het_vertex", "het_eff"):
             lookups = fresh_registry.get(
                 "repro_admission_cache_lookups_total", cache=cache
@@ -130,6 +145,41 @@ class TestAdmissionInstruments:
             "repro_admission_allocate_seconds", allocator="svc-het"
         )
         assert latency.count == 1
+
+    @pytest.mark.parametrize("name", ["svc-het", "svc-dp"])
+    def test_a_sampled_admits_phases_never_overlap(self, fresh_registry, monkeypatch, name):
+        # Every clock read is one tick after the last, so a phase is worth
+        # the reads made inside it and disjoint phases cannot add up to more
+        # than the decision they are phases of.  The het backtrack used to be
+        # PHASE_ALLOC as a whole *and* PHASE_COMBINE per vertex on the path.
+        ticks = itertools.count()
+        for module in (allocation_base, svc_het_heuristic, svc_homogeneous):
+            monkeypatch.setattr(module, "perf_counter", lambda: float(next(ticks)))
+        # Twelve one-machine racks under one pod, all of them on the placement
+        # path: thirteen double bookings, more than the unbooked ticks between
+        # phases could hide.
+        spec = DatacenterSpec(machines_per_rack=1, slots_per_machine=2, racks_per_pod=12, pods=1)
+        state = NetworkState(build_datacenter(spec), epsilon=0.05)
+        if name == "svc-het":
+            placed = SVCHeterogeneousAllocator().allocate(
+                state, HeterogeneousSVC.uniform(24, 20.0, 5.0), 1
+            )
+        else:
+            placed = SVCHomogeneousAllocator().allocate(
+                state, HomogeneousSVC(n_vms=24, mean=20.0, std=5.0), 1
+            )
+        assert placed is not None and len(placed.machine_counts) == 12
+        phases = admission_instruments().tracer.recent()[-1]["phases_ms"]
+        assert set(phases) == {
+            PHASE_PRUNE, PHASE_TABLE_BUILD, PHASE_BATCH_OCCUPANCY, PHASE_COMBINE, PHASE_ALLOC
+        }
+        duration = fresh_registry.get("repro_admission_allocate_seconds", allocator=name)
+        assert duration.count == 1
+        spent = sum(
+            fresh_registry.get("repro_admission_phase_seconds", phase=phase).total
+            for phase in phases
+        )
+        assert 0 < spent <= duration.total
 
     def test_het_reject_proved_at_the_machine_links_has_its_own_reason(self, fresh_registry):
         def rejected(reason):
