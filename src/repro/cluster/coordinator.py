@@ -114,6 +114,28 @@ class CoordinatorError(ServiceError):
     """The coordinator could not produce a decision (outcome unknown)."""
 
 
+class _RecoveredSet:
+    """What the coordinator WAL believes each gid holds (``{shard: srid}``
+    and allocation), before the shards confirm it: recovery folds the WAL
+    into this, never into the replica."""
+
+    def __init__(self) -> None:
+        self.tenancies: Dict[int, Tuple[Dict[int, int], Allocation]] = {}
+        self.owner: Dict[Tuple[int, int], int] = {}
+
+    def put(self, gid: int, srids: Dict[int, int], allocation: Allocation) -> None:
+        self.tenancies[gid] = (dict(srids), allocation)
+        for fragment in srids.items():
+            self.owner[fragment] = gid
+
+    def drop(self, gid: int) -> Dict[int, int]:
+        """Forget ``gid``; returns the fragments it held (``{}`` if none)."""
+        srids, _allocation = self.tenancies.pop(gid, ({}, None))
+        for fragment in srids.items():
+            self.owner.pop(fragment, None)
+        return srids
+
+
 class ClusterCoordinator:
     """Routes admissions over K shards; owns the global request-id space."""
 
@@ -156,9 +178,6 @@ class ClusterCoordinator:
         self._gid_map: Dict[int, Dict[int, int]] = {}
         #: (shard index, shard-local request id) -> global id.
         self._srid_map: Dict[Tuple[int, int], int] = {}
-        #: gid -> allocation installed by recovery but not yet adopted into
-        #: the replica (DESIGN.md §9.4); ``None`` outside recovery.
-        self._awaiting: Optional[Dict[int, Allocation]] = None
         #: client idempotency key -> decision payload.
         self._idem: Dict[str, Dict[str, Any]] = {}
         #: client keys with a decision currently in flight (double-submit guard).
@@ -398,19 +417,19 @@ class ClusterCoordinator:
             ) from exc
         return True
 
-    def _release_fragments(self, gid: int, fragments: Dict[int, int]) -> int:
-        """Release ``{shard: srid}`` at the shards; returns how many failed.
+    def _release_fragments(self, gid: int, fragments: Dict[int, int]) -> Dict[int, int]:
+        """Release ``{shard: srid}`` at the shards; returns the ones that failed.
 
         A failure is only logged: the fragment stays in that shard's
         journal and recovery settles it (presumed abort / release
         completion).
         """
-        failures = 0
+        failures: Dict[int, int] = {}
         for shard_index, srid in sorted(fragments.items()):
             try:
                 self.shards[shard_index].release(srid)
             except ServiceError:
-                failures += 1
+                failures[shard_index] = srid
                 logger.warning(
                     "gid=%d: release on shard %d failed; recovery will settle it",
                     gid, shard_index,
@@ -444,14 +463,10 @@ class ClusterCoordinator:
         """The one way a tenancy enters coordinator state.
 
         Replica and both id maps change together; a gid that is already
-        there is swapped (resize).  In recovery the replica half waits in
-        ``_awaiting`` until the recovered set is reconciled with the shards.
+        there is swapped (resize).
         """
         self._uninstall(gid)
-        if self._awaiting is None:
-            self.replica.adopt(allocation)
-        else:
-            self._awaiting[gid] = allocation
+        self.replica.adopt(allocation)
         self._gid_map[gid] = dict(srids)
         for fragment in srids.items():
             self._srid_map[fragment] = gid
@@ -463,11 +478,8 @@ class ClusterCoordinator:
             return None
         for fragment in srids.items():
             self._srid_map.pop(fragment, None)
-        if self._awaiting is not None:
-            self._awaiting.pop(gid, None)
-        tenancy = self.replica.get_tenancy(gid)
-        if tenancy is not None:
-            self.replica.release(tenancy)
+        # In the replica because in the maps: _install sets both or neither.
+        self.replica.release(self.replica.tenancy(gid))
         return srids
 
     @contextmanager
@@ -1189,28 +1201,19 @@ class ClusterCoordinator:
     def _recover(self) -> None:
         """Rebuild coordinator state from the WAL + the recovered shards.
 
-        The shards recover themselves (their own WALs) before the
-        coordinator is constructed; this pass replays the WAL through the
-        same ``_install``/``_uninstall`` pair the live paths use, then
-        reconciles the result with what each shard actually journaled:
-        dangling two-phase rounds are presumed aborted, in-flight keyed
-        submits resolve to the shard's journaled decision, half-done
-        releases are finished, and shard tenancies the WAL never
-        acknowledged are re-attached under fresh global ids.  Every record
-        appended here restates what the shard journals re-derive, so each is
-        a roll-forward append.  Idempotent: recovering twice converges.
-
-        Replica adoption is deferred (``_awaiting``) until after the
-        recovered set has been reconciled against the shards' live
-        tenancies.  The WAL alone can over-state occupancy — a roll-forward
-        release whose record was lost leaves a stale radmit whose slots the
-        shard has since reused — and adopting stale tenancies into the
-        replica first would conflict with the re-used slots.  Shard
-        journals are authoritative for their own tenancies; only fragments
-        still active at their shard are adopted.
+        The shards recover themselves (their own WALs) first.  The WAL fold
+        builds a :class:`_RecoveredSet` plus keys, tallies and the rounds
+        open at the crash; then four passes: presumed abort, in-flight
+        submit resolution, :meth:`_reconcile` of each gid against the
+        shards' live tenancies (read once), and the orphan sweep.  Nothing
+        enters the replica before its shards confirm it: the WAL alone can
+        over-state occupancy (a lost roll-forward release leaves a stale
+        radmit whose slots the shard has since reused).  Every record
+        appended here restates what the shard journals re-derive, so each
+        is a roll-forward append, and a second restart appends nothing.
         """
         assert self._wal is not None
-        self._awaiting = {}
+        held = _RecoveredSet()
         open_rintents: Dict[int, Dict[str, Any]] = {}
         open_xintents: Dict[int, Dict[str, Any]] = {}
         open_resizes: Dict[int, Dict[str, Any]] = {}
@@ -1231,7 +1234,7 @@ class ClusterCoordinator:
             elif op == OP_RADMIT:
                 open_rintents.pop(gid, None)
                 self._replay_admit(
-                    gid, {int(record["shard"]): int(record["srid"])},
+                    held, gid, {int(record["shard"]): int(record["srid"])},
                     allocation_from_dict(record["allocation"]), key,
                 )
             elif op == OP_RREJECT:
@@ -1246,7 +1249,8 @@ class ClusterCoordinator:
                 if intent is not None:
                     srids = record.get("srids", {})
                     self._replay_admit(
-                        gid, {int(index): int(srid) for index, srid in srids.items()},
+                        held, gid,
+                        {int(index): int(srid) for index, srid in srids.items()},
                         allocation_from_dict(intent["allocation"]), key,
                     )
             elif op == OP_XABORT:
@@ -1255,7 +1259,7 @@ class ClusterCoordinator:
                     closed_xintents.append(intent)
             elif op == OP_RELEASE:
                 open_resizes.pop(gid, None)
-                for fragment in (self._uninstall(gid) or {}).items():
+                for fragment in held.drop(gid).items():
                     released[fragment] = gid
                 if record.get("forget_keys"):
                     self._forget_admission(gid)
@@ -1268,9 +1272,9 @@ class ClusterCoordinator:
                 self._remember(key, self._decision(gid, outcome, None))
                 if outcome in self.resize_counts and not record.get("reconciled"):
                     self.resize_counts[outcome] += 1
-                if "allocation" in record and gid in self._gid_map:
-                    allocation = allocation_from_dict(record["allocation"])
-                    self._install(gid, self._gid_map[gid], allocation)
+                if "allocation" in record and gid in held.tenancies:
+                    srids, _old = held.tenancies[gid]
+                    held.put(gid, srids, allocation_from_dict(record["allocation"]))
             # Unknown ops are skipped (forward compatibility).
         self._next_gid = max(self._next_gid, max_gid + 1)
 
@@ -1299,7 +1303,7 @@ class ClusterCoordinator:
                     continue
                 view = self.shards[shard_index].view
                 self._replay_admit(
-                    gid, {shard_index: int(srid)},
+                    held, gid, {shard_index: int(srid)},
                     view.allocation_to_global(allocation, request_id=gid),
                     key, journal=True,
                 )
@@ -1313,86 +1317,25 @@ class ClusterCoordinator:
                     self._remember(key, self._decision(gid, "rejected", None))
                 self.rejected_count += 1
 
-        # Finish releases that were acknowledged by some shards only (or
-        # whose WAL record was lost in a roll-forward): a gid with ANY
-        # fragment gone from its shard was being released — shards are the
-        # source of truth, so drop it and release the remaining fragments.
-        # An admission that was never acked can end up here too (its radmit
-        # outlived a failed append and the rollback that followed), so the
-        # keys that answer "admitted" with the gid go with it, and the flag
-        # on the record repeats that at the next restart.
+        # Reconcile each recovered gid with the shards' live tenancies, in
+        # gid order, and install the survivors: each fragment is live at its
+        # shard and every machine and pod-internal link is owned by exactly
+        # one shard, so the union fits the replica by construction.
         live_by_shard: Dict[int, Dict[int, Allocation]] = {
             shard.index: self._shard_active(shard.index) for shard in self.shards
         }
-        for gid in sorted(self._gid_map):
-            remaining = {
-                shard_index: srid
-                for shard_index, srid in self._gid_map[gid].items()
-                if srid in live_by_shard.get(shard_index, {})
-            }
-            if len(remaining) == len(self._gid_map[gid]):
-                continue
-            self._release_fragments(gid, remaining)
-            self._uninstall(gid)
-            self._forget_admission(gid)
-            self._journal(OP_RELEASE, required=False, gid=gid, forget_keys=True)
-
-        # Resolve in-flight resizes against the owning shard's journal: an
-        # intent without a done record means the crash hit between the two
-        # appends — the shard either never saw the round (nothing changed)
-        # or committed it (its journal is authoritative for the new size).
-        for gid, record in sorted(open_resizes.items()):
-            if gid not in self._gid_map:
-                continue  # the release pass already settled this gid
-            shard_index = int(record["shard"])
-            srid = int(record["srid"])
-            skey = record.get("skey")
-            key = record.get("idem")
-            found = self._shard_idem(shard_index, skey) if skey else None
-            outcome = found.get("outcome") if found is not None else None
-            live = live_by_shard.get(shard_index, {}).get(srid)
-            if outcome in (RESIZE_IN_PLACE, RESIZE_REPLACED) and live is not None:
-                view = self.shards[shard_index].view
-                live_global = view.allocation_to_global(live, request_id=gid)
-                self._journal_resized(
-                    gid, shard_index, srid, outcome, live_global, idem=key
-                )
-                self._install(gid, self._gid_map[gid], live_global)
-            elif outcome == RESIZE_REJECTED:
-                self._journal(
-                    OP_RSDONE, required=False, gid=gid, outcome=outcome, idem=key
-                )
-            else:
-                continue  # never reached the shard; a retry starts fresh
-            self._remember(key, self._decision(gid, outcome, None))
-            self.resize_counts[outcome] += 1
-
-        # Shard-authoritative size reconciliation: whatever the WAL believes
-        # a single-fragment tenant's allocation is, the shard's live tenancy
-        # wins (a resize whose done record was rolled forward past a WAL
-        # failure is re-derived here — no tenant stays half-sized).
-        for gid in sorted(self._gid_map):
-            srids = self._gid_map[gid]
-            if len(srids) != 1:
-                continue
-            ((shard_index, srid),) = srids.items()
-            live = live_by_shard.get(shard_index, {}).get(srid)
-            if live is None:
-                continue
-            view = self.shards[shard_index].view
-            live_global = view.allocation_to_global(live, request_id=gid)
-            if self._footprint(live_global) != self._footprint(self._awaiting[gid]):
-                self._journal_resized(
-                    gid, shard_index, srid, RESIZE_IN_PLACE, live_global,
-                    reconciled=True,
-                )
-                self._install(gid, srids, live_global)
+        for gid, (srids, allocation) in sorted(held.tenancies.items()):
+            survivor = self._reconcile(
+                gid, srids, allocation, open_resizes.get(gid), live_by_shard
+            )
+            if survivor is not None:
+                self._install(gid, srids, survivor)
 
         # Orphan sweep: shard tenancies the coordinator WAL never linked
         # (crash between shard ack and the radmit append).  Re-attach them
         # under fresh global ids so no acked-at-the-shard resource is lost.
         for shard in self.shards:
-            active = self._shard_active(shard.index)
+            active = live_by_shard[shard.index]
             for srid in sorted(active):
                 if (shard.index, srid) in self._srid_map:
                     continue
@@ -1405,23 +1348,77 @@ class ClusterCoordinator:
                     continue
                 gid = self._next_gid
                 self._next_gid += 1
-                self._replay_admit(
-                    gid, {shard.index: srid},
-                    shard.view.allocation_to_global(active[srid], request_id=gid),
-                    None, journal=True,
+                allocation = shard.view.allocation_to_global(
+                    active[srid], request_id=gid
                 )
+                self._journal(
+                    OP_RADMIT, required=False, gid=gid, shard=shard.index,
+                    srid=srid, idem=None, allocation=allocation_to_dict(allocation),
+                )
+                self._install(gid, {shard.index: srid}, allocation)
+                self.admitted_count += 1
 
-        # Adopt the reconciled set: every fragment is live at its shard and
-        # every shard is internally capacity-consistent, so the union fits
-        # the replica by construction (machines and pod-internal links are
-        # owned by exactly one shard each).
-        awaiting, self._awaiting = self._awaiting, None
-        for gid in sorted(awaiting):
-            self._install(gid, self._gid_map[gid], awaiting[gid])
+    def _reconcile(
+        self, gid: int, srids: Dict[int, int], allocation: Allocation,
+        resize: Optional[Dict[str, Any]], live_by_shard: Dict[int, Dict[int, Allocation]],
+    ) -> Optional[Allocation]:
+        """Meet one recovered gid with its shards; returns what to install.
+
+        Shards are the source of truth.  A gid with ANY fragment gone was
+        being released: the rest are released, None is returned, and so go
+        the keys that answer "admitted" with it (a never-acked radmit can
+        land here too; ``forget_keys`` repeats that at the next restart).
+        Else an open resize takes the shard's journaled outcome, and a
+        single-fragment tenant's live size wins over the WAL's.
+        """
+        remaining = {
+            shard_index: srid
+            for shard_index, srid in srids.items()
+            if srid in live_by_shard.get(shard_index, {})
+        }
+        if len(remaining) < len(srids):
+            failed = self._release_fragments(gid, remaining)
+            for shard_index, srid in remaining.items():
+                if shard_index not in failed:
+                    del live_by_shard[shard_index][srid]
+            self._forget_admission(gid)
+            self._journal(OP_RELEASE, required=False, gid=gid, forget_keys=True)
+            return None
+        # An intent without a done record: the shard either never saw the
+        # round (no outcome, nothing changed) or its journal has the outcome.
+        skey = resize.get("skey") if resize is not None else None
+        found = self._shard_idem(int(resize["shard"]), skey) if skey else None
+        outcome = found.get("outcome") if found is not None else None
+        if outcome in self.resize_counts:
+            self._remember(resize.get("idem"), self._decision(gid, outcome, None))
+            self.resize_counts[outcome] += 1
+        if outcome == RESIZE_REJECTED:
+            self._journal(
+                OP_RSDONE, required=False, gid=gid, outcome=outcome,
+                idem=resize.get("idem"),
+            )
+        if len(srids) == 1:
+            ((shard_index, srid),) = srids.items()
+            live = self.shards[shard_index].view.allocation_to_global(
+                live_by_shard[shard_index][srid], request_id=gid
+            )
+            if outcome in (RESIZE_IN_PLACE, RESIZE_REPLACED):
+                self._journal_resized(
+                    gid, shard_index, srid, outcome, live, idem=resize.get("idem")
+                )
+                return live
+            if self._footprint(live) != self._footprint(allocation):
+                # A done record lost to a roll-forward: no tenant stays
+                # half-sized.
+                self._journal_resized(
+                    gid, shard_index, srid, RESIZE_IN_PLACE, live, reconciled=True
+                )
+                return live
+        return allocation
 
     def _replay_admit(
-        self, gid: int, srids: Dict[int, int], allocation: Allocation,
-        key: Optional[str], journal: bool = False,
+        self, held: _RecoveredSet, gid: int, srids: Dict[int, int],
+        allocation: Allocation, key: Optional[str], journal: bool = False,
     ) -> None:
         """Recovery: one acknowledged admission enters the recovered set.
 
@@ -1429,11 +1426,9 @@ class ClusterCoordinator:
         (the shard deduplicated a retried key); ``journal`` writes the
         radmit the crash kept from the WAL.
         """
-        owner = next(
-            (self._srid_map[f] for f in srids.items() if f in self._srid_map), None
-        )
+        owner = next((held.owner[f] for f in srids.items() if f in held.owner), None)
         if owner is None:
-            if gid in self._gid_map:
+            if gid in held.tenancies:
                 return
             if journal:
                 ((shard_index, srid),) = srids.items()
@@ -1441,7 +1436,7 @@ class ClusterCoordinator:
                     OP_RADMIT, required=False, gid=gid, shard=shard_index,
                     srid=srid, idem=key, allocation=allocation_to_dict(allocation),
                 )
-            self._install(gid, srids, allocation)
+            held.put(gid, srids, allocation)
             self.admitted_count += 1
             owner = gid
         self._remember(key, self._decision(owner, "admitted", None))

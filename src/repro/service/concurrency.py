@@ -797,7 +797,7 @@ class AdmissionService:
                     self._cond.notify()
         if dedup is not None:
             if wait:
-                dedup.wait(wait_timeout)
+                self._await(dedup, wait_timeout)
             return dedup
         logger.debug(
             "submit ticket=%d kind=%s priority=%d timeout_s=%s idem=%s",
@@ -810,8 +810,18 @@ class AdmissionService:
                 with self._cond:
                     self._cond.notify()
         if wait:
-            ticket.wait(wait_timeout)
+            self._await(ticket, wait_timeout)
         return ticket
+
+    def _await(self, ticket: Ticket, timeout: Optional[float]) -> None:
+        """Wait for ``ticket`` until ``timeout`` or a crash, which freezes
+        in-flight tickets unresolved (see :meth:`_step`)."""
+        end = time.monotonic() + (math.inf if timeout is None else timeout)
+        while not ticket.done and not self.crashed:
+            left = end - time.monotonic()
+            if left <= 0.0:
+                return
+            ticket.wait(min(left, _IDLE_SWEEP_INTERVAL))
 
     def _deduplicate(self, key: str, now: float) -> Optional[Ticket]:
         """An already-known decision/ticket for this key, if any (under lock)."""

@@ -20,11 +20,13 @@ non-monotonic ``seq``) and stops at the last intact prefix — the recovery
 semantics are "restore the longest consistent prefix of acknowledged
 operations".
 
-Snapshots bound replay time: recovery loads the newest decodable snapshot
-and replays only journal records with ``seq`` greater than the snapshot's.
-The journal is never truncated here (compaction is an operator concern);
-replay from seq 0 must always reproduce the same state, which is what the
-oracle-replay tests exercise.
+Snapshots bound replay work: recovery loads the newest decodable snapshot
+the intact prefix covers (``next_seq - 1`` after the open) and applies only
+journal records with ``seq`` greater than the snapshot's.  It still decodes
+the whole file once after the open, to index idempotency keys.  The journal
+is never truncated here (compaction is an operator concern); replay from
+seq 0 must always reproduce the same state, which is what the oracle-replay
+tests exercise.
 
 Failure handling: a failed append (I/O error, failed fsync, torn write)
 leaves bytes past the last known-good offset that can no longer be
@@ -213,9 +215,9 @@ class Journal:
 
     @staticmethod
     def iter_records(
-        path: Path, after_seq: int = 0, summary: Optional[ReplaySummary] = None
+        path: Path, summary: Optional[ReplaySummary] = None
     ) -> Iterator[Dict[str, Any]]:
-        """Yield intact records with ``seq > after_seq`` in order.
+        """Yield the intact records in order.
 
         Stops at the first torn or out-of-order line — everything after a
         corrupt record is untrusted because order can no longer be proven.
@@ -242,13 +244,12 @@ class Journal:
                 if summary is not None:
                     summary.records += 1
                     summary.last_seq = seq
-                if seq > after_seq:
-                    yield record
+                yield record
 
     @classmethod
-    def replay(cls, path: Path, after_seq: int = 0) -> List[Dict[str, Any]]:
-        """All intact records after ``after_seq`` as a list."""
-        return list(cls.iter_records(path, after_seq=after_seq))
+    def replay(cls, path: Path) -> List[Dict[str, Any]]:
+        """All intact records as a list."""
+        return list(cls.iter_records(path))
 
 
 class DurabilityStore:
@@ -460,10 +461,6 @@ class DurabilityStore:
             except (json.JSONDecodeError, KeyError, OSError):
                 continue
         return None
-
-    def replay_after(self, seq: int) -> Iterator[Dict[str, Any]]:
-        """Journal records not yet covered by the given snapshot seq."""
-        return Journal.iter_records(self.wal_path, after_seq=seq)
 
     def close(self) -> None:
         self.journal.close()

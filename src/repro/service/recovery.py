@@ -3,13 +3,15 @@
 Recovery restores the longest consistent prefix of acknowledged operations:
 
 1. load the newest decodable snapshot (a full list of active allocations
-   plus admission counters) and re-commit every allocation through
-   :meth:`NetworkManager.adopt`;
-2. replay journal records with ``seq`` greater than the snapshot's —
+   plus admission counters) that the journal's intact prefix covers — the
+   store's open already found that prefix — and re-commit every allocation
+   through :meth:`NetworkManager.adopt`;
+2. decode the journal once: every record's idempotency key is indexed,
+   and every record with ``seq`` greater than the snapshot's is replayed —
    ``admit`` re-commits the journaled allocation verbatim, ``release``
    tears the tenancy down, ``reject`` only restores counters and the id
-   cursor, and ``resize`` swaps the journaled post-resize allocation in
-   for the tenant's old one (rejected resizes restore tallies only).
+   cursor, and ``resize`` swaps the journaled post-resize allocation in for
+   the tenant's old one (rejected resizes restore tallies only).
 
 Because both paths re-apply the *exact* allocation the live manager
 committed (not a re-run of the allocator), the reconstructed
@@ -37,7 +39,6 @@ from repro.service.journal import (
     OP_RESIZE,
     DurabilityStore,
     Journal,
-    ReplaySummary,
 )
 from repro.topology.tree import Tree
 
@@ -53,11 +54,7 @@ class RecoveryReport:
     snapshot_seq: int = 0
     replayed_records: int = 0
     last_seq: int = 0
-    admits_replayed: int = 0
-    releases_replayed: int = 0
-    rejects_replayed: int = 0
-    resizes_replayed: int = 0
-    #: ``{idempotency_key: {"outcome", "request_id"}}`` scanned from the
+    #: ``{idempotency_key: {"outcome", "request_id"}}`` indexed from the
     #: *whole* journal (the WAL is never truncated), so a client retrying
     #: a pre-crash submit is answered with the journaled decision instead
     #: of a second allocation.
@@ -95,38 +92,9 @@ def recover_manager(
     persisted state, not of the restart command line).
     """
     report = RecoveryReport()
-    journal_last_seq: Optional[int] = None
-    if store.wal_path.exists():
-        tail = ReplaySummary()
-        for record in Journal.iter_records(store.wal_path, summary=tail):
-            # Idempotency keys are collected over the full journal, not
-            # just the post-snapshot suffix: snapshots drop released
-            # allocations, but a retried submit must still dedup.
-            key = record.get("idem")
-            if key is not None:
-                op = record.get("op")
-                if op == OP_ADMIT:
-                    report.idempotency_index[str(key)] = {
-                        "outcome": "admitted",
-                        "request_id": record["allocation"].get("request_id"),
-                    }
-                elif op == OP_REJECT:
-                    report.idempotency_index[str(key)] = {
-                        "outcome": "rejected",
-                        "request_id": None,
-                    }
-                elif op == OP_RESIZE:
-                    # Resize keys keep their own outcome vocabulary
-                    # (in_place/replaced/rejected); the ``resize`` marker
-                    # tells the live dedup path not to confuse them with
-                    # admission decisions.
-                    report.idempotency_index[str(key)] = {
-                        "outcome": str(record.get("outcome", "rejected")),
-                        "request_id": record.get("request_id"),
-                        "resize": True,
-                    }
-        journal_last_seq = tail.last_seq
-    snapshot = store.latest_snapshot(max_seq=journal_last_seq)
+    # Opening the store already read the WAL to its last intact record, so
+    # its seq bounds which snapshots can be trusted without another scan.
+    snapshot = store.latest_snapshot(max_seq=store.journal.next_seq - 1)
     if snapshot is not None:
         seq, payload = snapshot
         report.snapshot_seq = seq
@@ -150,63 +118,91 @@ def recover_manager(
     else:
         manager = NetworkManager(tree, epsilon=epsilon, allocator=allocator)
 
-    for record in store.replay_after(report.snapshot_seq):
-        report.replayed_records += 1
-        report.last_seq = record["seq"]
-        op = record["op"]
-        if op == OP_ADMIT:
-            allocation = allocation_from_dict(record["allocation"])
-            try:
-                manager.adopt(allocation)
-            except ValueError as exc:
-                raise RecoveryError(
-                    f"journal seq {record['seq']}: cannot re-admit request "
-                    f"{allocation.request_id}: {exc}"
-                ) from exc
-            manager.admitted_count += 1
-            report.admits_replayed += 1
-        elif op == OP_RELEASE:
-            request_id = int(record["request_id"])
-            tenancy = manager.get_tenancy(request_id)
-            if tenancy is None:
-                raise RecoveryError(
-                    f"journal seq {record['seq']}: release of unknown request {request_id}"
-                )
-            manager.release(tenancy)
-            report.releases_replayed += 1
-        elif op == OP_REJECT:
-            manager.rejected_count += 1
-            request_id = record.get("request_id")
-            if request_id is not None and int(request_id) >= manager.next_request_id:
-                manager.next_request_id = int(request_id) + 1
-            report.rejects_replayed += 1
-        elif op == OP_RESIZE:
-            outcome = str(record.get("outcome", ""))
-            if "allocation" in record:
-                allocation = allocation_from_dict(record["allocation"])
-                tenancy = manager.get_tenancy(allocation.request_id)
-                if tenancy is None:
-                    raise RecoveryError(
-                        f"journal seq {record['seq']}: resize of unknown request "
-                        f"{allocation.request_id}"
-                    )
-                # Swap exactly what the live manager committed: release the
-                # old allocation, adopt the journaled post-resize one.  No
-                # admission counters move — a resize is not an admission.
-                manager.release(tenancy)
-                try:
-                    manager.adopt(allocation)
-                except ValueError as exc:
-                    raise RecoveryError(
-                        f"journal seq {record['seq']}: cannot re-apply resize of "
-                        f"request {allocation.request_id}: {exc}"
-                    ) from exc
-            if outcome in manager.resize_counts:
-                manager.resize_counts[outcome] += 1
-            report.resizes_replayed += 1
-        # Unknown ops are skipped: old journals must stay replayable by
-        # newer code, and extra record types must not poison recovery.
+    for record in Journal.iter_records(store.wal_path):
+        _index_key(report.idempotency_index, record)
+        if record["seq"] > report.snapshot_seq:
+            _replay(manager, record)
+            report.replayed_records += 1
+            report.last_seq = record["seq"]
     return manager, report
+
+
+def _index_key(index: Dict[str, Dict[str, Any]], record: Dict[str, Any]) -> None:
+    """Point a keyed record's idempotency key at its journaled decision.
+
+    Every record counts, not just the post-snapshot suffix: snapshots drop
+    released allocations, but a retried submit must still dedup.
+    """
+    key = record.get("idem")
+    if key is None:
+        return
+    op = record["op"]
+    if op == OP_ADMIT:
+        index[str(key)] = {
+            "outcome": "admitted",
+            "request_id": record["allocation"].get("request_id"),
+        }
+    elif op == OP_REJECT:
+        index[str(key)] = {"outcome": "rejected", "request_id": None}
+    elif op == OP_RESIZE:
+        # Resize keys keep their own outcome vocabulary
+        # (in_place/replaced/rejected); the ``resize`` marker tells the live
+        # dedup path not to confuse them with admission decisions.
+        index[str(key)] = {
+            "outcome": str(record.get("outcome", "rejected")),
+            "request_id": record.get("request_id"),
+            "resize": True,
+        }
+
+
+def _replay(manager: NetworkManager, record: Dict[str, Any]) -> None:
+    """Apply one journaled op exactly as the live manager applied it.
+
+    Unknown ops are skipped: old journals must stay replayable by newer
+    code, and extra record types must not poison recovery.
+    """
+    op = record["op"]
+    if op == OP_ADMIT:
+        _readopt(manager, record, "re-admit")
+        manager.admitted_count += 1
+    elif op == OP_RELEASE:
+        manager.release(_active(manager, record, record["request_id"], "release"))
+    elif op == OP_REJECT:
+        manager.rejected_count += 1
+        request_id = record.get("request_id")
+        if request_id is not None and int(request_id) >= manager.next_request_id:
+            manager.next_request_id = int(request_id) + 1
+    elif op == OP_RESIZE:
+        if "allocation" in record:
+            # Swap exactly what the live manager committed: release the old
+            # allocation, adopt the journaled post-resize one.  No admission
+            # counters move — a resize is not an admission.
+            request_id = record["allocation"]["request_id"]
+            manager.release(_active(manager, record, request_id, "resize"))
+            _readopt(manager, record, "re-apply resize of")
+        outcome = str(record.get("outcome", ""))
+        if outcome in manager.resize_counts:
+            manager.resize_counts[outcome] += 1
+
+
+def _readopt(manager: NetworkManager, record: Dict[str, Any], what: str) -> None:
+    allocation = allocation_from_dict(record["allocation"])
+    try:
+        manager.adopt(allocation)
+    except ValueError as exc:
+        raise RecoveryError(
+            f"journal seq {record['seq']}: cannot {what} request "
+            f"{allocation.request_id}: {exc}"
+        ) from exc
+
+
+def _active(manager: NetworkManager, record: Dict[str, Any], request_id, what: str):
+    tenancy = manager.get_tenancy(int(request_id))
+    if tenancy is None:
+        raise RecoveryError(
+            f"journal seq {record['seq']}: {what} of unknown request {request_id}"
+        )
+    return tenancy
 
 
 def oracle_replay(

@@ -384,11 +384,9 @@ def _build_service(args: argparse.Namespace) -> AdmissionService:
         recovered = report
         if report.replayed_records or report.used_snapshot:
             logger.info(
-                "recovered: snapshot seq %s, %d journal records replayed "
-                "(%d admits, %d releases), %d active tenancies, "
-                "%d idempotency key(s) indexed",
+                "recovered: snapshot seq %s, %d journal records replayed, "
+                "%d active tenancies, %d idempotency key(s) indexed",
                 report.snapshot_seq, report.replayed_records,
-                report.admits_replayed, report.releases_replayed,
                 manager.active_tenancies, len(report.idempotency_index),
             )
             # Checkpoint the recovered state so the next crash replays only

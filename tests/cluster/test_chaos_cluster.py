@@ -1,7 +1,8 @@
 """Cluster chaos referee: a small in-suite sample of the CI sweep.
 
-CI runs ``svc-repro cluster --chaos 200``; tier-1 keeps a three-seed
-sample so a referee regression fails fast without the full sweep's cost.
+CI runs ``svc-repro cluster --chaos 2000`` on two shards and on one;
+tier-1 keeps a three-seed sample so a referee regression fails fast
+without the full sweep's cost.
 """
 
 import pytest

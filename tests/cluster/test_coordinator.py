@@ -590,6 +590,45 @@ class TestRecovery:
                 crash(coordinator, shards)
 
 
+class TestRecoveryFixedPoint:
+    """Recovery re-derives what a crash kept from the WAL once: the restart
+    after that appends nothing to ``coordinator.jsonl`` and reaches the same
+    state, orphan numbering included."""
+
+    @pytest.mark.parametrize("case", sorted(RECOVERY_CASES))
+    def test_later_restarts_append_nothing(self, tmp_path, monkeypatch, case):
+        num_shards, _op, _nth, prepare = RECOVERY_CASES[case]
+        _partition, shards, coordinator = build_cluster(
+            num_shards, directory=tmp_path, max_cross_retries=0
+        )
+        try:
+            resident = coordinator.submit(small_request(), idempotency_key="resident")
+            try:
+                prepare(coordinator, shards, resident["request_id"], monkeypatch)
+            except InjectedCrash:
+                pass
+        finally:
+            FAILPOINTS.clear()
+            monkeypatch.undo()
+            crash(coordinator, shards)
+        wal = tmp_path / "coordinator" / WAL_FILENAME
+
+        def restart():
+            _partition, shards, coordinator = build_cluster(
+                num_shards, directory=tmp_path
+            )
+            try:
+                return cluster_view(coordinator, shards)
+            finally:
+                crash(coordinator, shards)
+
+        first = restart()
+        for _later in range(2):
+            size = wal.stat().st_size
+            assert restart() == first
+            assert wal.stat().st_size == size
+
+
 class TestSingleShardEquivalence:
     """Acceptance: K=1 decisions are bit-identical to the direct service."""
 

@@ -37,13 +37,6 @@ class TestJournal:
         assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
         assert [r["index"] for r in records] == list(range(5))
 
-    def test_replay_after_seq_filters(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        with Journal(path) as journal:
-            for _ in range(5):
-                journal.append("admit")
-        assert [r["seq"] for r in Journal.replay(path, after_seq=3)] == [4, 5]
-
     def test_torn_tail_is_ignored(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with Journal(path) as journal:
