@@ -112,11 +112,11 @@ def _drive_cluster(
     scrape_every: int = 0,
 ) -> float:
     """Requests/sec of one coordinator drive over a fresh 2-shard cluster."""
-    from repro.cluster.chaos import _workload_request
     from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError
     from repro.cluster.partition import ClusterPartition
     from repro.cluster.shard import LocalShard
     from repro.experiments.config import SCALES
+    from repro.faults.harness import cluster_request
     from repro.service.errors import ServiceError
 
     spec = SCALES[scale_name].spec
@@ -124,7 +124,7 @@ def _drive_cluster(
     rng = random.Random(seed)
     shard_slots = partition.shards[0].total_slots
     # Pre-generate the workload so RNG cost stays outside the timed window.
-    requests = [_workload_request(rng, shard_slots) for _ in range(num_requests)]
+    requests = [cluster_request(rng, shard_slots) for _ in range(num_requests)]
     shards = [LocalShard(view, None, epsilon=epsilon) for view in partition.shards]
     coordinator = ClusterCoordinator(
         partition, shards, epsilon=epsilon, trace_sample_every=trace_sample_every

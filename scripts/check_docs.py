@@ -25,7 +25,8 @@ Five checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
    or of the allocators' second implementation and its benchmark
    (``fast=False``, ``svc-dp-seed``, ``svc-het-seed``,
    ``bench_admission_path``), or of recovery's extra passes (``_awaiting``,
-   ``replay_after``, ``admits_replayed``), fails.
+   ``replay_after``, ``admits_replayed``), or of the second chaos runner
+   (``run_cluster_chaos_suite``, ``ClusterChaosResult``, ...), fails.
 
 Opt out per block by placing ``<!-- check-docs: skip -->`` on the line above
 the opening fence (used for illustrative/pseudo-code fragments).
@@ -74,6 +75,12 @@ RETIRED = {
     "installs each survivor once, after reconciliation",
     "replay_after": "recover_manager decodes the WAL once after the store's open",
     "admits_replayed": "RecoveryReport counts replayed_records only",
+    "ClusterChaosResult": "both chaos suites report one repro.faults.harness.ChaosResult",
+    "run_cluster_chaos_suite": "run_suite(..., ClusterSystem(shards), ...)",
+    "run_cluster_chaos_schedule": "run_schedule(seed, directory, ClusterSystem(shards))",
+    "run_chaos_suite": "run_suite(schedules, base_seed, workdir, NodeSystem())",
+    "run_chaos_schedule": "run_schedule(seed, directory, NodeSystem())",
+    "_workload_request": "repro.faults.harness.cluster_request",
 }
 
 sys.path.insert(0, str(SRC))

@@ -9,8 +9,10 @@ Two modes share one parser:
   the run durable so a second invocation recovers and continues.
 * **chaos** (``--chaos N``): run N seeded kill/recover schedules against the
   coordinator + shards and verify the cluster recovery contract (no lost
-  acked admissions, no reservation leaks, no double admits; see
-  :mod:`repro.cluster.chaos`).  Exit status 0 only when every schedule holds.
+  acked admissions, no reservation leaks, no double admits).  It is the
+  chaos runner of :mod:`repro.faults.harness` with the cluster system of
+  :mod:`repro.cluster.chaos`, reported like ``svc-repro chaos``.  Exit
+  status 0 only when every schedule holds.
 
 Examples::
 
@@ -25,7 +27,6 @@ import argparse
 import json
 import random
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -108,11 +109,11 @@ def build_cluster_parser() -> argparse.ArgumentParser:
 
 def _drive(args: argparse.Namespace, workdir: Optional[Path]) -> int:
     """Default mode: seeded workload through a freshly built cluster."""
-    from repro.cluster.chaos import _workload_request
     from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError
     from repro.cluster.partition import ClusterPartition
     from repro.cluster.rebalance import ShardLoadRebalancer
     from repro.cluster.shard import LocalShard
+    from repro.faults.harness import cluster_request
     from repro.service.errors import ServiceError
 
     spec = SCALE_SPECS[args.scale]
@@ -154,7 +155,7 @@ def _drive(args: argparse.Namespace, workdir: Optional[Path]) -> int:
         for index in range(args.requests):
             if active and rng.random() < args.release_prob:
                 coordinator.release(active.pop(rng.randrange(len(active))))
-            request = _workload_request(rng, shard_slots)
+            request = cluster_request(rng, shard_slots)
             try:
                 decision = coordinator.submit(
                     request, idempotency_key=f"drive-{args.seed}-{index}"
@@ -218,49 +219,6 @@ def _drive(args: argparse.Namespace, workdir: Optional[Path]) -> int:
             shard.close()
 
 
-def _chaos(args: argparse.Namespace, workdir: Path) -> int:
-    """``--chaos N``: the cluster recovery referee."""
-    from repro.cluster.chaos import ClusterChaosResult, run_cluster_chaos_suite
-
-    def progress(result: ClusterChaosResult) -> None:
-        if args.json:
-            return
-        if not result.ok:
-            sys.stderr.write(f"seed {result.seed}: FAILED {result.failures}\n")
-        elif (result.seed - args.seed + 1) % 25 == 0:
-            sys.stderr.write(
-                f"... {result.seed - args.seed + 1}/{args.chaos} schedules\n"
-            )
-
-    results = run_cluster_chaos_suite(
-        schedules=args.chaos,
-        base_seed=args.seed,
-        workdir=workdir,
-        shards=args.shards,
-        scale=args.scale,
-        operations=args.operations,
-        stop_on_failure=args.stop_on_failure,
-        progress=progress,
-    )
-    if args.json:
-        print(json.dumps({"results": [r.describe() for r in results]}, indent=2))
-    else:
-        crashed = sum(1 for r in results if r.crashed)
-        admits = sum(r.acked_admits for r in results)
-        cross = sum(r.cross_shard_admits for r in results)
-        failures = [r for r in results if not r.ok]
-        print(
-            f"cluster chaos: {len(results)} schedule(s), {crashed} crashed "
-            f"mid-run, {admits} acked admits ({cross} cross-shard)"
-        )
-        for result in failures:
-            for message in result.failures:
-                print(f"  FAIL seed={result.seed}: {message}")
-        print("cluster chaos: OK" if not failures
-              else f"cluster chaos: {len(failures)} schedule(s) FAILED")
-    return 0 if all(r.ok for r in results) else 1
-
-
 def cluster_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``svc-repro cluster``."""
     args = build_cluster_parser().parse_args(argv)
@@ -269,10 +227,11 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
         print("cluster: --shards must be >= 1", file=sys.stderr)
         return 2
     if args.chaos is not None:
-        if args.workdir is not None:
-            return _chaos(args, args.workdir)
-        with tempfile.TemporaryDirectory(prefix="svc-repro-cluster-") as tmp:
-            return _chaos(args, Path(tmp))
+        from repro.cluster.chaos import ClusterSystem
+        from repro.faults.chaos_cli import run_chaos_cli
+
+        system = ClusterSystem(args.shards, args.scale)
+        return run_chaos_cli("cluster chaos", system, args, args.chaos)
     return _drive(args, args.workdir)
 
 

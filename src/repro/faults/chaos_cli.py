@@ -6,7 +6,9 @@ reported failure is replayable in isolation::
     svc-repro chaos --schedules 1 --seed <failing-seed> --json
 
 Exit status is 0 only when every schedule upholds the recovery contract
-(see :mod:`repro.faults.harness`).
+(see :mod:`repro.faults.harness`).  :func:`run_chaos_cli` is the one
+progress/summary front end of the chaos runner: ``svc-repro cluster
+--chaos N`` reports through it too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from repro.faults.harness import ChaosResult, run_chaos_suite
+from repro.faults.harness import ChaosResult, NodeSystem, run_suite
 from repro.logconfig import LOG_LEVELS, setup_logging
 from repro.topology.builder import SCALE_SPECS
 
@@ -62,50 +64,26 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(results: List[ChaosResult]) -> None:
-    crashed = sum(1 for r in results if r.crashed)
-    admits = sum(r.acked_admits for r in results)
-    releases = sum(r.acked_releases for r in results)
-    shed = sum(r.shed for r in results)
-    degraded = sum(r.degraded_hits for r in results)
-    retried = sum(r.unacked_keys for r in results)
-    failures = [r for r in results if not r.ok]
-    print(
-        f"chaos: {len(results)} schedule(s), {crashed} crashed mid-run, "
-        f"{admits} acked admits, {releases} acked releases, "
-        f"{shed} shed, {degraded} degraded refusals, {retried} in-flight retries"
-    )
-    for result in failures:
-        for message in result.failures:
-            print(f"  FAIL seed={result.seed}: {message}")
-    verdict = "OK" if not failures else f"{len(failures)} schedule(s) FAILED"
-    print(f"chaos: {verdict}")
-
-
-def chaos_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``svc-repro chaos``."""
-    args = build_chaos_parser().parse_args(argv)
-    setup_logging(args.log_level)
+def run_chaos_cli(label: str, system, args: argparse.Namespace, schedules: int) -> int:
+    """Run ``schedules`` seeds from ``args.seed`` against ``system``, print
+    progress and the summary (or the ``--json`` report); the exit status."""
 
     def progress(result: ChaosResult) -> None:
-        if args.json:
-            return
+        done = result.seed - args.seed + 1
         if not result.ok:
             sys.stderr.write(f"seed {result.seed}: FAILED {result.failures}\n")
-        elif (result.seed - args.seed + 1) % 25 == 0:
-            sys.stderr.write(
-                f"... {result.seed - args.seed + 1}/{args.schedules} schedules\n"
-            )
+        elif done % 25 == 0:
+            sys.stderr.write(f"... {done}/{schedules} schedules\n")
 
     def run(workdir: Path) -> List[ChaosResult]:
-        return run_chaos_suite(
-            schedules=args.schedules,
-            base_seed=args.seed,
-            workdir=workdir,
-            scale=args.scale,
+        return run_suite(
+            schedules,
+            args.seed,
+            workdir,
+            system,
             operations=args.operations,
             stop_on_failure=args.stop_on_failure,
-            progress=progress,
+            progress=None if args.json else progress,
         )
 
     if args.workdir is not None:
@@ -114,11 +92,34 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         with tempfile.TemporaryDirectory(prefix="svc-repro-chaos-") as tmp:
             results = run(Path(tmp))
 
+    failures = [r for r in results if not r.ok]
     if args.json:
         print(json.dumps({"results": [r.describe() for r in results]}, indent=2))
-    else:
-        _print_summary(results)
-    return 0 if all(r.ok for r in results) else 1
+        return 1 if failures else 0
+
+    def total(counter: str) -> int:
+        return sum(getattr(r, counter) for r in results)
+
+    print(
+        f"{label}: {len(results)} schedule(s), {total('crashed')} crashed mid-run, "
+        f"{total('acked_admits')} acked admits ({total('cross_shard_admits')} "
+        f"cross-shard), {total('acked_releases')} acked releases, "
+        f"{total('shed')} shed, {total('degraded_hits')} degraded refusals, "
+        f"{total('unacked_keys')} in-flight retries"
+    )
+    for result in failures:
+        for message in result.failures:
+            print(f"  FAIL seed={result.seed}: {message}")
+    verdict = "OK" if not failures else f"{len(failures)} schedule(s) FAILED"
+    print(f"{label}: {verdict}")
+    return 1 if failures else 0
+
+
+def chaos_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``svc-repro chaos``."""
+    args = build_chaos_parser().parse_args(argv)
+    setup_logging(args.log_level)
+    return run_chaos_cli("chaos", NodeSystem(args.scale), args, args.schedules)
 
 
 if __name__ == "__main__":

@@ -1,45 +1,56 @@
-"""The chaos harness: randomized fault schedules vs the recovery oracle.
+"""The chaos runner: randomized fault schedules vs the recovery oracle.
 
-One schedule (:func:`run_chaos_schedule`) drives a single-worker journaled
-:class:`~repro.service.concurrency.AdmissionService` through a random
-admit/release workload while the seeded fault plan fires — transient
-journal errors, torn writes, corrupt snapshots, forced queue saturation,
-and (in ~70% of schedules) a crash planted on the admit or release path.
-The harness keeps a client-side **ledger**: which admissions and releases
-were *acknowledged* (the ticket resolved / the call returned) and which
-submission was in flight when the service died.
+One schedule (:func:`run_schedule`) runs the same phases against whichever
+system it is handed — the single-node journaled
+:class:`~repro.service.concurrency.AdmissionService` (:class:`NodeSystem`,
+here) or the coordinator over journaled shards
+(:class:`~repro.cluster.chaos.ClusterSystem`):
 
-After the run it recovers from disk and verifies the recovery contract
-field-for-field against :func:`~repro.service.recovery.oracle_replay`, the
-single-threaded from-scratch replay of the whole journal:
+plan → arm → drive a seeded admit/release workload while the plan's faults
+fire (transient journal errors, torn writes, corrupt snapshots, forced
+queue saturation and, in most schedules, one planted crash) → kill →
+recover from disk → referee → retry each unacked key twice → referee again.
 
-1. recovered network state == oracle state (exact dict equality), and the
-   active tenancy sets match;
-2. **no acknowledged admission is lost**: every admit the client saw acked
-   (net of acked releases) holds its bandwidth after recovery;
-3. **no acknowledged release survives**: every release the client saw
-   acked stays released;
-4. every link occupancy ``O_L`` of the recovered state is ``< 1`` —
-   recovery never resurrects load the admission test would refuse;
-5. **no double-admit on retry**: resubmitting the in-flight (unacked)
-   request with its original idempotency key — twice — converges on one
-   decision.  If the crash fell *after* the journal append (the ack was
-   lost, not the admission), the retry returns the journaled request id
-   and allocates nothing new;
-6. after the retries, the journal still oracle-replays to exactly the
-   live state.
+While driving, the runner keeps the client-side **acked ledger**: which
+admissions and releases were acknowledged, and which submissions were in
+flight (outcome unknown) when the system died.  A system supplies only
+what really differs: how it is built, killed and recovered; how a submit
+or release ends as the client sees it (:class:`Ack`); whether it died; its
+pause after a degraded refusal; the journaled decision for a key; and its
+own extra checks.
 
-Failures are collected, not raised, so ``svc-repro chaos`` can report the
-seed (every schedule is a pure function of it) for replay.
+The shared referee (:func:`referee`) checks, after recovery and again
+after the retries:
+
+1. every journal's live state and active set equal its
+   :func:`~repro.service.recovery.oracle_replay`, the single-threaded
+   from-scratch replay of the whole journal;
+2. the system's own checks (the cluster's: fragment coherence, no leaked
+   reservation, the replica's core-link sums);
+3. **no acknowledged admission is lost** and **no acknowledged release is
+   resurrected**;
+4. ``O_L < 1`` on every manager the system reports.
+
+In between, :func:`retry_unacked` resubmits each in-flight key twice with
+its original idempotency key: both calls must give the same decision; a
+key the journal already decided (the crash fell after the append, so only
+the ack was lost) returns its journaled outcome and id and allocates
+nothing; a fresh admit adds exactly one tenancy.  Retried admits join the
+acked ledger.
+
+Failures are collected, not raised, so the CLIs can report the seed —
+every schedule is a pure function of it.
 """
 
 from __future__ import annotations
 
+import enum
 import random
+import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.abstractions import DeterministicVC, HeterogeneousSVC, HomogeneousSVC
 from repro.faults.failpoints import FAILPOINTS, InjectedCrash
@@ -54,9 +65,9 @@ from repro.service.recovery import oracle_replay, recover_manager
 from repro.stochastic import Normal
 from repro.topology.builder import SCALE_SPECS, build_datacenter
 
-#: How long the harness waits for one decision before declaring the
-#: service dead (the planted crashes resolve in milliseconds).
-_DECISION_TIMEOUT_S = 5.0
+#: How long a client waits for one decision before giving up on it (the
+#: planted crashes resolve in milliseconds).
+DECISION_TIMEOUT_S = 5.0
 
 
 def random_request(rng: random.Random):
@@ -77,16 +88,58 @@ def random_request(rng: random.Random):
     )
 
 
+def cluster_request(rng: random.Random, shard_slots: int):
+    """Mostly single-shard-sized tenants, with a fat tail that cannot fit
+    in one shard once the cluster warms up — those exercise the two-phase
+    cross-shard path."""
+    if rng.random() < 0.25:
+        n_vms = rng.randint(max(4, shard_slots // 3), max(6, shard_slots // 2))
+        return HomogeneousSVC(
+            n_vms=n_vms, mean=rng.uniform(30, 120), std=rng.uniform(5, 40)
+        )
+    return random_request(rng)
+
+
+class Ack(enum.Flag):
+    """How one submit or release ended, as the client saw it."""
+
+    NONE = 0  # answered, nothing to record (a release of an unknown id)
+    ACKED = enum.auto()  # decided and acknowledged
+    SHED = enum.auto()  # refused, counted as shed
+    DEGRADED = enum.auto()  # refused by the degradation ladder
+    UNKNOWN = enum.auto()  # may or may not have applied: retry material
+
+
+class Reply(NamedTuple):
+    """A submit's :class:`Ack`, plus the decision when it was acked."""
+
+    ack: Ack
+    outcome: Optional[str] = None
+    request_id: Optional[int] = None
+    spans: int = 0  # shards an admitted tenancy spans
+
+
+@dataclass
+class Ledger:
+    """What the client saw acknowledged; the referee judges recovery by it."""
+
+    acked_active: Dict[str, int] = field(default_factory=dict)  # key -> id
+    acked_released: List[int] = field(default_factory=list)
+    unacked: Dict[str, Any] = field(default_factory=dict)  # key -> request
+
+
 @dataclass
 class ChaosResult:
-    """Outcome of one schedule: the ledger plus every violated invariant."""
+    """Outcome of one schedule: the ledger's counters plus every violation."""
 
     seed: int
     plan: ChaosPlan
+    shards: Optional[int] = None
     crashed: bool = False
     operations_run: int = 0
     acked_admits: int = 0
     acked_releases: int = 0
+    cross_shard_admits: int = 0
     shed: int = 0
     degraded_hits: int = 0
     unacked_keys: int = 0
@@ -100,232 +153,289 @@ class ChaosResult:
         self.failures.append(message)
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "crashed": self.crashed,
-            "operations_run": self.operations_run,
-            "acked_admits": self.acked_admits,
-            "acked_releases": self.acked_releases,
-            "shed": self.shed,
-            "degraded_hits": self.degraded_hits,
-            "unacked_keys": self.unacked_keys,
-            "failures": list(self.failures),
-            "plan": self.plan.describe(),
-        }
+        return {**asdict(self), "ok": self.ok, "plan": self.plan.describe()}
 
 
-def run_chaos_schedule(
+class NodeSystem:
+    """One journaled single-worker :class:`AdmissionService`."""
+
+    key_prefix = "chaos"
+    shards: Optional[int] = None
+    #: Gives the degradation ladder's probe a chance to climb back.
+    degraded_pause_s = 0.03
+
+    def __init__(self, scale: str = "tiny") -> None:
+        self.tree = build_datacenter(SCALE_SPECS[scale])
+
+    def plan(self, seed: int, operations: int) -> ChaosPlan:
+        return ChaosPlan.generate(seed, operations=operations)
+
+    def request(self, rng: random.Random):
+        return random_request(rng)
+
+    def start(self, directory: Path, snapshot_every: int, fsync: bool) -> None:
+        self.directory, self.snapshot_every = directory, snapshot_every
+        self.store = DurabilityStore(directory, fsync=fsync, snapshot_every=snapshot_every)
+        self._serve(NetworkManager(self.tree))
+
+    def _serve(self, manager: NetworkManager, idempotency_index=None) -> None:
+        self.manager = manager
+        self.service = AdmissionService(
+            manager,
+            store=self.store,
+            workers=1,
+            degradation=DegradationLadder(probe_interval=0.02),
+            idempotency_index=idempotency_index,
+        ).start()
+
+    def kill(self) -> None:
+        self.service.kill()
+        self.store.close()
+
+    def recover(self) -> None:
+        self.store = DurabilityStore(self.directory, snapshot_every=self.snapshot_every)
+        try:
+            manager, report = recover_manager(self.store, self.tree)
+        except Exception:
+            self.store.close()
+            raise
+        self._serve(manager, report.idempotency_index)
+
+    def stop(self) -> None:
+        self.service.stop()
+        self.store.close()
+
+    def submit(self, key: str, request) -> Reply:
+        try:
+            ticket = self.service.submit(
+                request, wait=True, wait_timeout=DECISION_TIMEOUT_S,
+                idempotency_key=key,
+            )
+        except DegradedError:
+            return Reply(Ack.DEGRADED)
+        except ServiceError:
+            return Reply(Ack.SHED)
+        if not ticket.done:
+            return Reply(Ack.UNKNOWN)
+        return Reply(Ack.ACKED, ticket.outcome, ticket.request_id, spans=1)
+
+    def release(self, request_id: int) -> Ack:
+        try:
+            return Ack.ACKED if self.service.release(request_id) else Ack.NONE
+        except DegradedError:
+            # Shed or rolled back: still active, and acknowledged as such.
+            return Ack.DEGRADED
+        except ServiceError:
+            return Ack.SHED
+
+    def died(self) -> bool:
+        return self.service.crashed
+
+    def journaled(self, key: str) -> Optional[Dict[str, Any]]:
+        return self.service.lookup_idempotency(key)
+
+    def active_count(self) -> int:
+        return self.manager.active_tenancies
+
+    def journals(self):
+        """``(label, WAL path, tree, live manager)`` per journal."""
+        return [("node", self.store.wal_path, self.tree, self.manager)]
+
+    def live_ids(self) -> set:
+        return {tenancy.request_id for tenancy in self.manager.tenancies()}
+
+    def occupancies(self):
+        return [("node", self.manager.max_occupancy())]
+
+    def check(self, fail) -> None:
+        """Nothing beyond the shared referee."""
+
+
+def run_schedule(
     seed: int,
     directory: Path,
-    scale: str = "tiny",
+    system,
     operations: int = 40,
     snapshot_every: int = 5,
 ) -> ChaosResult:
     """Run one seeded fault schedule end to end; see the module docstring."""
-    plan = ChaosPlan.generate(seed, operations=operations)
-    result = ChaosResult(seed=seed, plan=plan)
+    plan = system.plan(seed, operations=operations)
+    result = ChaosResult(seed=seed, plan=plan, shards=system.shards)
     rng = random.Random(seed ^ 0x5EED)
-    tree = build_datacenter(SCALE_SPECS[scale])
     directory = Path(directory)
+    if directory.exists():
+        shutil.rmtree(directory)
+    ledger = Ledger()
 
-    # ---- phase 1: faulty workload -----------------------------------
+    # ---- phase 1: faulty workload, keeping the acked ledger ---------
     plan.arm(FAILPOINTS)
-    store = DurabilityStore(directory, fsync=plan.fsync, snapshot_every=snapshot_every)
-    service = AdmissionService(
-        NetworkManager(tree),
-        store=store,
-        workers=1,
-        degradation=DegradationLadder(probe_interval=0.02),
-    ).start()
-
-    acked_active: Dict[str, int] = {}  # idempotency key -> request_id
-    acked_released: List[int] = []
-    unacked: Dict[str, Any] = {}  # in-flight submits when the service died
+    system.start(directory, snapshot_every, plan.fsync)
     try:
-        for index in range(operations):
-            if service.crashed or not service.running:
-                result.crashed = service.crashed
-                break
-            result.operations_run = index + 1
-            if acked_active and rng.random() < 0.3:
-                key, request_id = rng.choice(sorted(acked_active.items()))
-                try:
-                    if service.release(request_id):
-                        del acked_active[key]
-                        acked_released.append(request_id)
-                        result.acked_releases += 1
-                except InjectedCrash:
-                    # The crash fell inside the release: it may or may not
-                    # have been journaled, so this tenancy's fate is
-                    # indeterminate from the client's side — drop it from
-                    # the acked ledger (neither invariant may assert it).
-                    del acked_active[key]
-                    result.crashed = True
-                    break
-                except DegradedError:
-                    # Release shed or rolled back: the tenancy is still
-                    # active and acknowledged as such.
-                    result.degraded_hits += 1
-                    time.sleep(0.03)
-                except ServiceError:
-                    result.shed += 1
-            else:
-                key = f"chaos-{seed}-{index}"
-                request = random_request(rng)
-                try:
-                    ticket = service.submit(
-                        request,
-                        wait=True,
-                        wait_timeout=_DECISION_TIMEOUT_S,
-                        idempotency_key=key,
-                    )
-                except DegradedError:
-                    result.degraded_hits += 1
-                    time.sleep(0.03)
-                    continue
-                except ServiceError:
-                    result.shed += 1
-                    continue
-                if not ticket.done:
-                    unacked[key] = request
-                    if service.crashed:
-                        result.crashed = True
-                    else:
-                        result.fail(
-                            f"submit of {key} hung >{_DECISION_TIMEOUT_S}s "
-                            "without a crash"
-                        )
-                    break
-                if ticket.outcome == OUTCOME_ADMITTED:
-                    acked_active[key] = ticket.request_id
-                    result.acked_admits += 1
+        _drive(system, seed, operations, rng, result, ledger)
     finally:
-        service.kill()
-        store.close()
+        system.kill()
         FAILPOINTS.clear()
-    result.unacked_keys = len(unacked)
+    result.unacked_keys = len(ledger.unacked)
 
-    # ---- phase 2: recover and referee against the oracle ------------
-    store = DurabilityStore(directory, snapshot_every=snapshot_every)
+    # ---- phase 2: recover from disk and referee ---------------------
     try:
-        recovered, report = recover_manager(store, tree)
-    except Exception as exc:
+        system.recover()
+    except Exception as exc:  # noqa: BLE001 — a recovery crash is the finding
         result.fail(f"recovery raised {type(exc).__name__}: {exc}")
-        store.close()
         return result
     try:
-        oracle_state, oracle_active = oracle_replay(store.wal_path, tree)
-    except Exception as exc:
-        result.fail(f"oracle replay raised {type(exc).__name__}: {exc}")
-        store.close()
-        return result
-
-    recovered_ids = sorted(t.request_id for t in recovered.tenancies())
-    if network_state_to_dict(recovered.state) != network_state_to_dict(oracle_state):
-        result.fail("recovered network state differs from oracle replay")
-    if recovered_ids != sorted(oracle_active):
-        result.fail(
-            f"active tenancies diverge: recovered={recovered_ids} "
-            f"oracle={sorted(oracle_active)}"
-        )
-    active_set = set(recovered_ids)
-    for key, request_id in acked_active.items():
-        if request_id not in active_set:
-            result.fail(f"acked admission lost: {key} (request {request_id})")
-    for request_id in acked_released:
-        if request_id in active_set:
-            result.fail(f"acked release resurrected: request {request_id}")
-    max_occupancy = recovered.max_occupancy()
-    if not max_occupancy < 1.0:
-        result.fail(f"recovered occupancy violates O_L < 1: {max_occupancy}")
-
-    # ---- phase 3: retry the in-flight request — no double-admit -----
-    service = AdmissionService(
-        recovered,
-        store=store,
-        workers=1,
-        degradation=DegradationLadder(probe_interval=0.02),
-        idempotency_index=report.idempotency_index,
-    ).start()
-    try:
-        for key, request in unacked.items():
-            journaled = report.idempotency_index.get(key)
-            active_before = recovered.active_tenancies
-            first = service.submit(
-                request, wait=True, wait_timeout=_DECISION_TIMEOUT_S,
-                idempotency_key=key,
-            )
-            second = service.submit(
-                request, wait=True, wait_timeout=_DECISION_TIMEOUT_S,
-                idempotency_key=key,
-            )
-            if not (first.done and second.done):
-                result.fail(f"retry of {key} did not decide")
-                continue
-            if (first.outcome, first.request_id) != (second.outcome, second.request_id):
-                result.fail(
-                    f"retries of {key} diverged: "
-                    f"{first.outcome}/{first.request_id} vs "
-                    f"{second.outcome}/{second.request_id}"
-                )
-            if journaled is not None:
-                # Journaled-but-unacked: only the ack was lost.  The retry
-                # must return the journaled decision and allocate nothing.
-                if first.outcome != journaled["outcome"]:
-                    result.fail(
-                        f"retry of journaled {key} returned {first.outcome}, "
-                        f"journal says {journaled['outcome']}"
-                    )
-                if (
-                    journaled["outcome"] == OUTCOME_ADMITTED
-                    and first.request_id != journaled["request_id"]
-                ):
-                    result.fail(
-                        f"retry of {key} got request {first.request_id}, "
-                        f"journal holds {journaled['request_id']}"
-                    )
-                if recovered.active_tenancies != active_before:
-                    result.fail(f"retry of journaled {key} double-admitted")
-            elif first.outcome == OUTCOME_ADMITTED and (
-                recovered.active_tenancies != active_before + 1
-            ):
-                result.fail(f"fresh retry of {key} admitted more than once")
+        result.failures += referee(system, ledger, "recovered")
+        # ---- phase 3: retries converge, no double admits ------------
+        result.failures += retry_unacked(system, ledger)
+        # ---- phase 4: the retried system must still referee clean ---
+        result.failures += referee(system, ledger, "post-retry")
     finally:
-        service.stop()
-        store.close()
-
-    # ---- phase 4: the extended journal must still oracle-replay -----
-    try:
-        final_state, final_active = oracle_replay(
-            (directory / "wal.jsonl"), tree
-        )
-    except Exception as exc:
-        result.fail(f"post-retry oracle replay raised {type(exc).__name__}: {exc}")
-        return result
-    if network_state_to_dict(final_state) != network_state_to_dict(recovered.state):
-        result.fail("post-retry state differs from oracle replay")
-    if sorted(final_active) != sorted(t.request_id for t in recovered.tenancies()):
-        result.fail("post-retry active set differs from oracle replay")
+        system.stop()
     return result
 
 
-def run_chaos_suite(
+def _drive(system, seed, operations, rng, result: ChaosResult, ledger: Ledger) -> None:
+    """The seeded workload; stops at the first crash (or hang)."""
+    acked = ledger.acked_active
+    for index in range(operations):
+        result.operations_run = index + 1
+        crashed = False
+        if acked and rng.random() < 0.3:
+            key, request_id = rng.choice(sorted(acked.items()))
+            try:
+                ack = system.release(request_id)
+            except InjectedCrash:
+                ack, crashed = Ack.UNKNOWN, True
+            if ack & Ack.ACKED:
+                del acked[key]
+                ledger.acked_released.append(request_id)
+                result.acked_releases += 1
+            elif ack & Ack.UNKNOWN:
+                # The release may or may not be durable: this tenancy's
+                # fate is indeterminate, so neither invariant may assert it.
+                del acked[key]
+        else:
+            key = f"{system.key_prefix}-{seed}-{index}"
+            request = system.request(rng)
+            try:
+                reply = system.submit(key, request)
+            except InjectedCrash:
+                reply, crashed = Reply(Ack.UNKNOWN), True
+            ack = reply.ack
+            if ack & Ack.ACKED and reply.outcome == OUTCOME_ADMITTED:
+                acked[key] = reply.request_id
+                result.acked_admits += 1
+                if reply.spans > 1:
+                    result.cross_shard_admits += 1
+            elif ack & Ack.UNKNOWN:
+                ledger.unacked[key] = request
+                # Not even a refusal came back, yet nothing died.
+                if not (ack & Ack.SHED or crashed or system.died()):
+                    result.fail(
+                        f"submit of {key} hung >{DECISION_TIMEOUT_S}s without a crash"
+                    )
+                    return
+        if ack & Ack.SHED:
+            result.shed += 1
+        if ack & Ack.DEGRADED:
+            result.degraded_hits += 1
+            time.sleep(system.degraded_pause_s)
+        if ack & Ack.UNKNOWN and (crashed or system.died()):
+            result.crashed = True
+            return
+
+
+def referee(system, ledger: Ledger, stage: str) -> List[str]:
+    """Every check both suites share (module docstring), at one stage."""
+    failures: List[str] = []
+
+    def fail(message: str) -> None:
+        failures.append(f"[{stage}] {message}")
+
+    for label, wal_path, tree, manager in system.journals():
+        try:
+            oracle_state, oracle_active = oracle_replay(wal_path, tree)
+        except Exception as exc:  # noqa: BLE001 — the referee collects, never raises
+            fail(f"{label} oracle replay raised {type(exc).__name__}: {exc}")
+            continue
+        if network_state_to_dict(manager.state) != network_state_to_dict(oracle_state):
+            fail(f"{label} state differs from oracle replay")
+        live = sorted(tenancy.request_id for tenancy in manager.tenancies())
+        if live != sorted(oracle_active):
+            fail(
+                f"{label} active set diverges: live={live} "
+                f"oracle={sorted(oracle_active)}"
+            )
+    system.check(fail)
+    live_ids = system.live_ids()
+    for key, request_id in ledger.acked_active.items():
+        if request_id not in live_ids:
+            fail(f"acked admission lost: {key} (id {request_id})")
+    for request_id in ledger.acked_released:
+        if request_id in live_ids:
+            fail(f"acked release resurrected: id {request_id}")
+    for label, occupancy in system.occupancies():
+        if not occupancy < 1.0:
+            fail(f"{label} occupancy violates O_L < 1: {occupancy}")
+    return failures
+
+
+def retry_unacked(system, ledger: Ledger) -> List[str]:
+    """Resubmit every in-flight key twice; the retries must converge."""
+    failures: List[str] = []
+    for key, request in sorted(ledger.unacked.items()):
+        journaled = system.journaled(key)
+        active_before = system.active_count()
+        first = system.submit(key, request)
+        second = system.submit(key, request)
+        if not first.ack == second.ack == Ack.ACKED:
+            failures.append(f"retry of {key} did not decide: {first.ack}, {second.ack}")
+            continue
+        if (first.outcome, first.request_id) != (second.outcome, second.request_id):
+            failures.append(
+                f"retries of {key} diverged: {first.outcome}/{first.request_id} "
+                f"vs {second.outcome}/{second.request_id}"
+            )
+        delta = system.active_count() - active_before
+        if journaled:
+            # Only the ack was lost: the retry must return the journaled
+            # decision and allocate nothing.
+            if first.outcome != journaled["outcome"]:
+                failures.append(
+                    f"retry of journaled {key} returned {first.outcome}, "
+                    f"journal says {journaled['outcome']}"
+                )
+            elif (
+                first.outcome == OUTCOME_ADMITTED
+                and first.request_id != journaled["request_id"]
+            ):
+                failures.append(
+                    f"retry of {key} got id {first.request_id}, "
+                    f"journal holds {journaled['request_id']}"
+                )
+            if delta != 0:
+                failures.append(f"retry of journaled {key} double-admitted")
+        elif first.outcome == OUTCOME_ADMITTED and delta != 1:
+            failures.append(f"fresh retry of {key} admitted {delta} tenancies")
+        if first.outcome == OUTCOME_ADMITTED:
+            ledger.acked_active[key] = first.request_id
+    return failures
+
+
+def run_suite(
     schedules: int,
     base_seed: int,
     workdir: Path,
-    scale: str = "tiny",
+    system,
     operations: int = 40,
     stop_on_failure: bool = False,
     progress=None,
 ) -> List[ChaosResult]:
-    """Run ``schedules`` consecutive seeds; returns every result."""
+    """Run ``schedules`` consecutive seeds against ``system``; every result."""
     results: List[ChaosResult] = []
-    workdir = Path(workdir)
-    for index in range(schedules):
-        seed = base_seed + index
-        result = run_chaos_schedule(
-            seed, workdir / f"schedule-{seed}", scale=scale, operations=operations
+    for seed in range(base_seed, base_seed + schedules):
+        result = run_schedule(
+            seed, Path(workdir) / f"schedule-{seed}", system, operations=operations
         )
         results.append(result)
         if progress is not None:

@@ -7,7 +7,8 @@ without the full sweep's cost.
 
 import pytest
 
-from repro.cluster.chaos import cluster_chaos_plan, run_cluster_chaos_schedule
+from repro.cluster.chaos import ClusterSystem, cluster_chaos_plan
+from repro.faults.harness import run_schedule
 
 
 class TestPlanDeterminism:
@@ -29,8 +30,8 @@ class TestPlanDeterminism:
 
 @pytest.mark.parametrize("seed", [1000, 1001, 1002])
 def test_schedule_holds_invariants(seed, tmp_path):
-    result = run_cluster_chaos_schedule(
-        seed, tmp_path / f"run{seed}", shards=2, operations=25
+    result = run_schedule(
+        seed, tmp_path / f"run{seed}", ClusterSystem(shards=2), operations=25
     )
     assert result.ok, f"seed {seed} violations: {result.failures}"
     # A planned crash may cut the workload short; some ops must still run.
@@ -47,6 +48,6 @@ def test_seed_18_failed_fsync_then_crash(tmp_path):
     the client's retry was told it owned a tenancy that did not exist.  (At
     ``operations=25`` the plan differs and never reached the window.)
     """
-    result = run_cluster_chaos_schedule(18, tmp_path / "run18", shards=2)
+    result = run_schedule(18, tmp_path / "run18", ClusterSystem(shards=2))
     assert result.ok, f"seed 18 violations: {result.failures}"
     assert result.crashed and result.unacked_keys > 0

@@ -6,7 +6,7 @@ recovery contract fails fast, and unit-checks the plan generator.
 """
 
 
-from repro.faults.harness import run_chaos_schedule, run_chaos_suite
+from repro.faults.harness import NodeSystem, run_schedule, run_suite
 from repro.faults.schedule import CRASH_SITES, ChaosPlan
 
 
@@ -35,9 +35,7 @@ class TestChaosPlan:
 
 class TestChaosSchedules:
     def test_sampled_schedules_uphold_the_recovery_contract(self, tmp_path):
-        results = run_chaos_suite(
-            schedules=12, base_seed=9000, workdir=tmp_path, operations=30
-        )
+        results = run_suite(12, 9000, tmp_path, NodeSystem(), operations=30)
         failing = [r for r in results if not r.ok]
         assert not failing, "\n".join(
             f"seed={r.seed}: {r.failures}" for r in failing
@@ -49,6 +47,6 @@ class TestChaosSchedules:
     def test_single_schedule_report_is_serializable(self, tmp_path):
         import json
 
-        result = run_chaos_schedule(9001, tmp_path / "one", operations=20)
+        result = run_schedule(9001, tmp_path / "one", NodeSystem(), operations=20)
         payload = json.dumps(result.describe())
         assert str(result.seed) in payload
