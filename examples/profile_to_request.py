@@ -12,15 +12,16 @@ Run: ``python examples/profile_to_request.py``
 
 import numpy as np
 
-from repro.network import NetworkState
+from repro.network.link_state import LinkState
 from repro.profiling import (
     derive_deterministic_vc,
     derive_heterogeneous_svc,
     derive_homogeneous_svc,
     synthetic_phased_trace,
 )
-from repro.stochastic import DemandAggregate, Normal, effective_bandwidth_total
+from repro.stochastic import Normal, risk_quantile
 from repro.stochastic.normal import sum_iid
+from repro.topology.nodes import Link
 
 
 def main() -> None:
@@ -53,26 +54,28 @@ def main() -> None:
     print(f"  percentile-VC:  <N={pctl_vc.n_vms}, B={pctl_vc.bandwidth:.1f}>")
 
     # What a link carrying half the cluster (worst split) must provision:
+    # its effective bandwidth (Eq. 5) is O_L times the capacity (Eq. 6).
     half = n_vms // 2
-    aggregate = DemandAggregate().add(sum_iid(Normal(svc.mean, svc.std), half))
-    svc_effective = effective_bandwidth_total(aggregate, epsilon=0.05)
+    demand = sum_iid(Normal(svc.mean, svc.std), half)
+    capacity = 10_000.0
+    uplink = LinkState(Link(link_id=1, child=1, parent=0, capacity=capacity))
+    c = risk_quantile(0.05)
+    svc_effective = capacity * uplink.occupancy_with(
+        c, extra_mean=demand.mean, extra_var=demand.variance
+    )
     pctl_reserved = half * pctl_vc.bandwidth
     print(f"\nworst-split link load for one tenant ({half} VMs below the link):")
     print(f"  SVC effective bandwidth (eps=0.05): {svc_effective:8.1f} Mbps")
     print(f"  percentile-VC reservation:          {pctl_reserved:8.1f} Mbps")
     print(f"  SVC saving: {100 * (1 - svc_effective / pctl_reserved):.1f}%")
 
-    # How many such tenants fit on a 10 Gbps ToR uplink?
-    capacity = 10_000.0
+    # How many such tenants fit on a 10 Gbps ToR uplink (Eq. 4: O_L < 1)?
     count_pctl = int(capacity // pctl_reserved)
-    aggregate = DemandAggregate()
     count_svc = 0
-    demand = sum_iid(Normal(svc.mean, svc.std), half)
-    while True:
-        trial = aggregate.add(demand)
-        if effective_bandwidth_total(trial, epsilon=0.05) >= capacity:
-            break
-        aggregate = trial
+    while uplink.occupancy_with(
+        c, extra_mean=demand.mean, extra_var=demand.variance
+    ) < 1.0:
+        uplink.add_stochastic(count_svc, demand)
         count_svc += 1
     print(f"\ntenants admitted by a 10 Gbps uplink (worst-split accounting):")
     print(f"  percentile-VC: {count_pctl}")

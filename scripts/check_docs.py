@@ -89,7 +89,12 @@ RETIRED = {
     "the active segment",
     "takes no snapshots": "shards and the coordinator checkpoint at serve's cadence "
     "(DEFAULT_SNAPSHOT_EVERY)",
-    "_index_key": "keyed_decision + idempotency_window",
+    "_index_key": "keyed_decision + KeyWindow.rebuild",
+    "idempotency_window": "KeyWindow.rebuild (repro.service.journal)",
+    "_keys_by_gid": "KeyWindow.forget_admissions builds its index on first use",
+    "RateLimiterRegistry": "the flow simulator derives per-VM caps itself "
+    "(ActiveJob._vm_cap)",
+    "rate_limiters": "NetworkManager keeps no rate-cap registry",
     "_prune_snapshots": "Journal._retire",
     "_records_since_snapshot": "Journal.since_checkpoint",
 }

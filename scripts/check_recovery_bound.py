@@ -20,7 +20,8 @@ Each is then restarted from its directory.  The gate fails if
 * the recovered state differs from the never-compacted history: each
   journal's :func:`oracle_replay` of its archive (and, for the node, the
   idempotency window of its last keyed decisions), and for the coordinator
-  a restart from the archive with every checkpoint removed.
+  a restart from the archive with every checkpoint removed (its key window
+  included).
 
 Usage (repo root)::
 
@@ -51,12 +52,13 @@ from repro.service.journal import (
     ArchivingStore,
     DurabilityStore,
     Journal,
+    KeyWindow,
     archived_segments,
     keyed_decision,
     never_compacted,
     segment_paths,
 )
-from repro.service.recovery import idempotency_window, oracle_replay, recover_manager
+from repro.service.recovery import oracle_replay, recover_manager
 from repro.topology.builder import SCALE_SPECS, build_datacenter
 
 #: Checkpoints every journal keeps (``DurabilityStore``'s and the
@@ -106,10 +108,10 @@ def check_node(directory: Path, tree, every: int, failures: List[str]) -> Dict[s
         failures.append("node: recovered state differs from the archive replay")
     if sorted(t.request_id for t in manager.tenancies()) != sorted(active):
         failures.append("node: recovered active set differs from the archive replay")
-    window = idempotency_window(
+    window = KeyWindow.rebuild(
         e for e in map(keyed_decision, Journal.iter_records(history)) if e
     )
-    if list(report.idempotency_index.items()) != list(window.items()):
+    if report.idempotency_index.decisions() != window.decisions():
         failures.append("node: idempotency window differs from the archive's")
     wal_bytes, wal_records = wal_usage(directory / WAL_NAME)
     return {
@@ -158,6 +160,7 @@ def cluster_summary(coordinator) -> Dict[str, object]:
         "admitted": coordinator.admitted_count,
         "rejected": coordinator.rejected_count,
         "next_gid": coordinator._next_gid,
+        "keys": coordinator._keys.decisions(),
     }
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.ledger import core_demands_of
@@ -49,7 +49,12 @@ from repro.faults.harness import DECISION_TIMEOUT_S, Ack, Reply, cluster_request
 from repro.faults.schedule import ChaosPlan
 from repro.service.degrade import DegradationLadder
 from repro.service.errors import DegradedError, ServiceError
-from repro.service.journal import ArchivingStore, archive_segment, archived_segments
+from repro.service.journal import (
+    ArchivingStore,
+    KeyEntry,
+    archive_segment,
+    archived_segments,
+)
 from repro.topology.builder import SCALE_SPECS
 
 #: Crash sites inside the coordinator's two-phase protocol.
@@ -184,9 +189,8 @@ class ClusterSystem:
     def died(self) -> bool:
         return any(not shard.alive for shard in self.shard_list)
 
-    def journaled(self, key: str) -> Optional[Dict[str, Any]]:
-        known = self.coordinator._idem.get(key)
-        return dict(known) if known else None
+    def journaled(self, key: str) -> Optional[KeyEntry]:
+        return self.coordinator._keys.get(key)
 
     def active_count(self) -> int:
         return self.coordinator.replica.active_tenancies

@@ -46,7 +46,6 @@ import logging
 import os
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -86,8 +85,12 @@ from repro.service.codec import allocation_from_dict, allocation_to_dict
 from repro.service.errors import ConflictError, ServiceError
 from repro.service.journal import (
     DEFAULT_SNAPSHOT_EVERY,
+    FORGET,
     IDEMPOTENCY_CAPACITY,
+    KIND_ADMISSION,
+    KIND_RESIZE,
     Journal,
+    KeyWindow,
     remove_file,
 )
 
@@ -118,8 +121,6 @@ ROUTE_DEDUP = "dedup"
 
 WAL_FILENAME = "coordinator.jsonl"
 CHECKPOINT_PREFIX = "coordinator-checkpoint"
-#: The outcome slot of a key entry that drops a gid's "admitted" keys.
-_FORGET = "forget"
 
 
 class CoordinatorError(ServiceError):
@@ -127,12 +128,13 @@ class CoordinatorError(ServiceError):
 
 
 def _key_of(record: Dict[str, Any]) -> Optional[List[Any]]:
-    """A record's idempotency entry: ``[key, outcome, gid]``, or
-    ``[None, "forget", gid]`` for a release that takes its keys along."""
+    """A record's idempotency entry: ``[key, outcome, gid]`` (plus ``True``
+    for a resize, as the service's entries), or ``[None, FORGET, gid]`` for a
+    release that takes its keys along."""
     op = record.get("op")
     gid = int(record.get("gid", 0))
     if op == OP_RELEASE:
-        return [None, _FORGET, gid] if record.get("forget_keys") else None
+        return [None, FORGET, gid] if record.get("forget_keys") else None
     key = record.get("idem")
     if key is None:
         return None
@@ -141,7 +143,7 @@ def _key_of(record: Dict[str, Any]) -> Optional[List[Any]]:
     if op == OP_RREJECT:
         return [key, "rejected", gid]
     if op == OP_RSDONE:
-        return [key, str(record.get("outcome", RESIZE_REJECTED)), gid]
+        return [key, str(record.get("outcome", RESIZE_REJECTED)), gid, True]
     return None
 
 
@@ -343,10 +345,8 @@ class ClusterCoordinator:
         self._gid_map: Dict[int, Dict[int, int]] = {}
         #: (shard index, shard-local request id) -> global id.
         self._srid_map: Dict[Tuple[int, int], int] = {}
-        #: client idempotency key -> decision payload, oldest first.
-        self._idem: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: gid -> the keys whose decision names it (the forget path's index).
-        self._keys_by_gid: Dict[int, set] = {}
+        #: Client keys' decisions, in WAL order.
+        self._keys = KeyWindow(self.idempotency_capacity)
         #: client keys with a decision currently in flight (double-submit guard).
         self._inflight: set = set()
         #: shard index -> VMs of submits routed there but not yet decided;
@@ -687,20 +687,25 @@ class ClusterCoordinator:
         return srids
 
     @contextmanager
-    def _claim(self, key: Optional[str]):
-        """Hold ``key`` in flight for one decision (takes the lock itself).
+    def _claim(self, key: Optional[str], kind: str):
+        """Hold ``key`` in flight for one decision of ``kind`` (takes the
+        lock itself).
 
-        Yields the remembered decision if there is one, else None; a second
-        caller while the first is still deciding is refused.
+        Yields the decision ``key`` holds if there is one, else None; a key
+        of the other kind is refused, and so is a second caller while the
+        first is still deciding.
         """
         if key is None:
             yield None
             return
         with self._lock:
-            known = self._idem.get(key)
+            known = self._keys.lookup(key, kind)
             if known is not None:
-                self._idem.move_to_end(key)  # the service's LRU order
-                yield dict(known, deduped=True)  # lock held: callers count it
+                yield {  # lock held: callers count it
+                    "outcome": known.outcome,
+                    "request_id": known.request_id,
+                    "deduped": True,
+                }
                 return
             if key in self._inflight:
                 raise CoordinatorError(
@@ -731,7 +736,9 @@ class ClusterCoordinator:
         else:
             self.rejected_count += 1
         payload = self._decision(gid, outcome, detail, route)
-        self._remember(key, payload)
+        self._keys.decide(
+            key, KIND_RESIZE if path == "resize" else KIND_ADMISSION, outcome, gid
+        )
         self._obs.observe_latency(path, self.clock() - started)
         if outcome == RESIZE_REJECTED:  # == "rejected": both kinds say why
             audit["detail"] = detail
@@ -792,7 +799,7 @@ class ClusterCoordinator:
         retries with the same ``idempotency_key`` and converges on the
         journaled decision.
         """
-        with self._claim(idempotency_key) as known:
+        with self._claim(idempotency_key, KIND_ADMISSION) as known:
             if known is not None:
                 self._obs.routing(ROUTE_DEDUP)
                 return known
@@ -884,7 +891,7 @@ class ClusterCoordinator:
                 payload = self._decision(
                     existing, "admitted", decision.get("detail"), ROUTE_LOCAL
                 )
-                self._remember(idempotency_key, payload)
+                self._keys.decide(idempotency_key, KIND_ADMISSION, "admitted", existing)
                 self._obs.routing(ROUTE_DEDUP)
                 self._finish_trace(trace, ROUTE_DEDUP, "admitted")
                 return payload
@@ -1214,7 +1221,7 @@ class ClusterCoordinator:
         ``idempotency_key`` converges on the journaled decision.
         """
         started = self.clock()
-        with self._claim(idempotency_key) as known:
+        with self._claim(idempotency_key, KIND_RESIZE) as known:
             if known is not None:
                 return known
             return self._resize(
@@ -1442,11 +1449,7 @@ class ClusterCoordinator:
         for record in wal.records_after(seq):
             fold.apply(record)
             self.replayed_records += 1
-        for key, outcome, gid in wal.keyed_decisions():
-            if outcome == _FORGET:
-                self._forget_admission(gid)
-            else:
-                self._remember(key, self._decision(gid, outcome, None))
+        self._keys = KeyWindow.rebuild(wal.keyed_decisions(), self.idempotency_capacity)
         self._fold = fold
         self._next_gid = max(self._next_gid, fold.next_gid)
         self._resize_seq = fold.resize_seq
@@ -1499,7 +1502,7 @@ class ClusterCoordinator:
                 # fit here" — the cross-shard path never concluded, so the
                 # outcome stays unknown and a retry re-decides.
                 self._journal(OP_RREJECT, required=False, gid=gid, idem=key)
-                self._remember(key, self._decision(gid, "rejected", None))
+                self._keys.decide(key, KIND_ADMISSION, "rejected", gid)
                 self.rejected_count += 1
                 decided = True
             if not decided:
@@ -1583,7 +1586,7 @@ class ClusterCoordinator:
             for shard_index, srid in remaining.items():
                 if shard_index not in failed:
                     del live_by_shard[shard_index][srid]
-            self._forget_admission(gid)
+            self._keys.forget_admissions(gid)
             self._journal(
                 OP_RELEASE, required=False, gid=gid, forget_keys=True,
                 settled=not failed,
@@ -1597,7 +1600,7 @@ class ClusterCoordinator:
         )
         outcome = found.get("outcome") if found is not None else None
         if outcome in self.resize_counts:
-            self._remember(resize.get("idem"), self._decision(gid, outcome, None))
+            self._keys.decide(resize.get("idem"), KIND_RESIZE, outcome, gid)
             self.resize_counts[outcome] += 1
         if outcome == RESIZE_REJECTED:
             self._journal(
@@ -1637,7 +1640,7 @@ class ClusterCoordinator:
         """
         owner = next((held.owner[f] for f in srids.items() if f in held.owner), None)
         if owner is not None:
-            self._remember(key, self._decision(owner, "admitted", None))
+            self._keys.decide(key, KIND_ADMISSION, "admitted", owner)
             return False
         if gid in held.tenancies:
             return False
@@ -1649,14 +1652,8 @@ class ClusterCoordinator:
         )
         held.put(gid, srids, payload)
         self.admitted_count += 1
-        self._remember(key, self._decision(gid, "admitted", None))
+        self._keys.decide(key, KIND_ADMISSION, "admitted", gid)
         return True
-
-    def _forget_admission(self, gid: int) -> None:
-        """Drop every key that answers "admitted" with ``gid``."""
-        for key in list(self._keys_by_gid.get(gid, ())):
-            if self._idem[key].get("outcome") == "admitted":
-                self._unpin(key)
 
     @staticmethod
     def _footprint(allocation: Allocation) -> Dict[str, Any]:
@@ -1720,33 +1717,9 @@ class ClusterCoordinator:
 
     @staticmethod
     def _decision(
-        gid: int,
-        outcome: str,
-        detail: Optional[str],
-        route: Optional[str] = None,
+        gid: int, outcome: str, detail: Optional[str], route: str
     ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"outcome": outcome, "request_id": gid}
+        payload: Dict[str, Any] = {"outcome": outcome, "request_id": gid, "route": route}
         if detail:
             payload["detail"] = detail
-        if route is not None:
-            payload["route"] = route
         return payload
-
-    def _remember(self, key: Optional[str], payload: Dict[str, Any]) -> None:
-        """Pin ``payload`` to ``key`` as the newest entry; the oldest go
-        beyond ``idempotency_capacity`` (the service's LRU order)."""
-        if key is None:
-            return
-        self._unpin(key)
-        self._idem[key] = dict(payload)
-        self._keys_by_gid.setdefault(payload["request_id"], set()).add(key)
-        while len(self._idem) > self.idempotency_capacity:
-            self._unpin(next(iter(self._idem)))
-
-    def _unpin(self, key: str) -> None:
-        known = self._idem.pop(key, None)
-        if known is not None:
-            keys = self._keys_by_gid[known["request_id"]]
-            keys.discard(key)
-            if not keys:
-                del self._keys_by_gid[known["request_id"]]

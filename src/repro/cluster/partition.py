@@ -80,9 +80,6 @@ class ShardView:
     def total_slots(self) -> int:
         return self.tree.total_slots
 
-    def owns_global_node(self, global_node_id: int) -> bool:
-        return global_node_id in self.from_global
-
     def allocation_to_global(
         self, allocation: Allocation, request_id: Optional[int] = None
     ) -> Allocation:
@@ -221,10 +218,6 @@ class ClusterPartition:
         for shard in self.shards:
             ids.extend(shard.core_link_ids)
         return tuple(ids)
-
-    def shard_of_node(self, global_node_id: int) -> Optional[int]:
-        """Owning shard of a global node; None for the core switch."""
-        return self.node_to_shard.get(global_node_id)
 
     def shards_touched(self, allocation: Allocation) -> Tuple[int, ...]:
         """Sorted shard indices hosting at least one VM of an allocation."""

@@ -270,26 +270,20 @@ class LocalShard(ShardHandle):
         known = self.service.lookup_idempotency(key)
         if known is None:
             return None
-        request_id = known.get("request_id")
-        allocation = None
         # Accepted resizes attach the tenancy's *current* allocation the
         # same way admissions do — the coordinator's recovery treats the
         # shard as authoritative for post-resize sizes.
-        if (
-            known.get("outcome") in ("admitted", "in_place", "replaced")
-            and request_id is not None
-        ):
-            tenancy = self.manager.get_tenancy(int(request_id))
-            if tenancy is not None:
-                allocation = tenancy.allocation
-        found = {
-            "outcome": known.get("outcome"),
-            "request_id": request_id,
-            "allocation": allocation,
+        tenancy = (
+            self.manager.get_tenancy(known.request_id)
+            if known.outcome != "rejected"
+            else None
+        )
+        return {
+            "kind": known.kind,
+            "outcome": known.outcome,
+            "request_id": known.request_id,
+            "allocation": tenancy.allocation if tenancy is not None else None,
         }
-        if known.get("resize"):
-            found["resize"] = True
-        return found
 
     def active_allocations(self) -> Dict[int, Allocation]:
         return {

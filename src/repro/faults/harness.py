@@ -62,7 +62,7 @@ from repro.service.codec import network_state_to_dict
 from repro.service.concurrency import OUTCOME_ADMITTED, AdmissionService
 from repro.service.degrade import DegradationLadder
 from repro.service.errors import DegradedError, ServiceError
-from repro.service.journal import ArchivingStore, archived_segments
+from repro.service.journal import ArchivingStore, KeyEntry, archived_segments
 from repro.service.recovery import oracle_replay, recover_manager
 from repro.stochastic import Normal
 from repro.topology.builder import SCALE_SPECS, build_datacenter
@@ -233,7 +233,7 @@ class NodeSystem:
     def died(self) -> bool:
         return self.service.crashed
 
-    def journaled(self, key: str) -> Optional[Dict[str, Any]]:
+    def journaled(self, key: str) -> Optional[KeyEntry]:
         return self.service.lookup_idempotency(key)
 
     def active_count(self) -> int:
@@ -402,18 +402,18 @@ def retry_unacked(system, ledger: Ledger) -> List[str]:
         if journaled:
             # Only the ack was lost: the retry must return the journaled
             # decision and allocate nothing.
-            if first.outcome != journaled["outcome"]:
+            if first.outcome != journaled.outcome:
                 failures.append(
                     f"retry of journaled {key} returned {first.outcome}, "
-                    f"journal says {journaled['outcome']}"
+                    f"journal says {journaled.outcome}"
                 )
             elif (
                 first.outcome == OUTCOME_ADMITTED
-                and first.request_id != journaled["request_id"]
+                and first.request_id != journaled.request_id
             ):
                 failures.append(
                     f"retry of {key} got id {first.request_id}, "
-                    f"journal holds {journaled['request_id']}"
+                    f"journal holds {journaled.request_id}"
                 )
             if delta != 0:
                 failures.append(f"retry of journaled {key} double-admitted")

@@ -2,13 +2,8 @@
 
 - :class:`NetworkManager` — admission control + VM allocation + tenancy
   lifecycle over a :class:`~repro.network.link_state.NetworkState`.
-- :class:`RateLimiterRegistry` — per-VM rate caps enforcing deterministic
-  reservations ("our framework uses the rate limiting component to enforce
-  the bandwidth reservation for requests with deterministic bandwidth
-  demands"); stochastic tenants are deliberately uncapped.
 """
 
 from repro.manager.network_manager import NetworkManager, Tenancy
-from repro.manager.rate_limiter import RateLimiterRegistry
 
-__all__ = ["NetworkManager", "Tenancy", "RateLimiterRegistry"]
+__all__ = ["NetworkManager", "Tenancy"]

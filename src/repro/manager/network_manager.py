@@ -8,8 +8,7 @@ the bandwidth requirements in terms of the probabilistic constraint (1)."
 The manager owns the authoritative :class:`NetworkState`, delegates placement
 to a pluggable :class:`Allocator`, commits successful placements, and tears
 them down on release.  Admitted requests are wrapped in :class:`Tenancy`
-handles carrying the allocation and the per-VM rate caps for the rate-limit
-enforcement plane.
+handles carrying the allocation and where each VM landed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.allocation.base import (
 )
 from repro.allocation.dispatch import default_allocator
 from repro.allocation.resize import plan_in_place, resized_request
-from repro.manager.rate_limiter import RateLimiterRegistry
 from repro.network.link_state import NetworkState
 from repro.topology.tree import Tree
 
@@ -93,7 +91,6 @@ class NetworkManager:
         self.tree = tree
         self.state = NetworkState(tree, epsilon=epsilon)
         self.allocator = allocator if allocator is not None else default_allocator()
-        self.rate_limiters = RateLimiterRegistry()
         self._next_id = 1
         self._tenancies: Dict[int, Tenancy] = {}
         self.admitted_count = 0
@@ -167,13 +164,8 @@ class NetworkManager:
         self.state.commit(allocation)
         if batch is not None:
             batch.note_commit(self.state, allocation)
-        tenancy = Tenancy(
-            allocation=allocation, vm_machines=expand_vm_placement(allocation)
-        )
-        self._tenancies[request_id] = tenancy
-        self.rate_limiters.register(tenancy)
         self.admitted_count += 1
-        return tenancy
+        return self._track(allocation)
 
     def batch_context(self) -> BatchContext:
         """A fresh allocator batch context for a run of :meth:`request` calls."""
@@ -191,29 +183,23 @@ class NetworkManager:
         if allocation.request_id in self._tenancies:
             raise ValueError(f"request {allocation.request_id} is already active")
         self.state.commit(allocation)
-        tenancy = Tenancy(
-            allocation=allocation, vm_machines=expand_vm_placement(allocation)
-        )
-        self._tenancies[allocation.request_id] = tenancy
-        self.rate_limiters.register(tenancy)
         if allocation.request_id >= self._next_id:
             self._next_id = allocation.request_id + 1
-        return tenancy
+        return self._track(allocation)
 
     def release(self, tenancy: Tenancy) -> None:
         """Return a departing tenant's slots and bandwidth to the pool.
 
-        Atomic: the network state is released *before* the tenancy entry and
-        rate limiters are dropped, so a failed ``state.release`` (which is
-        itself all-or-nothing) leaves the tenancy fully intact instead of
-        stranding link state behind a half-removed tenant.
+        Atomic: the network state is released *before* the tenancy entry is
+        dropped, so a failed ``state.release`` (which is itself
+        all-or-nothing) leaves the tenancy fully intact instead of stranding
+        link state behind a half-removed tenant.
         """
         stored = self._tenancies.get(tenancy.request_id)
         if stored is None:
             raise KeyError(f"tenancy {tenancy.request_id} is not active")
         self.state.release(stored.allocation)
         del self._tenancies[tenancy.request_id]
-        self.rate_limiters.unregister(stored)
 
     def resize(
         self,
@@ -254,7 +240,7 @@ class NetworkManager:
             except Exception:
                 self.state.commit(stored.allocation)  # all-or-nothing
                 raise
-            tenancy = self._swap_tenancy(stored, plan.allocation)
+            tenancy = self._track(plan.allocation)
             self.resize_counts[RESIZE_IN_PLACE] += 1
             return ResizeResult(RESIZE_IN_PLACE, tenancy)
         # Fallback: atomic release + re-admit.  The allocator may move the
@@ -269,24 +255,17 @@ class NetworkManager:
                 RESIZE_REJECTED, stored, detail="no feasible placement for the resize"
             )
         self.state.commit(allocation)
-        tenancy = self._swap_tenancy(stored, allocation)
+        tenancy = self._track(allocation)
         self.resize_counts[RESIZE_REPLACED] += 1
         return ResizeResult(RESIZE_REPLACED, tenancy)
 
-    def _swap_tenancy(self, stored: Tenancy, allocation: Allocation) -> Tenancy:
-        """Replace a tenancy's record and rate caps with a resized allocation.
-
-        The old caps are unregistered *before* the new ones land: both sets
-        share the ``(request_id, vm_index)`` key space, and unregistering
-        second would strip the overlapping indices (or, on a shrink, strand
-        the high-index residues the registry-residue test hunts for).
-        """
+    def _track(self, allocation: Allocation) -> Tenancy:
+        """Record an allocation the state has committed as its tenant's
+        tenancy (a resized one replaces the old record)."""
         tenancy = Tenancy(
             allocation=allocation, vm_machines=expand_vm_placement(allocation)
         )
-        self.rate_limiters.unregister(stored)
         self._tenancies[allocation.request_id] = tenancy
-        self.rate_limiters.register(tenancy)
         return tenancy
 
     def _allocate_unattributed(

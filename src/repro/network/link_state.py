@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.stochastic.aggregate import DemandAggregate, risk_quantile
+from repro.stochastic.aggregate import risk_quantile
 from repro.stochastic.normal import Normal
 from repro.topology.nodes import Link
 from repro.topology.tree import Tree
@@ -61,10 +61,6 @@ class LinkState:
     def num_stochastic_demands(self) -> int:
         """``K`` — how many SVC requests currently load this link."""
         return len(self._stoch_by_request)
-
-    def aggregate(self) -> DemandAggregate:
-        """CLT summary of the resident stochastic demands."""
-        return DemandAggregate(self.mean_total, max(self.var_total, 0.0))
 
     def stochastic_demand_of(self, request_id: int) -> Optional[Normal]:
         """The recorded demand of one request on this link, if any."""

@@ -210,9 +210,6 @@ class Histogram:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
 
-    def copy_empty(self) -> "Histogram":
-        return Histogram(self.bounds, labels=self.labels)
-
     def snapshot(self) -> Any:
         return {
             "count": self.count,

@@ -23,11 +23,12 @@ will not remember — and the service steps down the degradation ladder
 errors while a background probe record (``op: "note"``) tests the volume
 until writes succeed again.
 
-Idempotency: ``submit`` accepts a client-generated ``idempotency_key``.
-The key is persisted inside the admit/reject journal record and indexed
-both live and at recovery, so a client retrying after a lost ack gets the
-original decision back instead of a second allocation (the tentpole
-"no double-admit on retry" guarantee).
+Idempotency: ``submit``, ``resize`` and ``adopt`` accept a client-generated
+``idempotency_key``.  The key is persisted inside the decision's journal
+record and kept in one :class:`~repro.service.journal.KeyWindow`, live and at
+recovery alike, so a client retrying after a lost ack gets the original
+decision back instead of a second allocation (the "no double-admit on
+retry" guarantee).
 """
 
 from __future__ import annotations
@@ -79,7 +80,14 @@ from repro.service.errors import (
     OverloadedError,
     OverQuotaError,
 )
-from repro.service.journal import IDEMPOTENCY_CAPACITY, DurabilityStore
+from repro.service.journal import (
+    IDEMPOTENCY_CAPACITY,
+    KIND_ADMISSION,
+    KIND_RESIZE,
+    DurabilityStore,
+    KeyEntry,
+    KeyWindow,
+)
 from repro.service.queue import (
     DEFAULT_TENANT,
     MODE_BATCH,
@@ -105,9 +113,6 @@ _IDLE_SWEEP_INTERVAL = 0.05
 #: Queue-bound default: generous for benchmarks, finite so a stalled
 #: worker pool cannot grow the heap without bound.
 DEFAULT_MAX_QUEUE_DEPTH = 1024
-
-#: Idempotency keys, and tickets, remembered live (oldest evicted beyond this).
-_IDEMPOTENCY_CAPACITY = IDEMPOTENCY_CAPACITY
 
 #: Longest tenant id a client may name.
 MAX_TENANT_LENGTH = 128
@@ -298,9 +303,10 @@ class AdmissionService:
         The :class:`DegradationLadder` guarding journal health; defaults
         to a fresh ladder when a store is present.
     idempotency_index:
-        ``{key: {"outcome", "request_id"}}`` recovered from the journal
-        (see :func:`repro.service.recovery.recover_manager`), seeding the
-        live dedup index so retries of pre-crash submits stay idempotent.
+        The :class:`KeyWindow` recovered from the journal (see
+        :func:`repro.service.recovery.recover_manager`): the service keeps
+        deciding into it, so retries of pre-crash decisions stay idempotent.
+        Without one the service starts an empty window.
     batch_max:
         Upper bound on admission-batch size.  A worker that pops a request
         keeps popping *consecutive* queue entries with the same shape key
@@ -324,7 +330,7 @@ class AdmissionService:
     """
 
     #: Tickets kept for ``status`` (a constant; tests lower it in a subclass).
-    ticket_capacity = _IDEMPOTENCY_CAPACITY
+    ticket_capacity = IDEMPOTENCY_CAPACITY
 
     def __init__(
         self,
@@ -337,7 +343,7 @@ class AdmissionService:
         max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
         default_timeout_s: Optional[float] = None,
         degradation: Optional[DegradationLadder] = None,
-        idempotency_index: Optional[Dict[str, Dict[str, Any]]] = None,
+        idempotency_index: Optional[KeyWindow] = None,
         batch_max: int = 1,
         batch_linger_s: float = 0.0,
         tenant_quota: Optional[int] = None,
@@ -380,14 +386,8 @@ class AdmissionService:
         )
         #: Set when a worker died to an injected crash (chaos harness).
         self.crashed = False
-        # Live idempotency index: key -> {"ticket_id"} while a ticket is
-        # known in this process, or {"outcome", "request_id"} for keys
-        # rebuilt from the journal at recovery.
-        self._idem: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        if idempotency_index:
-            for key, decision in idempotency_index.items():
-                self._idem[key] = dict(decision)
-            self._trim_idempotency()
+        #: Keyed decisions, in journal order (and submits still pending).
+        self._keys = idempotency_index if idempotency_index is not None else KeyWindow()
         # Mirror every counter/latency observation onto the process-global
         # metric registry and expose queue depth, uptime and the network
         # guarantee-health gauges through it (pull-style: the callbacks run
@@ -741,11 +741,7 @@ class AdmissionService:
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
-            dedup = (
-                self._deduplicate(idempotency_key, now)
-                if idempotency_key is not None
-                else None
-            )
+            dedup = self._deduplicate(idempotency_key, now)
             if dedup is None:
                 self.gate("submit")
                 depth = len(self._queue)
@@ -777,8 +773,7 @@ class AdmissionService:
                 )
                 self._next_ticket += 1
                 self._remember_ticket(ticket)
-                if idempotency_key is not None:
-                    self._remember_key(idempotency_key, {"ticket_id": ticket.ticket_id})
+                self._keys.pend(idempotency_key, ticket.ticket_id)
                 self._count("submitted")
                 entry = QueuedRequest(
                     ticket_id=ticket.ticket_id,
@@ -823,29 +818,30 @@ class AdmissionService:
                 return
             ticket.wait(min(left, _IDLE_SWEEP_INTERVAL))
 
-    def _deduplicate(self, key: str, now: float) -> Optional[Ticket]:
-        """An already-known decision/ticket for this key, if any (under lock)."""
-        known = self._idem.get(key)
+    def _deduplicate(self, key: Optional[str], now: float) -> Optional[Ticket]:
+        """The ticket answering a repeated submit key, if any (under lock)."""
+        known = self._known(key, KIND_ADMISSION)
         if known is None:
             return None
-        self._count("deduped")
-        ticket_id = known.get("ticket_id")
-        if ticket_id is not None:
-            ticket = self._tickets.get(int(ticket_id))
-            if ticket is not None:
-                return ticket
-        # Key recovered from the journal: synthesize a resolved ticket so
-        # the retrying client gets the pre-crash decision, not a re-run.
+        ticket = self._tickets.get(known.ticket_id)
+        if ticket is not None:
+            return ticket
+        # A decision whose ticket this process never had (rebuilt from the
+        # journal) or no longer keeps: a resolved ticket carries it, so the
+        # retrying client gets the decision, not a re-run.
         ticket = Ticket(ticket_id=self._next_ticket, submitted_at=now)
         self._next_ticket += 1
-        request_id = known.get("request_id")
         ticket.resolve(
-            str(known.get("outcome", OUTCOME_ERROR)),
-            request_id=int(request_id) if request_id is not None else None,
-            detail="deduplicated: decision recovered from the journal",
+            known.outcome,
+            request_id=known.request_id,
+            detail=(
+                "deduplicated: decision recovered from the journal"
+                if known.ticket_id is None
+                else "deduplicated: decision already recorded"
+            ),
         )
         self._remember_ticket(ticket)
-        self._remember_key(key, {"ticket_id": ticket.ticket_id, **known})
+        self._keys.attach(key, ticket.ticket_id)
         return ticket
 
     def _remember_ticket(self, ticket: Ticket) -> None:
@@ -861,15 +857,6 @@ class AdmissionService:
             resolved = (tid for tid, known in self._tickets.items() if known.done)
             for ticket_id in list(itertools.islice(resolved, excess)):
                 del self._tickets[ticket_id]
-
-    def _remember_key(self, key: str, decision: Dict[str, Any]) -> None:
-        self._idem[key] = decision
-        self._idem.move_to_end(key)
-        self._trim_idempotency()
-
-    def _trim_idempotency(self) -> None:
-        while len(self._idem) > _IDEMPOTENCY_CAPACITY:
-            self._idem.popitem(last=False)
 
     def _overload_retry_after(self, depth: int) -> float:
         """Backoff hint: expected drain time of the current backlog."""
@@ -944,15 +931,13 @@ class AdmissionService:
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
-            if idempotency_key is not None:
-                known = self._idem.get(idempotency_key)
-                if known is not None and known.get("resize"):
-                    self._count("deduped")
-                    return {
-                        "outcome": str(known.get("outcome")),
-                        "request_id": known.get("request_id"),
-                        "detail": "deduplicated: decision already recorded",
-                    }
+            known = self._known(idempotency_key, KIND_RESIZE)
+            if known is not None:
+                return {
+                    "outcome": known.outcome,
+                    "request_id": known.request_id,
+                    "detail": "deduplicated: decision already recorded",
+                }
             self.gate("resize")
             manager = self.manager
             stored = manager.get_tenancy(request_id)
@@ -988,15 +973,7 @@ class AdmissionService:
                 after=FP_RESIZE_AFTER_JOURNAL,
                 request_id=request_id,
             )
-            if idempotency_key is not None:
-                self._remember_key(
-                    idempotency_key,
-                    {
-                        "resize": True,
-                        "outcome": result.outcome,
-                        "request_id": request_id,
-                    },
-                )
+            self._keys.decide(idempotency_key, KIND_RESIZE, result.outcome, request_id)
             self._count("resized" if result.accepted else "resize_rejected")
             self._obs.resize(result.outcome, time.perf_counter() - t0)
             retried = 0
@@ -1051,15 +1028,14 @@ class AdmissionService:
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
-            if idempotency_key is not None:
-                known = self._idem.get(idempotency_key)
-                if (
-                    known is not None
-                    and known.get("outcome") == OUTCOME_ADMITTED
-                    and known.get("request_id") is not None
-                ):
-                    self._count("deduped")
-                    return int(known["request_id"])
+            known = self._known(idempotency_key, KIND_ADMISSION)
+            if known is not None:
+                if known.outcome != OUTCOME_ADMITTED:
+                    raise CodecError(
+                        f"idempotency key {idempotency_key!r} already decided "
+                        f"{known.outcome or 'a pending submit'}, not an adopt"
+                    )
+                return known.request_id
             self.gate("submit")
             manager = self.manager
             state = manager.state
@@ -1098,15 +1074,9 @@ class AdmissionService:
                 after=FP_WORKER_AFTER_JOURNAL,
                 request_id=local.request_id,
             )
-            if idempotency_key is not None:
-                self._remember_key(
-                    idempotency_key,
-                    {
-                        "ticket_id": None,
-                        "outcome": OUTCOME_ADMITTED,
-                        "request_id": local.request_id,
-                    },
-                )
+            self._keys.decide(
+                idempotency_key, KIND_ADMISSION, OUTCOME_ADMITTED, local.request_id
+            )
             self._count("admitted")
             self._maybe_snapshot()
             if trace_context is not None and trace_context.sampled:
@@ -1131,19 +1101,22 @@ class AdmissionService:
             ticket = self._tickets.get(ticket_id)
         return ticket.describe() if ticket is not None else None
 
-    def lookup_idempotency(self, key: str) -> Optional[Dict[str, Any]]:
-        """The recorded decision for an idempotency key, if any (a copy).
+    def lookup_idempotency(self, key: str) -> Optional[KeyEntry]:
+        """The decision an idempotency key holds, if any.
 
         Used by the cluster coordinator's recovery to resolve in-flight
         keys against what this shard actually journaled before a crash.
         """
         with self._cond:
-            known = self._idem.get(key)
-            return dict(known) if known is not None else None
+            return self._keys.get(key)
 
-    def active_request_ids(self) -> List[int]:
-        with self._cond:
-            return [tenancy.request_id for tenancy in self.manager.tenancies()]
+    def _known(self, key: Optional[str], kind: str) -> Optional[KeyEntry]:
+        """The decision a repeated ``key`` answers an op of ``kind`` with,
+        counted as a dedup (under lock); a key of the other kind is refused."""
+        known = self._keys.lookup(key, kind)
+        if known is not None:
+            self._count("deduped")
+        return known
 
     def stats(self) -> Dict[str, Any]:
         """The metrics payload of the ``stats`` endpoint."""
@@ -1198,7 +1171,7 @@ class AdmissionService:
                     if self._degradation is not None
                     else {"state": STATE_FULL}
                 ),
-                "idempotency": {"keys": len(self._idem)},
+                "idempotency": {"keys": len(self._keys)},
                 "admission_latency": self.latencies.summary(),
                 "occupancy": {
                     "max": max_occupancy,
@@ -1377,7 +1350,7 @@ class AdmissionService:
             except Exception as exc:  # allocator bug etc. — fail the
                 # request, keep the worker alive for the next one
                 self._count("errors")
-                self._forget_key(entry.idempotency_key)
+                self._keys.forget(entry.idempotency_key)
                 logger.warning(
                     "ticket=%d failed during admission: %s",
                     entry.ticket_id, exc, exc_info=True,
@@ -1417,7 +1390,7 @@ class AdmissionService:
                 # request() bumped the admitted counter with the tenancy.
                 manager.release(tenancy)
                 manager.admitted_count -= 1
-                self._forget_key(entry.idempotency_key)
+                self._keys.forget(entry.idempotency_key)
 
             self._journaled(
                 "admit",
@@ -1429,7 +1402,10 @@ class AdmissionService:
                 after=FP_WORKER_AFTER_JOURNAL,
                 ticket=entry.ticket_id,
             )
-            self._record_decision(entry, OUTCOME_ADMITTED, tenancy.request_id)
+            self._keys.decide(
+                entry.idempotency_key, KIND_ADMISSION, OUTCOME_ADMITTED,
+                tenancy.request_id, entry.ticket_id,
+            )
             self._count("admitted")
             self._observe_latency(self.clock() - entry.enqueued_at)
             self._maybe_snapshot()
@@ -1456,7 +1432,10 @@ class AdmissionService:
             ),
             ticket=entry.ticket_id,
         )
-        self._record_decision(entry, OUTCOME_REJECTED, None)
+        self._keys.decide(
+            entry.idempotency_key, KIND_ADMISSION, OUTCOME_REJECTED, None,
+            entry.ticket_id,
+        )
         self._count("rejected")
         self._observe_latency(self.clock() - entry.enqueued_at)
         self._maybe_snapshot()
@@ -1475,24 +1454,6 @@ class AdmissionService:
         )
         return (OUTCOME_REJECTED, None, detail)
 
-    def _record_decision(
-        self, entry: QueuedRequest, outcome: str, request_id: Optional[int]
-    ) -> None:
-        """Pin the decision to the entry's idempotency key (under lock)."""
-        if entry.idempotency_key is not None:
-            self._remember_key(
-                entry.idempotency_key,
-                {
-                    "ticket_id": entry.ticket_id,
-                    "outcome": outcome,
-                    "request_id": request_id,
-                },
-            )
-
-    def _forget_key(self, key: Optional[str]) -> None:
-        if key is not None:
-            self._idem.pop(key, None)
-
     def _maybe_snapshot(self) -> None:
         """Opportunistic snapshot; never fatal (the journal is the truth)."""
         if self.store is not None and self.store.should_snapshot():
@@ -1503,6 +1464,11 @@ class AdmissionService:
             )
 
     def _resolve(self, entry: QueuedRequest, outcome: str, request_id=None, detail=None):
+        if outcome in (OUTCOME_EXPIRED, OUTCOME_SHUTDOWN):
+            # Nothing was decided: a retry of the key runs afresh, as it
+            # would after a restart.
+            with self._cond:
+                self._keys.forget(entry.idempotency_key)
         ticket = entry.ticket
         if ticket is not None:
             latency = self.clock() - entry.enqueued_at

@@ -36,8 +36,9 @@ after it — at most one checkpoint cadence of records when checkpoints land.
 Idempotency keys stay out of checkpoints: sealing a segment leaves a
 sidecar with just its keyed decisions (the owner's ``key_of`` projection of
 each record), which outlives the segment until the decisions keyed after it
-fill the window (``key_window``).  The window at a restart is the sidecars,
-oldest first, then the active segment's keyed records.
+fill the window (``key_window``).  The window at a restart is
+:meth:`KeyWindow.rebuild` of the sidecars, oldest first, then the active
+segment's keyed records — the same window the live owner kept.
 
 Failure handling: a failed append (I/O error, failed fsync, torn write)
 leaves bytes past the last known-good offset that can no longer be
@@ -65,9 +66,12 @@ import os
 import re
 import shutil
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from repro.faults.failpoints import (
     FAILPOINTS,
@@ -77,7 +81,7 @@ from repro.faults.failpoints import (
     MODE_CORRUPT,
     FailpointError,
 )
-from repro.service.codec import allocation_to_dict
+from repro.service.codec import CodecError, allocation_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +115,16 @@ OP_NOTE = "note"
 Source = Union[Path, str, Iterable[Path]]
 
 
+#: The two kinds of keyed decision: a submit or an adopt decides an
+#: admission, a resize a resize.  A key answers only ops of its own kind.
+KIND_ADMISSION = "admission"
+KIND_RESIZE = "resize"
+_KIND_NAMES = {KIND_ADMISSION: "an admission", KIND_RESIZE: "a resize"}
+#: The outcome of a ``[None, FORGET, request_id]`` key entry: every key that
+#: answers "admitted" with ``request_id`` leaves the window.
+FORGET = "forget"
+
+
 def keyed_decision(record: Dict[str, Any]) -> Optional[List[Any]]:
     """A service record's idempotency entry, ``[key, outcome, request_id]``
     (plus ``True`` for resize outcomes), or None for an unkeyed record."""
@@ -124,13 +138,164 @@ def keyed_decision(record: Dict[str, Any]) -> Optional[List[Any]]:
         return [str(key), "rejected", None]
     if op == OP_RESIZE:
         # Resize keys keep their own outcome vocabulary (in_place/replaced/
-        # rejected); the flag tells the live dedup path not to confuse them
-        # with admission decisions.
+        # rejected); the flag marks the entry's kind.
         return [
             str(key), str(record.get("outcome", "rejected")),
             record.get("request_id"), True,
         ]
     return None
+
+
+class KeyEntry(NamedTuple):
+    """What one idempotency key decided.
+
+    ``outcome`` is None while a submit's ticket is pending; ``ticket_id`` is
+    the live service's ticket, which a restart does not bring back.
+    """
+
+    kind: str
+    outcome: Optional[str]
+    request_id: Optional[int]
+    ticket_id: Optional[int] = None
+
+
+class KeyWindow:
+    """The idempotency window: the last ``capacity`` keyed decisions.
+
+    Entries are in decision order, the order of the journal records that
+    carry them, and a hit never moves a key: that is the only order a restart
+    can rebuild (:meth:`rebuild`), so the window a restart brings back is the
+    one the live owner kept.  A key decided again after it left the window
+    joins the newest end; beyond ``capacity`` the oldest decision goes.  A
+    submit still waiting for its decision holds its key apart (:meth:`pend`):
+    never evicted, counted against no capacity.  A key answers only ops of
+    the kind it decided; :meth:`lookup` refuses the other kind.
+    """
+
+    def __init__(self, capacity: int = IDEMPOTENCY_CAPACITY) -> None:
+        self.capacity = capacity
+        #: key -> ``KeyEntry`` fields as a plain tuple (a restart builds
+        #: thousands; a tuple costs a tenth of a ``KeyEntry``).
+        self._decided: "OrderedDict[str, Tuple]" = OrderedDict()
+        #: key -> ticket id of a submit not decided yet.
+        self._pending: Dict[str, int] = {}
+        #: request id -> keys that answer "admitted" with it; built by the
+        #: first :meth:`forget_admissions` (only the coordinator forgets so).
+        self._admitted_by: Optional[Dict[Any, Set[str]]] = None
+
+    @classmethod
+    def rebuild(
+        cls, entries: Iterable[List[Any]], capacity: int = IDEMPOTENCY_CAPACITY
+    ) -> "KeyWindow":
+        """The window of a journal's key entries (``key_of`` projections),
+        oldest first: each decides its key, or forgets a request's admitted
+        keys (``[None, FORGET, request_id]``)."""
+        window = cls(capacity)
+        decided = window._decided
+        for entry in entries:
+            key = entry[0]
+            if key is None:
+                window.forget_admissions(entry[2])
+                continue
+            kind = KIND_RESIZE if len(entry) > 3 else KIND_ADMISSION
+            value = (kind, entry[1], entry[2], None)
+            if key in decided or window._admitted_by is not None:
+                window._insert(key, value)
+            else:  # the common case, inlined: a restart folds thousands
+                decided[key] = value
+                if len(decided) > capacity:
+                    window._remove(next(iter(decided)))
+        return window
+
+    def __len__(self) -> int:
+        return len(self._decided) + len(self._pending)
+
+    def get(self, key: Optional[str]) -> Optional[KeyEntry]:
+        """``key``'s decision, of either kind (None if it has none)."""
+        value = self._decided.get(key)
+        return KeyEntry(*value) if value is not None else None
+
+    def lookup(self, key: Optional[str], kind: str) -> Optional[KeyEntry]:
+        """What a repeated ``key`` answers an op of ``kind``: its decision or
+        its pending submit, None for a key the window does not hold (or no
+        key).
+
+        A key that decided the other kind raises :class:`CodecError`: its
+        decision does not answer this op, and running the op would decide
+        one key twice.
+        """
+        entry = self.get(key)
+        if entry is None:
+            ticket_id = self._pending.get(key)
+            if ticket_id is None:
+                return None
+            entry = KeyEntry(KIND_ADMISSION, None, None, ticket_id)
+        if entry.kind != kind:
+            raise CodecError(
+                f"idempotency key {key!r} already decided {_KIND_NAMES[entry.kind]} "
+                f"({entry.outcome or 'pending'}); {_KIND_NAMES[kind]} needs its own key"
+            )
+        return entry
+
+    def pend(self, key: Optional[str], ticket_id: int) -> None:
+        """Hold ``key`` for a submit whose ticket is not decided yet."""
+        if key is not None:
+            self._pending[key] = ticket_id
+
+    def decide(
+        self, key: Optional[str], kind: str, outcome: str,
+        request_id: Optional[int], ticket_id: Optional[int] = None,
+    ) -> None:
+        """Record ``key``'s decision as the newest entry (no key: no-op)."""
+        if key is not None:
+            self._pending.pop(key, None)
+            self._insert(key, (kind, outcome, request_id, ticket_id))
+
+    def attach(self, key: str, ticket_id: int) -> None:
+        """Point a decided key at the ticket that answers it now, in place."""
+        self._decided[key] = (*self._decided[key][:3], ticket_id)
+
+    def forget(self, key: Optional[str]) -> None:
+        """Drop ``key`` (its decision was rolled back or never made)."""
+        if key is not None:
+            self._pending.pop(key, None)
+            if key in self._decided:
+                self._remove(key)
+
+    def forget_admissions(self, request_id: Any) -> None:
+        """Drop every key that answers "admitted" with ``request_id``."""
+        if self._admitted_by is None:
+            self._admitted_by = {}
+            for key, entry in self._decided.items():
+                self._index(key, entry)
+        for key in list(self._admitted_by.get(request_id, ())):
+            self._remove(key)
+
+    def decisions(self) -> List[Tuple[str, str, Optional[str], Optional[int]]]:
+        """``(key, kind, outcome, request_id)`` of every decision, oldest first."""
+        return [(key, *value[:3]) for key, value in self._decided.items()]
+
+    def _insert(self, key: str, entry: Tuple) -> None:
+        decided = self._decided
+        if key in decided:
+            self._remove(key)
+        decided[key] = entry
+        if self._admitted_by is not None:
+            self._index(key, entry)
+        if len(decided) > self.capacity:
+            self._remove(next(iter(decided)))
+
+    def _index(self, key: str, entry: Tuple) -> None:
+        if entry[1] == "admitted":
+            self._admitted_by.setdefault(entry[2], set()).add(key)
+
+    def _remove(self, key: str) -> None:
+        _kind, outcome, request_id, _ticket = self._decided.pop(key)
+        if self._admitted_by is not None and outcome == "admitted":
+            keys = self._admitted_by[request_id]
+            keys.discard(key)
+            if not keys:
+                del self._admitted_by[request_id]
 
 
 def segment_paths(origin: Path) -> List[Path]:

@@ -12,8 +12,10 @@ Recovery restores the longest consistent prefix of acknowledged operations:
    tenancy down, ``reject`` only restores counters and the id cursor, and
    ``resize`` swaps the journaled post-resize allocation in for the
    tenant's old one (rejected resizes restore tallies only);
-3. rebuild the idempotency window from the sealed segments' sidecars and
-   the active segment's keyed records (collected by the store's open).
+3. rebuild the idempotency window (:meth:`KeyWindow.rebuild
+   <repro.service.journal.KeyWindow.rebuild>`) from the sealed segments'
+   sidecars and the active segment's keyed records (collected by the
+   store's open).
 
 Because both paths re-apply the *exact* allocation the live manager
 committed (not a re-run of the allocator), the reconstructed
@@ -27,22 +29,21 @@ the checkpointed recovery must agree.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.allocation.base import Allocation, Allocator
 from repro.manager.network_manager import NetworkManager
 from repro.network.link_state import NetworkState
 from repro.service.codec import allocation_from_dict, allocation_to_dict
 from repro.service.journal import (
-    IDEMPOTENCY_CAPACITY,
     OP_ADMIT,
     OP_REJECT,
     OP_RELEASE,
     OP_RESIZE,
     DurabilityStore,
     Journal,
+    KeyWindow,
     Source,
 )
 from repro.topology.tree import Tree
@@ -59,12 +60,11 @@ class RecoveryReport:
     snapshot_seq: int = 0
     replayed_records: int = 0
     last_seq: int = 0
-    #: ``{idempotency_key: {"outcome", "request_id"}}`` of the last
-    #: ``IDEMPOTENCY_CAPACITY`` keyed decisions, oldest first: the sealed
+    #: The window of the last keyed decisions, oldest first: the sealed
     #: segments' sidecars, then the active segment.  A client retrying a
-    #: pre-crash submit is answered with the journaled decision instead of a
+    #: pre-crash op is answered with the journaled decision instead of a
     #: second allocation, even when its segment is gone.
-    idempotency_index: Dict[str, Dict[str, Any]] = field(default_factory=OrderedDict)
+    idempotency_index: KeyWindow = field(default_factory=KeyWindow)
 
     @property
     def used_snapshot(self) -> bool:
@@ -83,25 +83,6 @@ def snapshot_payload(manager: NetworkManager) -> Dict:
             allocation_to_dict(tenancy.allocation) for tenancy in manager.tenancies()
         ],
     }
-
-
-def idempotency_window(
-    entries: Iterable[List[Any]], capacity: int = IDEMPOTENCY_CAPACITY
-) -> "OrderedDict[str, Dict[str, Any]]":
-    """Fold :func:`~repro.service.journal.keyed_decision` entries, oldest
-    first, into the last ``capacity`` keyed decisions (a re-decided key moves
-    to the newest end, as in the live table)."""
-    index: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-    for entry in entries:
-        key = entry[0]
-        decision: Dict[str, Any] = {"outcome": entry[1], "request_id": entry[2]}
-        if len(entry) > 3:
-            decision["resize"] = True
-        index.pop(key, None)
-        index[key] = decision
-    while len(index) > capacity:
-        index.popitem(last=False)
-    return index
 
 
 def recover_manager(
@@ -152,7 +133,7 @@ def recover_manager(
         _replay(manager, record)
         report.replayed_records += 1
         report.last_seq = record["seq"]
-    report.idempotency_index = idempotency_window(
+    report.idempotency_index = KeyWindow.rebuild(
         journal.keyed_decisions(), journal.key_window
     )
     return manager, report

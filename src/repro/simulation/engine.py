@@ -255,7 +255,3 @@ class DataPlane:
         mask = self._flow_job == job_id
         current[self._flow_index[mask]] = np.maximum(self._flow_remaining[mask], 0.0)
         return current
-
-    def utilization_snapshot(self) -> np.ndarray:
-        """Current per-directed-link capacity array (for tests/diagnostics)."""
-        return self._capacities.copy()

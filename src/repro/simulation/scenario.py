@@ -54,11 +54,6 @@ class BatchResult:
     unschedulable: List[int] = field(default_factory=list)
 
     @property
-    def total_completion_time(self) -> int:
-        """Completion time of the whole batch (the Fig. 5 metric)."""
-        return self.makespan
-
-    @property
     def average_running_time(self) -> float:
         """Average per-job running time (the Fig. 6 metric)."""
         runtime, _wait = summarize_runtimes(self.records)

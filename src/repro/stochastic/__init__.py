@@ -6,10 +6,10 @@ This subpackage implements the stochastic machinery of the paper:
   toolkit (pdf, cdf, quantile, arithmetic on independent normals).
 - :mod:`repro.stochastic.minimum` — Lemma 1 of the paper: the exact mean and
   variance of the minimum of two independent normal random variables.
-- :mod:`repro.stochastic.aggregate` — the central-limit-theorem aggregation of
-  per-request link demands, the admission condition (Eq. 4), the effective
-  bandwidth of a stochastic demand (Eq. 5), and the bandwidth occupancy ratio
-  (Eq. 6).
+- :mod:`repro.stochastic.aggregate` — the risk quantile
+  ``c = Phi^{-1}(1 - epsilon)`` of the admission condition (Eq. 4); the
+  occupancy ratio of Eq. (6) itself is
+  :meth:`repro.network.link_state.LinkState.occupancy_with`.
 """
 
 from repro.stochastic.normal import (
@@ -29,15 +29,7 @@ from repro.stochastic.distributions import (
     UniformDemand,
 )
 from repro.stochastic.minimum import min_of_normals
-from repro.stochastic.aggregate import (
-    DemandAggregate,
-    admission_margin,
-    effective_bandwidth_total,
-    is_admissible,
-    occupancy_ratio,
-    outage_probability,
-    risk_quantile,
-)
+from repro.stochastic.aggregate import risk_quantile
 
 __all__ = [
     "Normal",
@@ -53,11 +45,5 @@ __all__ = [
     "LogNormalDemand",
     "UniformDemand",
     "min_of_normals",
-    "DemandAggregate",
-    "admission_margin",
-    "effective_bandwidth_total",
-    "is_admissible",
-    "occupancy_ratio",
-    "outage_probability",
     "risk_quantile",
 ]

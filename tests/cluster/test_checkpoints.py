@@ -223,17 +223,15 @@ def test_the_idempotency_table_evicts_the_oldest_key(tmp_path):
     shards = [LocalShard(view) for view in partition.shards]
     coordinator = SmallTable(partition, shards)
     try:
-        first = coordinator.submit(small_request(), idempotency_key="k0")
+        coordinator.submit(small_request(), idempotency_key="k0")
         coordinator.submit(small_request(), idempotency_key="k1")
         assert coordinator.submit(small_request(), idempotency_key="k0")["deduped"]
-        coordinator.submit(small_request(), idempotency_key="k2")  # evicts k1
-        assert list(coordinator._idem) == ["k0", "k2"]
-        assert coordinator._keys_by_gid == {
-            first["request_id"]: {"k0"}, first["request_id"] + 2: {"k2"},
-        }
-        again = coordinator.submit(small_request(), idempotency_key="k1")
+        # A hit does not move k0: the oldest decision goes.
+        coordinator.submit(small_request(), idempotency_key="k2")
+        assert [key for key, *_ in coordinator._keys.decisions()] == ["k1", "k2"]
+        again = coordinator.submit(small_request(), idempotency_key="k0")
         assert again.get("deduped") is None  # decided afresh
-        assert list(coordinator._idem) == ["k2", "k1"]
+        assert [key for key, *_ in coordinator._keys.decisions()] == ["k2", "k0"]
     finally:
         coordinator.stop()
         for shard in shards:

@@ -214,7 +214,6 @@ def cluster_view(coordinator, shards):
         "vm_machines": {
             t.request_id: list(t.vm_machines) for t in replica.tenancies()
         },
-        "rate_limiters": dict(replica.rate_limiters._caps),
         "ledger": {
             link_id: (
                 replica.state.links[link_id].mean_total,
@@ -579,8 +578,8 @@ class TestRecovery:
             _partition, shards, coordinator = build_cluster(2, directory=tmp_path)
             try:
                 assert coordinator.active_tenancies == 0
-                assert "lost" not in coordinator._idem
-                assert coordinator._idem["kept"]["request_id"] == kept["request_id"]
+                assert coordinator._keys.get("lost") is None
+                assert coordinator._keys.get("kept").request_id == kept["request_id"]
                 if restart == 1:
                     again = coordinator.submit(small_request(), idempotency_key="lost")
                     assert again.get("deduped") is None

@@ -12,6 +12,7 @@ from repro.service.concurrency import (
     LatencyWindow,
 )
 from repro.service.errors import CODE_OVERLOADED, OverloadedError, OverQuotaError
+from repro.service.journal import KeyWindow
 
 
 def small_request():
@@ -141,9 +142,7 @@ class TestIdempotentSubmit:
         with AdmissionService(
             NetworkManager(tiny_tree),
             workers=1,
-            idempotency_index={
-                "old": {"outcome": OUTCOME_ADMITTED, "request_id": 41}
-            },
+            idempotency_index=KeyWindow.rebuild([["old", OUTCOME_ADMITTED, 41]]),
         ) as service:
             ticket = service.submit(
                 small_request(), wait=True, idempotency_key="old"

@@ -35,7 +35,6 @@ def manager_view(manager):
         "vm_machines": {
             t.request_id: list(t.vm_machines) for t in manager.tenancies()
         },
-        "rate_limiters": dict(manager.rate_limiters._caps),
         "admitted": manager.admitted_count,
         "rejected": manager.rejected_count,
         "resizes": dict(manager.resize_counts),

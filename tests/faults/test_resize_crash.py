@@ -67,7 +67,6 @@ def assert_exact_and_consistent(recovered, request_id, expected_n):
     assert tenancy.request.n_vms == expected_n
     assert sum(tenancy.allocation.machine_counts.values()) == expected_n
     assert len(tenancy.vm_machines) == expected_n
-    assert len(recovered.rate_limiters) == expected_n
     # Link state equals a from-scratch commit of the recovered allocations:
     # no residue of the other size anywhere.
     scratch = NetworkState(recovered.state.tree, epsilon=recovered.epsilon)

@@ -187,10 +187,8 @@ class TestAdopt:
         tenancy = source.request(DeterministicVC(n_vms=4, bandwidth=100.0))
         fresh = NetworkManager(tiny_tree)
         adopted = fresh.adopt(tenancy.allocation)
-        assert fresh.rate_limiters.cap(adopted.request_id, 0) == 100.0
         fresh.release(adopted)
         assert fresh.state.is_pristine()
-        assert len(fresh.rate_limiters) == 0
 
     def test_id_cursor_never_moves_backwards(self, tiny_tree):
         manager = NetworkManager(tiny_tree)
@@ -198,22 +196,3 @@ class TestAdopt:
         with pytest.raises(ValueError, match="backwards"):
             manager.next_request_id = 5
 
-
-class TestRateLimiterIntegration:
-    def test_deterministic_vm_capped(self, tiny_tree):
-        manager = NetworkManager(tiny_tree)
-        tenancy = manager.request(DeterministicVC(n_vms=4, bandwidth=123.0))
-        for vm in range(4):
-            assert manager.rate_limiters.cap(tenancy.request_id, vm) == 123.0
-
-    def test_stochastic_vm_uncapped(self, tiny_tree, homogeneous_request):
-        manager = NetworkManager(tiny_tree)
-        tenancy = manager.request(homogeneous_request)
-        assert manager.rate_limiters.cap(tenancy.request_id, 0) == float("inf")
-
-    def test_caps_removed_on_release(self, tiny_tree):
-        manager = NetworkManager(tiny_tree)
-        tenancy = manager.request(DeterministicVC(n_vms=4, bandwidth=123.0))
-        manager.release(tenancy)
-        assert len(manager.rate_limiters) == 0
-        assert manager.rate_limiters.cap(tenancy.request_id, 0) == float("inf")

@@ -132,16 +132,14 @@ class TestResizeOutcomes:
 
 
 class TestResizeBookkeeping:
-    def test_rate_caps_follow_the_resize(self, tiny_tree):
+    def test_vm_placement_follows_the_resize(self, tiny_tree):
         manager = NetworkManager(tiny_tree, epsilon=0.05)
         tenancy = manager.request(HomogeneousSVC(n_vms=4, mean=40.0, std=8.0))
-        assert len(manager.rate_limiters) == 4
-        manager.resize(tenancy.request_id, new_n=7)
-        assert len(manager.rate_limiters) == 7
-        manager.resize(tenancy.request_id, new_n=2)
-        assert len(manager.rate_limiters) == 2
+        for new_n in (7, 2):
+            manager.resize(tenancy.request_id, new_n=new_n)
+            assert len(manager.tenancy(tenancy.request_id).vm_machines) == new_n
         manager.release(manager.tenancy(tenancy.request_id))
-        assert len(manager.rate_limiters) == 0
+        assert manager.active_tenancies == 0
 
     def test_resize_counts_separate_from_admissions(self, tiny_tree):
         manager = NetworkManager(tiny_tree, epsilon=0.05)

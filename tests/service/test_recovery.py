@@ -20,6 +20,7 @@ from repro.manager.network_manager import NetworkManager
 from repro.service.codec import network_state_to_dict, request_from_dict
 from repro.service.concurrency import OUTCOME_ADMITTED, AdmissionService
 from repro.service.journal import (
+    KIND_ADMISSION,
     OP_ADMIT,
     OP_REJECT,
     OP_RELEASE,
@@ -27,6 +28,7 @@ from repro.service.journal import (
     ArchivingStore,
     DurabilityStore,
     Journal,
+    KeyEntry,
     archived_segments,
     never_compacted,
     segment_paths,
@@ -287,14 +289,12 @@ class TestIdempotencyIndexRebuild:
         recovered, report = recover_manager(store, tiny_tree)
         assert report.used_snapshot  # snapshot_every=2 guarantees several
         for key, request_id in admitted.items():
-            assert report.idempotency_index[key] == {
-                "outcome": "admitted",
-                "request_id": request_id,
-            }
-        assert report.idempotency_index["key-reject"] == {
-            "outcome": "rejected",
-            "request_id": None,
-        }
+            assert report.idempotency_index.get(key) == KeyEntry(
+                KIND_ADMISSION, "admitted", request_id
+            )
+        assert report.idempotency_index.get("key-reject") == KeyEntry(
+            KIND_ADMISSION, "rejected", None
+        )
 
         active_before = recovered.active_tenancies
         with AdmissionService(
@@ -309,9 +309,9 @@ class TestIdempotencyIndexRebuild:
                     wait=True,
                     idempotency_key=key,
                 )
-                expected = report.idempotency_index[key]
-                assert replay.outcome == expected["outcome"]
-                assert replay.request_id == expected["request_id"]
+                expected = report.idempotency_index.get(key)
+                assert replay.outcome == expected.outcome
+                assert replay.request_id == expected.request_id
             # Every replay deduplicated: nothing new was admitted.
             assert recovered.active_tenancies == active_before
             assert service.counters.deduped == 3

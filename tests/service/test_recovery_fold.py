@@ -25,12 +25,13 @@ from repro.service.journal import (
     ArchivingStore,
     DurabilityStore,
     Journal,
+    KeyWindow,
     archived_segments,
     keyed_decision,
     never_compacted,
     segment_paths,
 )
-from repro.service.recovery import idempotency_window, oracle_replay, recover_manager
+from repro.service.recovery import oracle_replay, recover_manager
 from repro.topology.builder import TINY_SPEC, build_datacenter
 
 TREE = build_datacenter(TINY_SPEC)
@@ -62,7 +63,9 @@ def test_recover_manager_decodes_the_journal_once_after_open(tmp_path, monkeypat
     assert calls == [[store.journal.active_path]]
     assert report.replayed_records == 2
     # ... and every key still comes back.
-    assert list(report.idempotency_index) == [f"k{index}" for index in range(8)]
+    assert [key for key, *_ in report.idempotency_index.decisions()] == [
+        f"k{index}" for index in range(8)
+    ]
 
 
 #: One op of the stream: (kind, size, pick).  ``pick`` chooses the tenant a
@@ -150,9 +153,9 @@ def test_snapshots_only_shorten_the_fold(ops, tear, every):
         state, active = oracle_replay(history, TREE)
         assert network_state_to_dict(state) == with_checkpoints["state"]
         assert sorted(active) == with_checkpoints["active"]
-        window = idempotency_window(
+        window = KeyWindow.rebuild(
             entry
             for entry in map(keyed_decision, Journal.iter_records(history))
             if entry is not None
         )
-        assert list(report.idempotency_index.items()) == list(window.items())
+        assert report.idempotency_index.decisions() == window.decisions()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.stochastic.aggregate import (
+from repro.stochastic.aggregate import risk_quantile
+from repro.stochastic.normal import Normal
+from tests.reference.aggregate import (
     DemandAggregate,
     admission_margin,
     effective_bandwidth_of,
@@ -11,9 +13,7 @@ from repro.stochastic.aggregate import (
     is_admissible,
     occupancy_ratio,
     outage_probability,
-    risk_quantile,
 )
-from repro.stochastic.normal import Normal
 
 
 class TestRiskQuantile:

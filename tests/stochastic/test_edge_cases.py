@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.stochastic import (
+from repro.stochastic import Normal, min_of_normals, sum_iid
+from repro.stochastic.normal import normal_cdf, normal_pdf
+from tests.reference.aggregate import (
     DemandAggregate,
-    Normal,
     admission_margin,
     effective_bandwidth_total,
     is_admissible,
-    min_of_normals,
     occupancy_ratio,
     outage_probability,
-    sum_iid,
 )
-from repro.stochastic.normal import normal_cdf, normal_pdf
 
 
 class TestExtremeArguments:

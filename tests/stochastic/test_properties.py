@@ -1,16 +1,11 @@
 """Property-based tests (hypothesis) for the probability substrate."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stochastic.aggregate import (
-    DemandAggregate,
-    admission_margin,
-    effective_bandwidth_total,
-    is_admissible,
-    occupancy_ratio,
-    risk_quantile,
-)
+from repro.network.link_state import LinkState
+from repro.stochastic.aggregate import risk_quantile
 from repro.stochastic.minimum import max_of_normals, min_of_normals
 from repro.stochastic.normal import (
     Normal,
@@ -18,6 +13,15 @@ from repro.stochastic.normal import (
     normal_quantile,
     sum_iid,
     truncated_moments,
+)
+from repro.topology.nodes import Link
+from tests.reference.aggregate import (
+    DemandAggregate,
+    admission_margin,
+    aggregate_of,
+    effective_bandwidth_total,
+    is_admissible,
+    occupancy_ratio,
 )
 
 means = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
@@ -134,6 +138,49 @@ class TestAdmissionProperties:
     @given(epsilon=st.floats(min_value=1e-4, max_value=0.49))
     def test_risk_quantile_positive_below_half(self, epsilon):
         assert risk_quantile(epsilon) > 0.0
+
+    @given(
+        demands=st.lists(
+            st.tuples(means, st.one_of(st.just(0.0), stds)), max_size=6
+        ),
+        reserved=st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=3),
+        capacity=st.floats(min_value=1.0, max_value=1e5),
+        extra=st.tuples(means, st.one_of(st.just(0.0), stds), means),
+        epsilon=epsilons,
+    )
+    def test_link_occupancy_matches_the_oracle(
+        self, demands, reserved, capacity, extra, epsilon
+    ):
+        """``LinkState.occupancy_with`` — the one statement of Eq. 6 in
+        ``src/`` — equals the textbook ``O_L``, with and without a candidate
+        demand and for deterministic (sigma = 0) ones, and ``O_L < 1`` is
+        Eq. 4 on the same link."""
+        link = LinkState(Link(link_id=1, child=1, parent=2, capacity=capacity))
+        for request_id, amount in enumerate(reserved):
+            link.add_deterministic(request_id, amount)
+        for request_id, (mean, std) in enumerate(demands, start=len(reserved)):
+            link.add_stochastic(request_id, Normal(mean, std))
+        extra_mean, extra_std, extra_det = extra
+        c = risk_quantile(epsilon)
+        aggregate = aggregate_of(link)
+        assert link.occupancy(c) == pytest.approx(
+            occupancy_ratio(link.deterministic_total, aggregate, capacity, epsilon),
+            rel=1e-9, abs=1e-12,
+        )
+        candidate = aggregate.add(Normal(extra_mean, extra_std))
+        reserved_total = link.deterministic_total + extra_det
+        occupancy = link.occupancy_with(
+            c, extra_mean=extra_mean, extra_var=extra_std ** 2,
+            extra_deterministic=extra_det,
+        )
+        assert occupancy == pytest.approx(
+            occupancy_ratio(reserved_total, candidate, capacity, epsilon),
+            rel=1e-9, abs=1e-12,
+        )
+        if abs(occupancy - 1.0) > 1e-9:
+            assert (occupancy < 1.0) == is_admissible(
+                candidate, capacity - reserved_total, epsilon
+            )
 
 
 class TestTruncationProperties:
